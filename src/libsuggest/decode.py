@@ -4,6 +4,19 @@ Both honor the repeat mask, so no sequence ever contains a duplicate
 library, and neither PAD nor UNK is ever emitted (selection only considers
 library ids and EOS).  Decoding is read-only over the checkpoint and never
 applies dropout.
+
+Greedy decoding, and the greedy rollout that seeds every beam, run
+`model.decoder_step` one step at a time.  Beam search runs all live
+hypotheses of a step through one `model.decoder_step_batch` call over
+[B x .] arrays, with the encoder side of attention computed once per
+query, and selects from the [B x V] probabilities: np.partition on
+np.log scores finds the width-th best, and only the candidates within a
+relative margin of 1e-9 of it are scored again as `score + math.log(p)`
+and sorted by (-score, sequence).  The margin covers the last-bit
+difference between np.log and math.log, so ties and near-ties resolve
+as a sort of every candidate would.  Each row of the batched step is
+bit-identical to `decoder_step`, so the answers and their reported
+probabilities equal those of a decode one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EOS_ID, N_RESERVED, PAD_ID, UNK_ID, process_description
-from .model import BOS, decoder_step, encode, initial_decoder_state
+from .corpus import EOS_ID, PAD_ID, UNK_ID, process_description
+from .model import BOS, attention_keys, decoder_step, decoder_step_batch, encode, initial_decoder_state
 from .tensor import Tensor
 from .trainer import ModelCheckpoint
 
@@ -94,14 +107,38 @@ def greedy_decode(tokens, ckpt: ModelCheckpoint, max_steps: int) -> list[str]:
     return [ckpt.lib_vocab.token(i) for i in emitted]
 
 
-@dataclass
-class _Hypothesis:
-    seq: tuple[int, ...]
-    probs: tuple[float, ...]
-    score: float
-    s: Tensor
-    cell: Tensor
-    context: Tensor
+# Approximate scores within this share of the width-th best are scored
+# again exactly; np.log is off from math.log by an ulp, far less than this
+_SELECT_MARGIN = 1e-9
+
+
+def _select(y: np.ndarray, candidate: np.ndarray, scores: list[float], seqs: list, width: int):
+    """The `width` best extensions of the live hypotheses, best first, as
+    (score, sequence, probability, row) tuples.
+
+    The rule is the one of a plain sort of every candidate by (-score,
+    sequence), where score is `scores[row] + math.log(p)`.  The [B x V]
+    matrix of those scores computed with np.log only picks which
+    candidates to score exactly: every one within the margin of the
+    width-th best approximate score, which keeps every candidate that the
+    exact width-th best score admits, ties included.
+    """
+    rows, ids = np.nonzero(candidate)
+    if len(rows) > width:
+        with np.errstate(divide="ignore"):
+            approx = np.log(y) + np.array(scores)[:, None]
+        approx[~candidate] = -np.inf
+        flat = approx.ravel()
+        kth = np.partition(flat, flat.size - width)[flat.size - width]
+        if kth > -np.inf:
+            rows, ids = np.nonzero(approx >= kth - _SELECT_MARGIN * abs(kth))
+    chosen = []
+    for r, j in zip(rows.tolist(), ids.tolist()):
+        p = float(y[r, j])
+        score = scores[r] + (math.log(p) if p > 0.0 else -math.inf)
+        chosen.append((score, seqs[r] + (j,), p, r))
+    chosen.sort(key=lambda c: (-c[0], c[1]))
+    return chosen[:width]
 
 
 def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
@@ -114,6 +151,13 @@ def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     when nothing completed within max_steps.  The pool is pre-seeded with
     the greedy rollout's completion, so the returned score never falls
     below greedy's regardless of width.
+
+    Each step runs every live hypothesis through one `decoder_step_batch`
+    call and picks the next beam with `_select` from the [B x V]
+    probabilities.  Both are exact: the batched step is bit-identical to
+    `decoder_step` row by row, and `_select` ranks by `math.log` scores
+    with ties broken by the lexicographically smaller sequence, so the
+    answer and its probabilities are those of a per-hypothesis search.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -121,10 +165,9 @@ def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         raise ValueError("max_steps must be >= 1")
     state = _start_state(tokens, ckpt)
     enc_out, valid_len, s_t, cell_t, context_t = state
-    vocab_n = ckpt.params.lib_vocab_size
-    regular = range(N_RESERVED, vocab_n)
+    params = ckpt.params
+    keys = attention_keys(enc_out, valid_len, params.attn)
 
-    live = [_Hypothesis((), (), 0.0, s_t, cell_t, context_t)]
     pool: list[tuple[float, tuple[int, ...], tuple[float, ...]]] = []
     seed_ids, seed_probs, seed_done, seed_eos = _greedy_rollout(state, ckpt, max_steps)
     if seed_done:
@@ -132,38 +175,43 @@ def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
         pool.append((score, tuple(seed_ids), tuple(steps)))
 
+    # the live hypotheses, one per row of the state arrays and of `masked`
+    seqs: list[tuple[int, ...]] = [()]
+    probs: list[tuple[float, ...]] = [()]
+    scores = [0.0]
+    s, cell, context = s_t.data[None], cell_t.data[None], context_t.data[None]
+    masked = np.zeros((1, params.lib_vocab_size), dtype=bool)
     for _ in range(max_steps):
-        candidates = []
-        for hyp in live:
-            prev = hyp.seq[-1] if hyp.seq else BOS
-            s_n, cell_n, ctx_n, _, y_t = decoder_step(
-                prev, hyp.context, hyp.s, hyp.cell, enc_out, valid_len, set(hyp.seq), ckpt.params
-            )
-            yd = y_t.data
-            options = [EOS_ID] + [i for i in regular if i not in hyp.seq]
-            for cand in options:
-                p = float(yd[cand])
-                cand_score = hyp.score + (math.log(p) if p > 0.0 else -math.inf)
-                candidates.append((cand_score, hyp.seq + (cand,), hyp.probs + (p,), cand, hyp, s_n, cell_n, ctx_n))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for cand_score, seq, probs, cand, hyp, s_n, cell_n, ctx_n in candidates[:beam_width]:
-            if cand == EOS_ID:
-                pool.append((cand_score, seq[:-1], probs))
+        prev = [seq[-1] if seq else BOS for seq in seqs]
+        s, cell, context, y = decoder_step_batch(
+            prev, context, s, cell, enc_out, valid_len, keys, masked, params
+        )
+        candidate = ~masked
+        candidate[:, [PAD_ID, UNK_ID]] = False
+        keep, seqs_next, probs_next, scores_next = [], [], [], []
+        for cand_score, seq, p, r in _select(y, candidate, scores, seqs, beam_width):
+            if seq[-1] == EOS_ID:
+                pool.append((cand_score, seq[:-1], probs[r] + (p,)))
             else:
-                live.append(_Hypothesis(seq, probs, cand_score, s_n, cell_n, ctx_n))
-        if not live:
+                keep.append(r)
+                seqs_next.append(seq)
+                probs_next.append(probs[r] + (p,))
+                scores_next.append(cand_score)
+        if not keep:
             break
+        seqs, probs, scores = seqs_next, probs_next, scores_next
+        s, cell, context, masked = s[keep], cell[keep], context[keep], masked[keep]
+        masked[np.arange(len(keep)), [seq[-1] for seq in seqs]] = True
         # emissions only lower a score, so no live path can beat the pool best
-        if pool and max(p[0] for p in pool) >= max(h.score for h in live):
+        if pool and max(p[0] for p in pool) >= max(scores):
             break
 
     if pool:
         pool.sort(key=lambda p: (-p[0], p[1]))
-        _, seq, probs = pool[0]
-        return list(seq), list(probs)
-    best = min(live, key=lambda h: (-h.score, h.seq))
-    return list(best.seq), list(best.probs)
+        _, seq, best_probs = pool[0]
+        return list(seq), list(best_probs)
+    best = min(range(len(seqs)), key=lambda r: (-scores[r], seqs[r]))
+    return list(seqs[best]), list(probs[best])
 
 
 def beam_search(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int) -> list[str]:

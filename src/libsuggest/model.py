@@ -12,6 +12,8 @@ import numpy as np
 from .corpus import EOS_ID, N_RESERVED, PAD_ID, UNK_ID, Vocabulary
 from .tensor import (
     Tensor,
+    _sigmoid,
+    _softmax,
     add,
     concat_rows,
     dropout,
@@ -43,6 +45,8 @@ __all__ = [
     "attention",
     "initial_decoder_state",
     "decoder_step",
+    "attention_keys",
+    "decoder_step_batch",
     "library_weights",
     "sequence_loss",
     "example_loss",
@@ -242,6 +246,88 @@ def decoder_step(
         mask[i] = -np.inf
     y_t = masked_softmax(logits, mask)
     return s_t, cell_t, context_t, logits, y_t
+
+
+def attention_keys(enc_out: Tensor, valid_len: int, p: AttentionParams) -> np.ndarray:
+    """The encoder side of the attention scores, `enc_out[:valid_len] @ u_a`.
+
+    It does not depend on the decoder state, so `decoder_step_batch` takes
+    it precomputed: once per source instead of once per step.
+    """
+    total = enc_out.shape[0]
+    if not 1 <= valid_len <= total:
+        raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
+    return enc_out.data[:valid_len] @ p.u_a.data
+
+
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # one stacked product of B [1 x K] slices, each the same BLAS call as
+    # the vector-matrix `x[b] @ w`; a [B x K] @ [K x N] GEMM sums in
+    # another order and differs from it in the last bits
+    return (x[:, None, :] @ w)[:, 0]
+
+
+def _lstm_rows(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: LstmParams):
+    def gate(w: Tensor, u: Tensor, b: Tensor) -> np.ndarray:
+        return _rows_matmul(x, w.data) + _rows_matmul(h, u.data) + b.data
+
+    i = _sigmoid(gate(p.w_i, p.u_i, p.b_i))
+    f = _sigmoid(gate(p.w_f, p.u_f, p.b_f))
+    o = _sigmoid(gate(p.w_o, p.u_o, p.b_o))
+    g = np.tanh(gate(p.w_g, p.u_g, p.b_g))
+    c = f * c + i * g
+    return o * np.tanh(c), c
+
+
+def decoder_step_batch(
+    prev_ids: Sequence[int],
+    context_prev: np.ndarray,
+    s_prev: np.ndarray,
+    cell_prev: np.ndarray,
+    enc_out: Tensor,
+    valid_len: int,
+    keys: np.ndarray,
+    masked: np.ndarray,
+    params: ModelParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`decoder_step` for B hypotheses at once, on plain arrays and without
+    a tape; returns (s_t, cell_t, context_t, y_t), each with B rows.
+
+    Row b of the inputs is one hypothesis: its previous id (or BOS), its
+    context, state and cell, and row b of the [B x V] boolean `masked`,
+    which is True at the ids `decoder_step` would get in `mask_ids`.
+    `keys` is `attention_keys(enc_out, valid_len, params.attn)`.  Row b of
+    every result is bit-identical to what `decoder_step` returns for row b:
+    vector-matrix products run as stacked products, everything else is
+    elementwise, and both softmaxes run row by row.  No dropout, since only
+    inference uses it.
+    """
+    vocab_n = params.lib_vocab_size
+    prev = np.asarray(prev_ids)
+    if masked.shape != (len(prev), vocab_n):
+        raise ValueError(f"mask shape {masked.shape} != ({len(prev)}, {vocab_n})")
+    if ((prev != BOS) & ((prev < 0) | (prev >= vocab_n))).any():
+        raise ValueError("previous id out of vocabulary range")
+    if masked.all(axis=1).any():
+        raise ValueError("repeat mask covers the whole library vocabulary")
+    valid = enc_out.data[:valid_len]
+
+    prev_emb = params.emb.data[np.where(prev == BOS, 0, prev)]
+    prev_emb[prev == BOS] = params.bos.data
+    x = np.concatenate([prev_emb, context_prev], axis=1)
+    s_t, cell_t = _lstm_rows(x, s_prev, cell_prev, params.dec)
+
+    query = _rows_matmul(s_t, params.attn.w_a.data)
+    scores = np.tanh(keys + query[:, None, :]) @ params.attn.v_a.data
+    every = np.ones(valid_len, dtype=bool)
+    alpha = np.stack([_softmax(row_scores, every) for row_scores in scores])
+    context_t = _rows_matmul(alpha, valid)
+
+    out = params.out
+    hidden = np.maximum(_rows_matmul(s_t, out.w_d.data) + _rows_matmul(context_t, out.v_d.data), 0.0)
+    logits = _rows_matmul(hidden, out.w_o.data)
+    y_t = np.stack([_softmax(row_logits, ~row_mask) for row_logits, row_mask in zip(logits, masked)])
+    return s_t, cell_t, context_t, y_t
 
 
 def library_weights(freq: Mapping[str, int], lib_vocab: Vocabulary) -> np.ndarray:

@@ -261,10 +261,14 @@ def tanh(x: Tensor) -> Tensor:
     return _unary(x, y, lambda: 1.0 - y * y)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a nonpositive argument only, so no overflow on either branch
-    z = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.data)
     return _unary(x, y, lambda: y * (1.0 - y))
 
 
@@ -434,6 +438,14 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
+def _softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Softmax over the `valid` positions of a vector, exact zeros elsewhere."""
+    shifted = np.exp(logits[valid] - logits[valid].max())
+    y = np.zeros_like(logits)
+    y[valid] = shifted / shifted.sum()
+    return y
+
+
 def masked_softmax(logits: Tensor, mask) -> Tensor:
     """Softmax of `logits + mask` where mask entries are 0 or -inf.
 
@@ -450,9 +462,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
         raise ValueError("mask entries must be 0 or -inf")
     if not valid.any():
         raise ValueError("all positions masked")
-    shifted = np.exp(ld[valid] - ld[valid].max())
-    y = np.zeros_like(ld)
-    y[valid] = shifted / shifted.sum()
+    y = _softmax(ld, valid)
     out = Tensor(y)
     tape = _active_tape()
     if tape is not None:

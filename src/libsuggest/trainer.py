@@ -13,11 +13,12 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import PreparedDataset, PreprocTables, Vocabulary
+from .corpus import N_RESERVED, PreparedDataset, PreprocTables, Vocabulary
 from .embeddings import EmbeddingTable, vocab_matrix
 from .model import ModelParams, example_loss, init_params, library_weights, named_parameters
 from .tensor import Tape, Tensor, add, backward, scale
@@ -307,6 +308,109 @@ def _params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
     )
 
 
+_HEADER_FIELDS = frozenset(
+    ("format_version", "config", "epochs", "final_loss", "word_vocab", "lib_vocab", "lib_freq", "tables", "tensors")
+)
+
+
+@contextmanager
+def _field(name: str):
+    """Turn a malformed header field into a CheckpointError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError) as exc:
+        if isinstance(exc, CheckpointError):
+            raise
+        raise CheckpointError(f"bad checkpoint field {name!r}: {exc!r}") from None
+
+
+def _config_from_header(raw) -> TrainConfig:
+    if not isinstance(raw, dict):
+        raise CheckpointError("checkpoint field 'config' is not an object")
+    names = [f.name for f in fields(TrainConfig)]
+    for key in raw:
+        if key not in names:
+            raise CheckpointError(f"unknown checkpoint field 'config.{key}'")
+    for f in fields(TrainConfig):
+        if f.name not in raw:
+            raise CheckpointError(f"checkpoint field 'config.{f.name}' is missing")
+        value = raw[f.name]
+        kinds = (int,) if isinstance(f.default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise CheckpointError(f"checkpoint field 'config.{f.name}' has the wrong type: {value!r}")
+    with _field("config"):
+        return TrainConfig(**raw)
+
+
+def _vocabulary(header: dict, name: str) -> Vocabulary:
+    with _field(name):
+        return Vocabulary(_strings(header[name]))
+
+
+def _tensor_shapes(cfg: TrainConfig, n_words: int, n_libs: int) -> dict[str, tuple[int, ...]]:
+    """The shape every stored tensor must have, by name."""
+    enc2, dec = 2 * cfg.enc_hidden, cfg.dec_hidden
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, n_in, n_hidden in (
+        ("enc_fwd", cfg.embed_dim, cfg.enc_hidden),
+        ("enc_bwd", cfg.embed_dim, cfg.enc_hidden),
+        ("dec", cfg.lib_embed + enc2, dec),
+    ):
+        for gate in ("i", "f", "o", "g"):
+            shapes[f"{prefix}.w_{gate}"] = (n_in, n_hidden)
+            shapes[f"{prefix}.u_{gate}"] = (n_hidden, n_hidden)
+            shapes[f"{prefix}.b_{gate}"] = (n_hidden,)
+    shapes.update({
+        "attn.w_a": (dec, dec),
+        "attn.u_a": (enc2, dec),
+        "attn.v_a": (dec,),
+        "out.w_d": (dec, dec),
+        "out.v_d": (enc2, dec),
+        "out.w_o": (dec, n_libs),
+        "init_w": (enc2, dec),
+        "init_b": (dec,),
+        "emb": (n_libs, cfg.lib_embed),
+        "bos": (cfg.lib_embed,),
+        "class_weights": (n_libs - N_RESERVED,),
+        "word_embed": (n_words, cfg.embed_dim),
+    })
+    return shapes
+
+
+def _check_tensor_list(listed, cfg: TrainConfig, word_vocab: Vocabulary, lib_vocab: Vocabulary) -> None:
+    """The header's tensor list must name every tensor once, with the
+    shape that the vocabularies and the config give it."""
+    with _field("tensors"):
+        shapes = {_string(name): tuple(_integer(n) for n in shape) for name, shape in listed}
+        if len(shapes) != len(listed):
+            raise CheckpointError("checkpoint field 'tensors' names a tensor twice")
+    expected = _tensor_shapes(cfg, len(word_vocab), len(lib_vocab))
+    missing, unknown = sorted(expected.keys() - shapes.keys()), sorted(shapes.keys() - expected.keys())
+    if missing:
+        raise CheckpointError(f"checkpoint field 'tensors' lacks tensor {missing[0]!r}")
+    if unknown:
+        raise CheckpointError(f"unknown tensor {unknown[0]!r} in checkpoint field 'tensors'")
+    # the vocabularies first: decoding maps emb rows and w_o columns to lib_vocab
+    for vocab_name, vocab, name, axis in (
+        ("lib_vocab", lib_vocab, "emb", 0),
+        ("lib_vocab", lib_vocab, "out.w_o", 1),
+        ("lib_vocab", lib_vocab, "class_weights", 0),
+        ("word_vocab", word_vocab, "word_embed", 0),
+    ):
+        size = expected[name][axis]
+        if len(shapes[name]) != len(expected[name]) or shapes[name][axis] != size:
+            raise CheckpointError(
+                f"checkpoint field {vocab_name!r} has {len(vocab)} ids, which does not fit "
+                f"tensor {name!r} of shape {list(shapes[name])}"
+            )
+    for name, shape in expected.items():
+        if shapes[name] != shape:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {list(shapes[name])} but checkpoint field 'config' "
+                f"gives {list(shape)}"
+            )
+
+
 def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
     """Parse the binary container; raises CheckpointError on any corruption."""
     overhead = len(CHECKPOINT_MAGIC) + 8 + 32
@@ -314,21 +418,34 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
         raise CheckpointError("truncated checkpoint file")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic bytes: not a checkpoint file of this format version")
-    body, checksum = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != checksum:
+    # a view, not a copy: the file bytes and the tensors are in memory already
+    body = memoryview(data)[:-32]
+    if hashlib.sha256(body).digest() != data[-32:]:
         raise CheckpointError("checksum mismatch: corrupted checkpoint")
     (header_len,) = struct.unpack_from("<Q", data, len(CHECKPOINT_MAGIC))
     header_start = len(CHECKPOINT_MAGIC) + 8
     if header_start + header_len > len(body):
         raise CheckpointError("truncated checkpoint header")
     try:
-        header = json.loads(body[header_start : header_start + header_len].decode("utf-8"))
+        header = json.loads(bytes(body[header_start : header_start + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not an object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('format_version')!r}"
         )
+    missing, unknown = sorted(_HEADER_FIELDS - set(header)), sorted(set(header) - _HEADER_FIELDS)
+    if missing:
+        raise CheckpointError(f"checkpoint field {missing[0]!r} is missing")
+    if unknown:
+        raise CheckpointError(f"unknown checkpoint field {unknown[0]!r}")
+
+    config = _config_from_header(header["config"])
+    word_vocab = _vocabulary(header, "word_vocab")
+    lib_vocab = _vocabulary(header, "lib_vocab")
+    _check_tensor_list(header["tensors"], config, word_vocab, lib_vocab)
 
     arrays: dict[str, np.ndarray] = {}
     offset = header_start + header_len
@@ -344,26 +461,51 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
     if offset != len(body):
         raise CheckpointError("trailing bytes after tensor payload")
 
-    tables = PreprocTables(
-        stopwords=frozenset(header["tables"]["stopwords"]),
-        domain_vocab=(
-            None
-            if header["tables"]["domain_vocab"] is None
-            else frozenset(header["tables"]["domain_vocab"])
-        ),
-        lemma_table=dict(header["tables"]["lemma"]),
-    )
+    with _field("tables"):
+        raw = header["tables"]
+        tables = PreprocTables(
+            stopwords=frozenset(_strings(raw["stopwords"])),
+            domain_vocab=(
+                None if raw["domain_vocab"] is None else frozenset(_strings(raw["domain_vocab"]))
+            ),
+            lemma_table={_string(k): _string(v) for k, v in raw["lemma"]},
+        )
+    with _field("lib_freq"):
+        lib_freq = {_string(k): _integer(v) for k, v in header["lib_freq"]}
+    with _field("epochs"):
+        epochs = _integer(header["epochs"])
+    final_loss = header["final_loss"]
+    if final_loss is not None and (isinstance(final_loss, bool) or not isinstance(final_loss, (int, float))):
+        raise CheckpointError(f"checkpoint field 'final_loss' is not a number: {final_loss!r}")
     return ModelCheckpoint(
-        config=TrainConfig(**header["config"]),
+        config=config,
         params=_params_from_arrays(arrays),
         word_embed=arrays["word_embed"],
-        word_vocab=Vocabulary(header["word_vocab"]),
-        lib_vocab=Vocabulary(header["lib_vocab"]),
-        lib_freq=dict((k, int(v)) for k, v in header["lib_freq"]),
+        word_vocab=word_vocab,
+        lib_vocab=lib_vocab,
+        lib_freq=lib_freq,
         tables=tables,
-        epochs=int(header["epochs"]),
-        final_loss=header["final_loss"],
+        epochs=epochs,
+        final_loss=final_loss,
     )
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _strings(values) -> list[str]:
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not a list")
+    return [_string(v) for v in values]
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:

@@ -7,7 +7,7 @@ import _synth
 from libsuggest.corpus import EOS_ID, N_RESERVED
 from libsuggest.decode import NoSignalError, _beam, beam_search, greedy_decode, recommend
 from libsuggest.model import BOS, decoder_step
-from libsuggest.decode import _start_state
+from libsuggest.decode import _greedy_rollout, _start_state
 
 TOKENS = ["t0", "t3", "t5"]
 
@@ -36,6 +36,62 @@ def exhaustive_best(ckpt, tokens, max_steps):
 
     walk(BOS, s0, c0, ctx0, (), 0.0, 0)
     return min(best, key=lambda item: (-item[0], item[1]))
+
+
+def reference_beam(tokens, ckpt, beam_width, max_steps):
+    """Beam search one hypothesis at a time: every candidate becomes a
+    tuple, and one sort by (-score, sequence) picks the next beam."""
+    state = _start_state(tokens, ckpt)
+    enc_out, valid_len, s_t, cell_t, context_t = state
+    vocab_n = ckpt.params.lib_vocab_size
+    # (score, seq, probs, s, cell, context)
+    live = [(0.0, (), (), s_t, cell_t, context_t)]
+    pool = []
+    seed_ids, seed_probs, seed_done, seed_eos = _greedy_rollout(state, ckpt, max_steps)
+    if seed_done:
+        steps = seed_probs + [seed_eos]
+        score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
+        pool.append((score, tuple(seed_ids), tuple(steps)))
+    for _ in range(max_steps):
+        candidates = []
+        for score, seq, probs, s, cell, ctx in live:
+            prev = seq[-1] if seq else BOS
+            s_n, cell_n, ctx_n, _, y = decoder_step(
+                prev, ctx, s, cell, enc_out, valid_len, set(seq), ckpt.params
+            )
+            for cand in [EOS_ID] + [i for i in range(N_RESERVED, vocab_n) if i not in seq]:
+                p = float(y.data[cand])
+                cand_score = score + (math.log(p) if p > 0.0 else -math.inf)
+                candidates.append((cand_score, seq + (cand,), probs + (p,), s_n, cell_n, ctx_n))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for cand in candidates[:beam_width]:
+            if cand[1][-1] == EOS_ID:
+                pool.append((cand[0], cand[1][:-1], cand[2]))
+            else:
+                live.append(cand)
+        if not live:
+            break
+        if pool and max(p[0] for p in pool) >= max(h[0] for h in live):
+            break
+    if pool:
+        _, seq, probs = min(pool, key=lambda p: (-p[0], p[1]))
+    else:
+        _, seq, probs = min(live, key=lambda h: (-h[0], h[1]))[:3]
+    return list(seq), list(probs)
+
+
+def tie_checkpoint(seed):
+    """Random checkpoint in which libraries 3 and 4, and 5 and 6, are
+    interchangeable: same embedding row, same output column.  Swapping
+    one for the other in a sequence leaves every score bit for bit equal,
+    so only the lexicographic tie-break tells them apart."""
+    ckpt = _synth.random_checkpoint(seed)
+    p = ckpt.params
+    for a, b in ((3, 4), (5, 6)):
+        p.emb.data[b] = p.emb.data[a]
+        p.out.w_o.data[:, b] = p.out.w_o.data[:, a]
+    return ckpt
 
 
 class TestGreedyDecode:
@@ -105,6 +161,57 @@ class TestBeamSearch:
     def test_width_validated(self):
         with pytest.raises(ValueError):
             beam_search(TOKENS, _synth.random_checkpoint(0), 0, 3)
+
+
+class TestBatchedBeamMatchesReference:
+    """The batched beam must give the reference beam's ids and, bit for
+    bit, its probabilities."""
+
+    WIDTHS = (1, 2, 3, 5, 10)
+
+    def check(self, ckpt, tokens, max_steps):
+        for width in self.WIDTHS:
+            assert _beam(tokens, ckpt, width, max_steps) == reference_beam(tokens, ckpt, width, max_steps), (
+                width,
+                max_steps,
+            )
+
+    def test_100_small_checkpoints(self):
+        # 5 libraries: at the wider widths every candidate is in the beam
+        for seed in range(100):
+            ckpt = _synth.random_checkpoint(seed)
+            for max_steps in (3, 6):
+                self.check(ckpt, TOKENS, max_steps)
+
+    def test_checkpoints_wider_than_the_beam(self):
+        # 40 libraries: the beam keeps a few of hundreds of candidates
+        for seed in range(40):
+            ckpt = _synth.random_checkpoint(seed, n_libs=40)
+            for max_steps in (3, 6):
+                self.check(ckpt, ["t1", "t2"], max_steps)
+
+    def test_interchangeable_libraries_break_ties_by_sequence(self):
+        for seed in range(20):
+            ckpt = tie_checkpoint(seed)
+            for max_steps in (3, 6):
+                self.check(ckpt, TOKENS, max_steps)
+            ids, _ = _beam(TOKENS, ckpt, 200, 3)
+            assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
+            for first, twin in ((3, 4), (5, 6)):
+                if twin in ids:
+                    assert first in ids[: ids.index(twin)]
+
+    def test_all_ids_equally_likely(self):
+        # a zero readout makes every unmasked id equally likely at every
+        # step, so the answer is decided by the tie-break alone
+        for seed in range(10):
+            ckpt = _synth.random_checkpoint(seed)
+            ckpt.params.out.w_o.data[:] = 0.0
+            for width in (1, 3, 200):
+                ids, probs = _beam(TOKENS, ckpt, width, 3)
+                assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
+                assert (ids, probs) == reference_beam(TOKENS, ckpt, width, 3)
+            assert beam_search(TOKENS, ckpt, 1, 6) == greedy_decode(TOKENS, ckpt, 6)
 
 
 @pytest.fixture(scope="module")

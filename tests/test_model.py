@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from libsuggest.corpus import EOS_ID, N_RESERVED, PAD_ID
+import _synth
 from libsuggest.model import (
     BOS,
     AttentionParams,
     LstmParams,
     attention,
+    attention_keys,
     decoder_step,
+    decoder_step_batch,
     encode,
     example_loss,
     init_params,
@@ -204,6 +207,74 @@ class TestDecoderStep:
         s, cell, ctx = initial_decoder_state(enc_out, 3, params)
         with pytest.raises(ValueError, match="out of vocabulary"):
             decoder_step(99, ctx, s, cell, enc_out, 3, set(), params)
+
+
+class TestDecoderStepBatch:
+    """Every row of the batched step must equal `decoder_step` bit for bit:
+    beam search reports these probabilities and its ranking rests on them."""
+
+    def check_rows(self, params, rng, total, valid_len, batch):
+        vocab_n = params.lib_vocab_size
+        embed_dim = params.enc_fwd.input_size
+        x = Tensor(rng.normal(size=(total, embed_dim)))
+        enc_out = encode(x, valid_len, params.enc_fwd, params.enc_bwd)
+        keys = attention_keys(enc_out, valid_len, params.attn)
+        dec_hidden, ctx_width = params.init_b.shape[0], enc_out.shape[1]
+        # row 0 starts the sequence; the others continue after a library
+        prev = [BOS] + [int(i) for i in rng.integers(N_RESERVED, vocab_n, size=batch - 1)]
+        masked = np.zeros((batch, vocab_n), dtype=bool)
+        for b in range(1, batch):
+            n = min(b, vocab_n - N_RESERVED - 1)
+            masked[b, rng.choice(np.arange(N_RESERVED, vocab_n), size=n, replace=False)] = True
+        ctx = rng.normal(size=(batch, ctx_width))
+        s = rng.normal(size=(batch, dec_hidden))
+        cell = rng.normal(size=(batch, dec_hidden))
+        got = decoder_step_batch(prev, ctx, s, cell, enc_out, valid_len, keys, masked, params)
+        for b in range(batch):
+            s_t, cell_t, ctx_t, _, y_t = decoder_step(
+                prev[b], Tensor(ctx[b].copy()), Tensor(s[b].copy()), Tensor(cell[b].copy()),
+                enc_out, valid_len, set(np.flatnonzero(masked[b]).tolist()), params,
+            )
+            for name, batched, single in zip(("s", "cell", "context", "y"), got, (s_t, cell_t, ctx_t, y_t)):
+                assert np.array_equal(batched[b], single.data), (name, b, batch, valid_len, total)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 10])
+    def test_rows_match_decoder_step_on_random_checkpoints(self, batch):
+        rng = np.random.default_rng(batch)
+        for seed in range(10):
+            params = _synth.random_checkpoint(seed).params
+            for total, valid_len in ((6, 6), (6, 4), (3, 1), (1, 1)):
+                self.check_rows(params, rng, total, valid_len, batch)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 10])
+    def test_rows_match_decoder_step_at_paper_dimensions(self, batch):
+        # OpenBLAS picks its kernels by size, so the small models prove
+        # nothing about embed 200, hidden 128 and V ~ 1000
+        rng = np.random.default_rng(100 + batch)
+        vocab_n = 1003
+        params = init_params(200, 128, 128, 64, vocab_n, np.full(vocab_n - N_RESERVED, 0.5), rng)
+        for total, valid_len in ((32, 32), (32, 19)):
+            self.check_rows(params, rng, total, valid_len, batch)
+
+    def test_rows_match_decoder_step_at_odd_dimensions(self):
+        rng = np.random.default_rng(7)
+        params = init_params(5, 7, 9, 3, 41, np.full(41 - N_RESERVED, 0.5), rng)
+        for batch in (1, 3, 10):
+            self.check_rows(params, rng, 5, 5, batch)
+            self.check_rows(params, rng, 5, 2, batch)
+
+    def test_invalid_rows_rejected(self):
+        params = _synth.random_checkpoint(0).params
+        enc_out = Tensor(np.ones((2, 8)))
+        keys = attention_keys(enc_out, 2, params.attn)
+        state = np.zeros((1, 4)), np.zeros((1, 4))
+        ctx = np.zeros((1, 8))
+        with pytest.raises(ValueError, match="whole"):
+            decoder_step_batch([BOS], ctx, *state, enc_out, 2, keys, np.ones((1, 8), dtype=bool), params)
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            decoder_step_batch([8], ctx, *state, enc_out, 2, keys, np.zeros((1, 8), dtype=bool), params)
+        with pytest.raises(ValueError, match="shape"):
+            decoder_step_batch([BOS], ctx, *state, enc_out, 2, keys, np.zeros((2, 8), dtype=bool), params)
 
 
 class TestLibraryWeights:

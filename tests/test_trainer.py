@@ -254,3 +254,121 @@ class TestCheckpointRoundTrip:
         )
         loaded = checkpoint_from_bytes(checkpoint_bytes(ckpt))
         assert loaded.tables == ckpt.tables
+
+
+def reheadered(blob: bytes, edit) -> bytes:
+    """The checkpoint with `edit` applied to its JSON header, the header
+    length and the checksum recomputed, and the tensor payload kept."""
+    import hashlib
+    import json
+    import struct
+
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length : -32]
+    return body + hashlib.sha256(body).digest()
+
+
+class TestCheckpointHeaderValidation:
+    """A checkpoint whose header does not fit its tensors fails with a
+    CheckpointError that names the field, whatever the edit."""
+
+    blob = checkpoint_bytes(_synth.random_checkpoint(5))
+
+    def rejects(self, edit, field):
+        with pytest.raises(CheckpointError, match=field):
+            checkpoint_from_bytes(reheadered(self.blob, edit))
+
+    def test_unedited_header_round_trips(self):
+        assert reheadered(self.blob, lambda h: None) == self.blob
+
+    def test_unknown_config_key(self):
+        self.rejects(lambda h: h["config"].update(attention="dot"), r"config\.attention")
+
+    def test_missing_config_key(self):
+        self.rejects(lambda h: h["config"].pop("lib_embed"), r"config\.lib_embed")
+
+    def test_config_value_of_wrong_type(self):
+        self.rejects(lambda h: h["config"].update(embed_dim="4"), r"config\.embed_dim")
+
+    def test_invalid_config_value(self):
+        self.rejects(lambda h: h["config"].update(dropout_p=1.5), "config")
+
+    @pytest.mark.parametrize("field", ["tables", "tensors", "lib_vocab", "config", "epochs"])
+    def test_missing_field(self, field):
+        self.rejects(lambda h: h.pop(field), field)
+
+    def test_unknown_field(self):
+        self.rejects(lambda h: h.update(extra=1), "extra")
+
+    def test_lib_vocab_shorter_than_emb_rows(self):
+        self.rejects(lambda h: h.update(lib_vocab=h["lib_vocab"][:-2]), "lib_vocab")
+
+    def test_lib_vocab_longer_than_output_columns(self):
+        def edit(h):
+            h["lib_vocab"] = h["lib_vocab"] + ["extra"]
+            shapes = dict(h["tensors"])
+            # emb fits the longer vocabulary; the readout does not
+            shapes["emb"][0] += 1
+            shapes["word_embed"][0] -= 1
+        self.rejects(edit, "lib_vocab")
+
+    def test_word_vocab_longer_than_word_embed_rows(self):
+        self.rejects(lambda h: h["word_vocab"].append("extra"), "word_vocab")
+
+    def test_config_dimension_not_matching_tensors(self):
+        self.rejects(lambda h: h["config"].update(dec_hidden=5), "config")
+
+    def test_tensor_missing_from_the_list(self):
+        self.rejects(lambda h: h.update(tensors=[t for t in h["tensors"] if t[0] != "bos"]), "bos")
+
+    def test_unknown_tensor(self):
+        def edit(h):
+            h["tensors"][-1][0] = "word_embed2"
+        self.rejects(edit, "word_embed")
+
+    def test_malformed_tables(self):
+        self.rejects(lambda h: h["tables"].update(lemma=[["a"]]), "tables")
+
+    def test_duplicate_vocabulary_entry(self):
+        self.rejects(lambda h: h["word_vocab"].__setitem__(1, h["word_vocab"][0]), "word_vocab")
+
+
+def _mutations():
+    from hypothesis import strategies as st
+
+    fields = ["format_version", "config", "epochs", "final_loss", "word_vocab", "lib_vocab", "lib_freq", "tables", "tensors"]
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+    return st.lists(st.tuples(st.sampled_from(fields), st.sampled_from(["drop", "set", "nested"]), junk), min_size=1, max_size=3)
+
+
+def test_edited_headers_only_raise_checkpoint_error():
+    from hypothesis import given, settings
+
+    blob = checkpoint_bytes(_synth.random_checkpoint(6))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_mutations())
+    def run(edits):
+        def edit(h):
+            for field, how, value in edits:
+                if how == "drop":
+                    h.pop(field, None)
+                elif how == "set" or not isinstance(h.get(field), (dict, list)) or not h[field]:
+                    h[field] = value
+                elif isinstance(h[field], dict):
+                    h[field][sorted(h[field])[0]] = value
+                else:
+                    h[field][0] = value
+        try:
+            checkpoint_from_bytes(reheadered(blob, edit))
+        except CheckpointError:
+            pass
+
+    run()
