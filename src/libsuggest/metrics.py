@@ -80,7 +80,9 @@ def psr_at_k(
     total = 0.0
     for c in cases:
         weights = {}
-        for lib in c.ground_truth:
+        # in a fixed order: set order follows the hash seed, and so would
+        # the last bits of the weight sum
+        for lib in sorted(c.ground_truth):
             f = freq.get(lib)
             if not f or f < 1:
                 raise ValueError(f"ground-truth library {lib!r} has no positive frequency")

@@ -12,23 +12,19 @@ import numpy as np
 from .corpus import EOS_ID, N_RESERVED, PAD_ID, UNK_ID, Vocabulary
 from .tensor import (
     Tensor,
-    _sigmoid,
+    _lstm_gates,
     _softmax,
     add,
+    bilstm,
     concat_rows,
     dropout,
     log,
+    lstm_cell,
     masked_softmax,
     matmul,
-    mul,
-    pick,
     relu,
-    row,
-    rows,
     scale,
-    sigmoid,
-    slice1d,
-    stack_rows,
+    take,
     tanh,
 )
 
@@ -57,32 +53,25 @@ __all__ = [
 
 @dataclass
 class LstmParams:
-    """One LSTM cell: input/forget/output/candidate gate weights and biases.
+    """One LSTM cell with its four gates fused, in column blocks
+    [input | forget | output | candidate] of width H.
 
-    Weight matrices are stored input-major, so a step computes e.g.
-    i = sigmoid(x @ w_i + h @ u_i + b_i).
+    Weight matrices are stored input-major, so a step computes
+    z = x @ w + h @ u + b and reads gate i from z[:H], f from z[H:2H], and
+    so on.
     """
 
-    w_i: Tensor
-    u_i: Tensor
-    b_i: Tensor
-    w_f: Tensor
-    u_f: Tensor
-    b_f: Tensor
-    w_o: Tensor
-    u_o: Tensor
-    b_o: Tensor
-    w_g: Tensor
-    u_g: Tensor
-    b_g: Tensor
+    w: Tensor  # [input x 4H]
+    u: Tensor  # [H x 4H]
+    b: Tensor  # [4H]
 
     @property
     def input_size(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0]
 
     @property
     def hidden_size(self) -> int:
-        return self.b_i.shape[0]
+        return self.u.shape[0]
 
 
 @dataclass
@@ -125,13 +114,7 @@ class ModelParams:
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple[Tensor, Tensor]:
     """Standard forget-gate LSTM cell (no peepholes)."""
-    i = sigmoid(add(add(matmul(x, p.w_i), matmul(h_prev, p.u_i)), p.b_i))
-    f = sigmoid(add(add(matmul(x, p.w_f), matmul(h_prev, p.u_f)), p.b_f))
-    o = sigmoid(add(add(matmul(x, p.w_o), matmul(h_prev, p.u_o)), p.b_o))
-    g = tanh(add(add(matmul(x, p.w_g), matmul(h_prev, p.u_g)), p.b_g))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
+    return lstm_cell(x, h_prev, c_prev, p.w, p.u, p.b)
 
 
 def encode(x: Tensor, valid_len: int, fwd: LstmParams, bwd: LstmParams) -> Tensor:
@@ -142,32 +125,9 @@ def encode(x: Tensor, valid_len: int, fwd: LstmParams, bwd: LstmParams) -> Tenso
     recurrences; the remaining PAD rows come back as zeros and are meant
     to be skipped via `valid_len` downstream.
     """
-    total = x.shape[0]
     if valid_len < 1:
         raise ValueError("cannot encode an all-PAD sequence")
-    if valid_len > total:
-        raise ValueError(f"valid_len {valid_len} exceeds sequence length {total}")
-    if fwd.hidden_size != bwd.hidden_size:
-        raise ValueError("encoder directions must share a hidden size")
-    hidden = fwd.hidden_size
-
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    forward_states = []
-    for t in range(valid_len):
-        h, c = lstm_step(row(x, t), h, c, fwd)
-        forward_states.append(h)
-
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    backward_states: list[Tensor | None] = [None] * valid_len
-    for t in reversed(range(valid_len)):
-        h, c = lstm_step(row(x, t), h, c, bwd)
-        backward_states[t] = h
-
-    out_rows = [concat_rows(forward_states[t], backward_states[t]) for t in range(valid_len)]
-    out_rows += [Tensor(np.zeros(2 * hidden)) for _ in range(total - valid_len)]
-    return stack_rows(out_rows)
+    return bilstm(x, valid_len, (fwd.w, fwd.u, fwd.b), (bwd.w, bwd.u, bwd.b))
 
 
 def attention(
@@ -181,7 +141,7 @@ def attention(
     total = enc_out.shape[0]
     if not 1 <= valid_len <= total:
         raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
-    valid = rows(enc_out, 0, valid_len) if valid_len < total else enc_out
+    valid = take(enc_out, slice(0, valid_len)) if valid_len < total else enc_out
     scores = matmul(tanh(add(matmul(valid, p.u_a), matmul(s_t, p.w_a))), p.v_a)
     alpha = masked_softmax(scores, np.zeros(valid_len))
     context = matmul(alpha, valid)
@@ -196,8 +156,8 @@ def initial_decoder_state(
     """Decoder start: learned tanh map of the final forward and backward
     encoder states; zero cell state and zero initial context."""
     enc_hidden = enc_out.shape[1] // 2
-    final_fwd = slice1d(row(enc_out, valid_len - 1), 0, enc_hidden)
-    final_bwd = slice1d(row(enc_out, 0), enc_hidden, 2 * enc_hidden)
+    final_fwd = take(enc_out, (valid_len - 1, slice(0, enc_hidden)))
+    final_bwd = take(enc_out, (0, slice(enc_hidden, 2 * enc_hidden)))
     s0 = tanh(add(matmul(concat_rows(final_fwd, final_bwd), params.init_w), params.init_b))
     cell0 = Tensor(np.zeros(params.init_b.shape[0]))
     context0 = Tensor(np.zeros(2 * enc_hidden))
@@ -230,7 +190,7 @@ def decoder_step(
     if len(mask_ids) >= vocab_n:
         raise ValueError("repeat mask covers the whole library vocabulary")
 
-    prev_emb = params.bos if prev_id == BOS else row(params.emb, prev_id)
+    prev_emb = params.bos if prev_id == BOS else take(params.emb, prev_id)
     x = concat_rows(prev_emb, context_prev)
     s_t, cell_t = lstm_step(x, s_prev, cell_prev, params.dec)
     _, context_t = attention(s_t, enc_out, valid_len, params.attn)
@@ -268,15 +228,8 @@ def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _lstm_rows(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: LstmParams):
-    def gate(w: Tensor, u: Tensor, b: Tensor) -> np.ndarray:
-        return _rows_matmul(x, w.data) + _rows_matmul(h, u.data) + b.data
-
-    i = _sigmoid(gate(p.w_i, p.u_i, p.b_i))
-    f = _sigmoid(gate(p.w_f, p.u_f, p.b_f))
-    o = _sigmoid(gate(p.w_o, p.u_o, p.b_o))
-    g = np.tanh(gate(p.w_g, p.u_g, p.b_g))
-    c = f * c + i * g
-    return o * np.tanh(c), c
+    h, c, _ = _lstm_gates(_rows_matmul(x, p.w.data) + _rows_matmul(h, p.u.data) + p.b.data, c)
+    return h, c
 
 
 def decoder_step_batch(
@@ -367,7 +320,7 @@ def sequence_loss(
     for y_t, target in zip(step_probs, targets):
         if float(y_t.data[target]) <= 0.0:
             raise ValueError(f"target {target} has zero probability (masked target?)")
-        term = scale(log(pick(y_t, target)), -_loss_weight(target, class_weights))
+        term = scale(log(take(y_t, target)), -_loss_weight(target, class_weights))
         total = term if total is None else add(total, term)
     return total
 
@@ -408,10 +361,9 @@ def named_parameters(params: ModelParams) -> dict[str, Tensor]:
     """Trainable tensors in a fixed, deterministic order."""
     out: dict[str, Tensor] = {}
     for prefix, cell in (("enc_fwd", params.enc_fwd), ("enc_bwd", params.enc_bwd), ("dec", params.dec)):
-        for gate in ("i", "f", "o", "g"):
-            out[f"{prefix}.w_{gate}"] = getattr(cell, f"w_{gate}")
-            out[f"{prefix}.u_{gate}"] = getattr(cell, f"u_{gate}")
-            out[f"{prefix}.b_{gate}"] = getattr(cell, f"b_{gate}")
+        out[f"{prefix}.w"] = cell.w
+        out[f"{prefix}.u"] = cell.u
+        out[f"{prefix}.b"] = cell.b
     out["attn.w_a"] = params.attn.w_a
     out["attn.u_a"] = params.attn.u_a
     out["attn.v_a"] = params.attn.v_a
@@ -431,12 +383,17 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> T
 
 
 def _init_lstm(rng: np.random.Generator, input_size: int, hidden: int) -> LstmParams:
-    kwargs = {}
-    for gate in ("i", "f", "o", "g"):
-        kwargs[f"w_{gate}"] = _uniform(rng, (input_size, hidden), input_size)
-        kwargs[f"u_{gate}"] = _uniform(rng, (hidden, hidden), hidden)
-        kwargs[f"b_{gate}"] = _uniform(rng, (hidden,), hidden)
-    return LstmParams(**kwargs)
+    # drawn gate by gate, (w, u, b) each, in the order of a cell stored as
+    # twelve per-gate tensors, then laid side by side
+    blocks = [
+        (
+            _uniform(rng, (input_size, hidden), input_size),
+            _uniform(rng, (hidden, hidden), hidden),
+            _uniform(rng, (hidden,), hidden),
+        )
+        for _gate in "ifog"
+    ]
+    return LstmParams(*(Tensor(np.concatenate([b[j].data for b in blocks], axis=-1)) for j in range(3)))
 
 
 def init_params(

@@ -1,19 +1,34 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything runs in double precision at desk scale: the point is gradients
-that survive a finite-difference audit, not throughput.  Ops record their
-backward rule on the thread's active tape (see `Tape`); with no active
-tape they are plain numpy computations.
+that survive a finite-difference audit.  Ops record their backward rule on
+the thread's active tape (see `Tape`); with no active tape they are plain
+numpy computations.
 
-The one exception is `finite_difference_check`, whose probes evaluate the
-forward pass in `np.longdouble` (a 64-bit mantissa on x86-64 Linux) so that
-the central differences resolve gradients far below what float64 rounding
-of the loss allows.  Where `np.longdouble` is no wider than float64, the
-probes run at float64 resolution.
+At these sizes the cost is the number of Python-level ops, so the LSTM is
+fused.  A cell stores its four gates [i | f | o | g] side by side as
+`w[in x 4H]`, `u[H x 4H]` and `b[4H]`.  `lstm_cell` is one decoder step as
+one op.  `bilstm` is a whole bidirectional encoder pass as one op: each
+direction projects its input in one product `x @ w + b`, then runs the
+recurrence, and its backward is hand-written backpropagation through time
+(`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`, plus `dx`).
+
+Two kinds of gradient skip the per-use allocation of a weight-sized
+array.  A vector-matrix product into a *leaf* matrix (one no op on the
+tape produced, such as a parameter) defers its `(x, g)` rows;
+`backward` adds `stack(xs)^T @ stack(gs)` once at the end of the sweep.
+`take` scatters its gradient into the accumulated one in place.
+
+The one exception to float64 is `finite_difference_check`, whose probes
+evaluate the forward pass in `np.longdouble` (a 64-bit mantissa on x86-64
+Linux) so that the central differences resolve gradients far below what
+float64 rounding of the loss allows.  Where `np.longdouble` is no wider
+than float64, the probes run at float64 resolution.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections.abc import Callable, Mapping, Sequence
 
@@ -32,14 +47,12 @@ __all__ = [
     "relu",
     "log",
     "concat_rows",
-    "stack_rows",
-    "rows",
-    "row",
-    "slice1d",
-    "pick",
+    "take",
     "sum_all",
     "masked_softmax",
     "dropout",
+    "lstm_cell",
+    "bilstm",
     "finite_difference_check",
 ]
 
@@ -100,9 +113,13 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[Callable[[], None]] = []
+        # (outputs, rule): rule(tape, *output gradients), None where an
+        # output got no gradient
+        self._records: list[tuple[tuple[Tensor, ...], Callable]] = []
         self._produced: set[int] = set()
         self._grads: dict[int, np.ndarray] = {}
+        self._owned: set[int] = set()  # gradients no other name refers to
+        self._deferred: dict[int, tuple[Tensor, list, list]] = {}
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -121,6 +138,45 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
+    def _acc(self, t: Tensor, g: np.ndarray) -> None:
+        key = id(t)
+        old = self._grads.get(key)
+        if old is None:
+            self._grads[key] = g
+        else:
+            self._grads[key] = old + g
+            self._owned.add(key)
+
+    def _acc_outer(self, t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
+        """Add outer(x, g) to the gradient of matrix `t`; for a leaf, defer
+        it to one product over all its rows at the end of the sweep."""
+        key = id(t)
+        if key in self._produced:
+            self._acc(t, np.outer(x, g))
+            return
+        entry = self._deferred.get(key)
+        if entry is None:
+            entry = self._deferred[key] = (t, [], [])
+        entry[1].append(x)
+        entry[2].append(g)
+
+    def _scatter(self, t: Tensor, index, g: np.ndarray) -> None:
+        """Add `g` into t's gradient at `index`, in place once the tape owns it."""
+        key = id(t)
+        buf = self._grads.get(key)
+        if key not in self._owned:
+            buf = np.zeros_like(t.data) if buf is None else buf.copy()
+            self._grads[key] = buf
+            self._owned.add(key)
+        buf[index] += g
+
+
+def _record(outs: tuple[Tensor, ...], rule: Callable) -> None:
+    tape = _active_tape()
+    if tape is not None:
+        tape._produced.update(id(o) for o in outs)
+        tape._records.append((outs, rule))
+
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Run the reverse sweep, accumulating d(loss)/d(tensor) on the tape.
@@ -133,16 +189,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if id(loss) not in tape._produced:
         raise ValueError("loss was not produced on this tape")
     tape._grads = {id(loss): np.ones((), dtype=np.float64)}
-    for pull in reversed(tape._records):
-        pull()
-
-
-def _acc(grads: dict[int, np.ndarray], t: Tensor, g: np.ndarray) -> None:
-    key = id(t)
-    if key in grads:
-        grads[key] = grads[key] + g
-    else:
-        grads[key] = g
+    tape._owned = set()
+    tape._deferred = {}
+    grads = tape._grads
+    for outs, rule in reversed(tape._records):
+        gs = [grads.get(id(o)) for o in outs]
+        if any(g is not None for g in gs):
+            rule(tape, *gs)
+    for t, xs, gs in tape._deferred.values():
+        tape._acc(t, np.stack(xs).T @ np.stack(gs))
+    tape._deferred = {}
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -153,28 +209,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[0]:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     out = Tensor(ad @ bd)
-    tape = _active_tape()
-    if tape is not None:
 
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            if ad.ndim == 2 and bd.ndim == 2:
-                _acc(tape._grads, a, g @ bd.T)
-                _acc(tape._grads, b, ad.T @ g)
-            elif ad.ndim == 2 and bd.ndim == 1:
-                _acc(tape._grads, a, np.outer(g, bd))
-                _acc(tape._grads, b, ad.T @ g)
-            elif ad.ndim == 1 and bd.ndim == 2:
-                _acc(tape._grads, a, bd @ g)
-                _acc(tape._grads, b, np.outer(ad, g))
-            else:
-                _acc(tape._grads, a, g * bd)
-                _acc(tape._grads, b, g * ad)
+    def rule(tape, g):
+        if ad.ndim == 2 and bd.ndim == 2:
+            tape._acc(a, g @ bd.T)
+            tape._acc(b, ad.T @ g)
+        elif ad.ndim == 2:
+            tape._acc(a, np.outer(g, bd))
+            tape._acc(b, ad.T @ g)
+        elif bd.ndim == 2:
+            tape._acc(a, bd @ g)
+            tape._acc_outer(b, ad, g)
+        else:
+            tape._acc(a, g * bd)
+            tape._acc(b, g * ad)
 
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    _record((out,), rule)
     return out
 
 
@@ -187,18 +237,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ):
         raise ValueError(f"add shape mismatch: {ad.shape} + {bd.shape}")
     out = Tensor(ad + bd)
-    tape = _active_tape()
-    if tape is not None:
 
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            _acc(tape._grads, a, g)
-            _acc(tape._grads, b, g.sum(axis=0) if broadcast else g)
+    def rule(tape, g):
+        tape._acc(a, g)
+        tape._acc(b, g.sum(axis=0) if broadcast else g)
 
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    _record((out,), rule)
     return out
 
 
@@ -207,18 +251,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape != bd.shape:
         raise ValueError(f"mul shape mismatch: {ad.shape} * {bd.shape}")
     out = Tensor(ad * bd)
-    tape = _active_tape()
-    if tape is not None:
 
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            _acc(tape._grads, a, g * bd)
-            _acc(tape._grads, b, g * ad)
+    def rule(tape, g):
+        tape._acc(a, g * bd)
+        tape._acc(b, g * ad)
 
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    _record((out,), rule)
     return out
 
 
@@ -226,33 +264,16 @@ def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a plain (non-differentiated) scalar."""
     factor = float(factor)
     out = Tensor(x.data * factor)
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is not None:
-                _acc(tape._grads, x, g * factor)
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    _record((out,), lambda tape, g: tape._acc(x, g * factor))
     return out
 
 
 def _unary(x: Tensor, value: np.ndarray, local: Callable[[], np.ndarray]) -> Tensor:
     # the local gradient is only worth computing when a tape records the op
     out = Tensor(value)
-    tape = _active_tape()
-    if tape is not None:
+    if _active_tape() is not None:
         local_grad = local()
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is not None:
-                _acc(tape._grads, x, g * local_grad)
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+        _record((out,), lambda tape, g: tape._acc(x, g * local_grad))
     return out
 
 
@@ -290,151 +311,42 @@ def concat_rows(*parts: Tensor) -> Tensor:
     if ndim == 2 and len({p.shape[0] for p in parts}) != 1:
         raise ValueError("concat_rows matrices must share their row count")
     out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    tape = _active_tape()
-    if tape is not None:
-        widths = [p.shape[-1] for p in parts]
+    widths = [p.shape[-1] for p in parts]
 
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            offset = 0
-            for p, w in zip(parts, widths):
-                _acc(tape._grads, p, g[..., offset : offset + w])
-                offset += w
+    def rule(tape, g):
+        offset = 0
+        for p, w in zip(parts, widths):
+            tape._acc(p, g[..., offset : offset + w])
+            offset += w
 
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    _record((out,), rule)
     return out
 
 
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one vector per row."""
-    if not parts:
-        raise ValueError("stack_rows needs at least one row")
-    if any(p.ndim != 1 for p in parts) or len({p.shape[0] for p in parts}) != 1:
-        raise ValueError("stack_rows expects equal-length vectors")
-    out = Tensor(np.stack([p.data for p in parts]))
-    tape = _active_tape()
-    if tape is not None:
+def take(x: Tensor, index) -> Tensor:
+    """`x[index]` for a basic index: an int or a step-free `slice` per
+    leading axis, alone or in a tuple (a row, a row range, a component).
 
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            for i, p in enumerate(parts):
-                _acc(tape._grads, p, g[i])
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
-    return out
-
-
-def rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Row range x[start:stop] of a matrix."""
-    if x.ndim != 2:
-        raise ValueError("rows expects a matrix")
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ValueError(f"row range [{start}:{stop}] out of bounds for {x.shape}")
-    out = Tensor(x.data[start:stop].copy())
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            buf = np.zeros_like(x.data)
-            buf[start:stop] = g
-            _acc(tape._grads, x, buf)
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
-    return out
-
-
-def row(x: Tensor, i: int) -> Tensor:
-    """Single row of a matrix, as a vector."""
-    if x.ndim != 2:
-        raise ValueError("row expects a matrix")
-    if not 0 <= i < x.shape[0]:
-        raise ValueError(f"row {i} out of bounds for {x.shape}")
-    out = Tensor(x.data[i].copy())
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            buf = np.zeros_like(x.data)
-            buf[i] = g
-            _acc(tape._grads, x, buf)
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
-    return out
-
-
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice x[start:stop] of a vector."""
-    if x.ndim != 1:
-        raise ValueError("slice1d expects a vector")
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ValueError(f"slice [{start}:{stop}] out of bounds for {x.shape}")
-    out = Tensor(x.data[start:stop].copy())
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            buf = np.zeros_like(x.data)
-            buf[start:stop] = g
-            _acc(tape._grads, x, buf)
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
-    return out
-
-
-def pick(x: Tensor, i: int) -> Tensor:
-    """Scalar component x[i] of a vector."""
-    if x.ndim != 1:
-        raise ValueError("pick expects a vector")
-    if not 0 <= i < x.shape[0]:
-        raise ValueError(f"index {i} out of bounds for {x.shape}")
-    out = Tensor(x.data[i])
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            buf = np.zeros_like(x.data)
-            buf[i] = g
-            _acc(tape._grads, x, buf)
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    Backward adds the gradient into x's accumulated one in place.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    if len(parts) > x.ndim:
+        raise ValueError(f"index {index!r} has more axes than shape {x.shape}")
+    for part, n in zip(parts, x.shape):
+        if isinstance(part, slice):
+            if part.indices(n) != (part.start, part.stop, 1) or part.start >= part.stop:
+                raise ValueError(f"range {part!r} out of bounds for {x.shape}")
+        elif not 0 <= operator.index(part) < n:
+            raise ValueError(f"index {part} out of bounds for {x.shape}")
+    out = Tensor(x.data[index].copy())
+    _record((out,), lambda tape, g: tape._scatter(x, index, g))
     return out
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all components, as a scalar tensor."""
     out = Tensor(x.data.sum())
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is not None:
-                _acc(tape._grads, x, np.full_like(x.data, float(g)))
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    _record((out,), lambda tape, g: tape._acc(x, np.full_like(x.data, float(g))))
     return out
 
 
@@ -464,18 +376,8 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
         raise ValueError("all positions masked")
     y = _softmax(ld, valid)
     out = Tensor(y)
-    tape = _active_tape()
-    if tape is not None:
-
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is None:
-                return
-            # y is zero at masked positions, so their logit grads stay zero
-            _acc(tape._grads, logits, y * (g - float(g @ y)))
-
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+    # y is zero at masked positions, so their logit grads stay zero
+    _record((out,), lambda tape, g: tape._acc(logits, y * (g - float(g @ y))))
     return out
 
 
@@ -490,16 +392,127 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
         raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
     out = Tensor(x.data * keep)
-    tape = _active_tape()
-    if tape is not None:
+    _record((out,), lambda tape, g: tape._acc(x, g * keep))
+    return out
 
-        def pull():
-            g = tape._grads.get(id(out))
-            if g is not None:
-                _acc(tape._grads, x, g * keep)
 
-        tape._produced.add(id(out))
-        tape._records.append(pull)
+def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
+    """The cell update from fused pre-activations `z[..., 4H]`, gate
+    columns [i | f | o | g]; returns (h, c, what the backward needs).
+    Elementwise only, so each row of a [B x 4H] batch gets the bits a
+    single vector would."""
+    hidden = z.shape[-1] // 4
+    ifo = _sigmoid(z[..., : 3 * hidden])
+    g = np.tanh(z[..., 3 * hidden :])
+    c = ifo[..., hidden : 2 * hidden] * c_prev + ifo[..., :hidden] * g
+    tanh_c = np.tanh(c)
+    return ifo[..., 2 * hidden :] * tanh_c, c, (ifo, g, c_prev, tanh_c)
+
+
+def _lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, saved):
+    """Gradients of one cell update for vectors: (dz, dc_prev)."""
+    ifo, g, c_prev, tanh_c = saved
+    hidden = g.shape[0]
+    i, f, o = ifo[:hidden], ifo[hidden : 2 * hidden], ifo[2 * hidden :]
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dz = np.empty(4 * hidden)
+    dz[:hidden] = dc * g
+    dz[hidden : 2 * hidden] = dc * c_prev
+    dz[2 * hidden : 3 * hidden] = dh * tanh_c
+    dz[: 3 * hidden] *= ifo * (1.0 - ifo)
+    dz[3 * hidden :] = dc * i * (1.0 - g * g)
+    return dz, dc * f
+
+
+def _check_cell(w: Tensor, u: Tensor, b: Tensor, input_size: int) -> int:
+    hidden = u.shape[0] if u.ndim == 2 else -1
+    if w.shape != (input_size, 4 * hidden) or u.shape != (hidden, 4 * hidden) or b.shape != (4 * hidden,):
+        raise ValueError(
+            f"LSTM weights {w.shape}, {u.shape}, {b.shape} do not fit input size {input_size}"
+        )
+    return hidden
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """One forget-gate LSTM step (no peepholes) as one op: returns (h, c).
+
+    `z = x @ w + h @ u + b` holds the pre-activations of the gates
+    [i | f | o | g]; c' = f*c + i*g and h' = o*tanh(c').
+    """
+    hidden = _check_cell(w, u, b, x.shape[0] if x.ndim == 1 else -1)
+    if h.shape != (hidden,) or c.shape != (hidden,):
+        raise ValueError(f"LSTM state shapes {h.shape}, {c.shape} do not fit hidden size {hidden}")
+    xd, hd = x.data, h.data
+    h_new, c_new, saved = _lstm_gates(xd @ w.data + hd @ u.data + b.data, c.data)
+    h_out, c_out = Tensor(h_new), Tensor(c_new)
+
+    def rule(tape, dh, dc):
+        dz, dc_prev = _lstm_gates_backward(
+            np.zeros(hidden) if dh is None else dh, np.zeros(hidden) if dc is None else dc, saved
+        )
+        tape._acc(x, w.data @ dz)
+        tape._acc(h, u.data @ dz)
+        tape._acc(c, dc_prev)
+        tape._acc_outer(w, xd, dz)
+        tape._acc_outer(u, hd, dz)
+        tape._acc(b, dz)
+
+    _record((h_out, c_out), rule)
+    return h_out, c_out
+
+
+Cell = tuple[Tensor, Tensor, Tensor]  # fused (w, u, b)
+
+
+def bilstm(x: Tensor, valid_len: int, fwd: Cell, bwd: Cell) -> Tensor:
+    """Bidirectional LSTM over the first `valid_len` rows of x [T x in], as
+    one op.  Row t of the [T x 2H] result is the left-to-right state at t
+    next to the right-to-left state at t; rows from `valid_len` on are
+    zeros.  Both directions start from zero state and cell.
+    """
+    if x.ndim != 2 or not 1 <= valid_len <= x.shape[0]:
+        raise ValueError(f"valid_len {valid_len} out of range for input of shape {x.shape}")
+    hidden = _check_cell(*fwd, x.shape[1])
+    if _check_cell(*bwd, x.shape[1]) != hidden:
+        raise ValueError("encoder directions must share a hidden size")
+    xd = x.data[:valid_len]
+    runs = []
+    for (w, u, b), steps in ((fwd, range(valid_len)), (bwd, range(valid_len - 1, -1, -1))):
+        gates_in = xd @ w.data + b.data
+        h = np.zeros(hidden, dtype=gates_in.dtype)
+        c = h
+        states = np.empty((valid_len, hidden), dtype=gates_in.dtype)
+        previous = np.empty_like(states)
+        saved = [None] * valid_len
+        for t in steps:
+            previous[t] = h
+            h, c, saved[t] = _lstm_gates(gates_in[t] + h @ u.data, c)
+            states[t] = h
+        runs.append((states, previous, saved))
+    out_data = np.zeros((x.shape[0], 2 * hidden), dtype=np.result_type(runs[0][0], runs[1][0]))
+    out_data[:valid_len, :hidden] = runs[0][0]
+    out_data[:valid_len, hidden:] = runs[1][0]
+    out = Tensor(out_data)
+
+    def rule(tape, g):
+        dx = np.zeros_like(x.data)
+        for (w, u, b), (_, previous, saved), steps, cols in (
+            (fwd, runs[0], range(valid_len - 1, -1, -1), slice(0, hidden)),
+            (bwd, runs[1], range(valid_len), slice(hidden, 2 * hidden)),
+        ):
+            dh_out = g[:valid_len, cols]
+            dgates = np.empty((valid_len, 4 * hidden))
+            dh, dc = np.zeros(hidden), np.zeros(hidden)
+            for t in steps:
+                dgates[t], dc = _lstm_gates_backward(dh_out[t] + dh, dc, saved[t])
+                dh = u.data @ dgates[t]
+            tape._acc(w, xd.T @ dgates)
+            tape._acc(u, previous.T @ dgates)
+            tape._acc(b, dgates.sum(axis=0))
+            dx[:valid_len] += dgates @ w.data.T
+        tape._acc(x, dx)
+
+    _record((out,), rule)
     return out
 
 

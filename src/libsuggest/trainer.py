@@ -2,14 +2,16 @@
 
 Adam with global-norm gradient clipping, teacher forcing, seeded shuffling
 and dropout.  Checkpoints are a versioned binary container that round-trips
-bit-exactly: magic, JSON metadata, raw little-endian float64 tensors, and a
-trailing SHA-256 checksum.
+bit-exactly: magic, JSON metadata padded so that the tensors start 8-byte
+aligned, raw little-endian float64 tensors, and a trailing SHA-256
+checksum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"LSCKPT01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingError(RuntimeError):
@@ -269,6 +271,8 @@ def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
         "tensors": [[name, list(arr.shape)] for name, arr in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    # JSON allows trailing blanks; they put the payload on an 8-byte boundary
+    header_bytes += b" " * (-len(header_bytes) % 8)
     payload = b"".join(
         np.ascontiguousarray(arr, dtype=np.float64).tobytes() for arr in arrays.values()
     )
@@ -280,11 +284,7 @@ def _params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
     from .model import AttentionParams, LstmParams, OutputParams
 
     def lstm(prefix: str) -> LstmParams:
-        kwargs = {}
-        for gate in ("i", "f", "o", "g"):
-            for kind in ("w", "u", "b"):
-                kwargs[f"{kind}_{gate}"] = Tensor(arrays[f"{prefix}.{kind}_{gate}"])
-        return LstmParams(**kwargs)
+        return LstmParams(*(Tensor(arrays[f"{prefix}.{kind}"]) for kind in ("w", "u", "b")))
 
     return ModelParams(
         enc_fwd=lstm("enc_fwd"),
@@ -356,10 +356,9 @@ def _tensor_shapes(cfg: TrainConfig, n_words: int, n_libs: int) -> dict[str, tup
         ("enc_bwd", cfg.embed_dim, cfg.enc_hidden),
         ("dec", cfg.lib_embed + enc2, dec),
     ):
-        for gate in ("i", "f", "o", "g"):
-            shapes[f"{prefix}.w_{gate}"] = (n_in, n_hidden)
-            shapes[f"{prefix}.u_{gate}"] = (n_hidden, n_hidden)
-            shapes[f"{prefix}.b_{gate}"] = (n_hidden,)
+        shapes[f"{prefix}.w"] = (n_in, 4 * n_hidden)
+        shapes[f"{prefix}.u"] = (n_hidden, 4 * n_hidden)
+        shapes[f"{prefix}.b"] = (4 * n_hidden,)
     shapes.update({
         "attn.w_a": (dec, dec),
         "attn.u_a": (enc2, dec),
@@ -411,23 +410,30 @@ def _check_tensor_list(listed, cfg: TrainConfig, word_vocab: Vocabulary, lib_voc
             )
 
 
-def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
-    """Parse the binary container; raises CheckpointError on any corruption."""
+def checkpoint_from_bytes(data) -> ModelCheckpoint:
+    """Parse the binary container; raises CheckpointError on any corruption.
+
+    The tensors are views into one buffer holding the container: `data`
+    itself when it is writable and 8-byte aligned (as `load_checkpoint`
+    reads it), else one copy of it.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if not buf.flags.writeable or buf.ctypes.data % 8:
+        buf = buf.copy()
     overhead = len(CHECKPOINT_MAGIC) + 8 + 32
-    if len(data) < overhead:
+    if len(buf) < overhead:
         raise CheckpointError("truncated checkpoint file")
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    if buf[: len(CHECKPOINT_MAGIC)].tobytes() != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic bytes: not a checkpoint file of this format version")
-    # a view, not a copy: the file bytes and the tensors are in memory already
-    body = memoryview(data)[:-32]
-    if hashlib.sha256(body).digest() != data[-32:]:
+    body = buf[:-32]
+    if hashlib.sha256(body).digest() != buf[-32:].tobytes():
         raise CheckpointError("checksum mismatch: corrupted checkpoint")
-    (header_len,) = struct.unpack_from("<Q", data, len(CHECKPOINT_MAGIC))
+    (header_len,) = struct.unpack_from("<Q", buf, len(CHECKPOINT_MAGIC))
     header_start = len(CHECKPOINT_MAGIC) + 8
     if header_start + header_len > len(body):
         raise CheckpointError("truncated checkpoint header")
     try:
-        header = json.loads(bytes(body[header_start : header_start + header_len]).decode("utf-8"))
+        header = json.loads(body[header_start : header_start + header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
     if not isinstance(header, dict):
@@ -436,6 +442,8 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('format_version')!r}"
         )
+    if header_len % 8:
+        raise CheckpointError(f"header length {header_len} leaves the tensor payload unaligned")
     missing, unknown = sorted(_HEADER_FIELDS - set(header)), sorted(set(header) - _HEADER_FIELDS)
     if missing:
         raise CheckpointError(f"checkpoint field {missing[0]!r} is missing")
@@ -450,13 +458,10 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
     arrays: dict[str, np.ndarray] = {}
     offset = header_start + header_len
     for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(body):
             raise CheckpointError("truncated tensor payload")
-        arrays[name] = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(
-            shape
-        ).copy()
+        arrays[name] = body[offset : offset + nbytes].view("<f8").reshape(shape)
         offset += nbytes
     if offset != len(body):
         raise CheckpointError("trailing bytes after tensor payload")
@@ -472,6 +477,11 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
         )
     with _field("lib_freq"):
         lib_freq = {_string(k): _integer(v) for k, v in header["lib_freq"]}
+    # evaluate weighs every truth library by its count, and the loss
+    # weights of training come from the counts of the vocabulary
+    for lib in [*lib_vocab.regular_tokens(), *lib_freq]:
+        if lib_freq.get(lib, 0) < 1:
+            raise CheckpointError(f"checkpoint field 'lib_freq' has no count >= 1 for library {lib!r}")
     with _field("epochs"):
         epochs = _integer(header["epochs"])
     final_loss = header["final_loss"]
@@ -524,5 +534,11 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
+    """Read the file into one aligned, writable buffer; the tensors of the
+    checkpoint are views into it, not copies."""
     with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size, dtype=np.uint8)
+        if fh.readinto(buf) != size or fh.read(1):
+            raise CheckpointError("checkpoint file changed size while being read")
+    return checkpoint_from_bytes(buf)

@@ -235,3 +235,38 @@ class TestEvaluate:
         plain = psr_at_k(cases, 1, freq, beta=0.0)
         stratified = psr_at_k(cases, 1, freq, beta=0.2)
         assert stratified < plain
+
+
+_EVALUATE_SCRIPT = """
+import _synth
+from libsuggest.metrics import evaluate
+
+ckpt = _synth.random_checkpoint(3, n_libs=40, n_words=8)
+libs = ckpt.lib_vocab.regular_tokens()
+test_set = [
+    ([f"t{(i + j) % 8}" for j in range(3)], [libs[(7 * i + 3 * j) % len(libs)] for j in range(4 + i % 9)])
+    for i in range(12)
+]
+print(evaluate(ckpt, test_set, ks=(1, 5, 10), beam_width=2).format_machine(), end="")
+"""
+
+
+def test_evaluate_report_does_not_depend_on_the_hash_seed():
+    # set iteration order follows PYTHONHASHSEED; the report must not
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", _EVALUATE_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert b"psr@k" in reports[0]
+    assert reports[0] == reports[1]

@@ -30,12 +30,7 @@ def zero_lstm(input_size, hidden):
     def z(shape):
         return Tensor(np.zeros(shape))
 
-    return LstmParams(
-        w_i=z((input_size, hidden)), u_i=z((hidden, hidden)), b_i=z((hidden,)),
-        w_f=z((input_size, hidden)), u_f=z((hidden, hidden)), b_f=z((hidden,)),
-        w_o=z((input_size, hidden)), u_o=z((hidden, hidden)), b_o=z((hidden,)),
-        w_g=z((input_size, hidden)), u_g=z((hidden, hidden)), b_g=z((hidden,)),
-    )
+    return LstmParams(w=z((input_size, 4 * hidden)), u=z((hidden, 4 * hidden)), b=z((4 * hidden,)))
 
 
 def tiny_params(seed, n_regular=6, embed_dim=8, hidden=4, lib_embed=8):
@@ -73,9 +68,25 @@ class TestLstmStep:
 
             return add(sum_all(h), sum_all(c))
 
-        tensors = [getattr(cell, f"{k}_{g}") for g in "ifog" for k in ("w", "u", "b")]
-        err = finite_difference_check(f, tensors + [x, h0, c0])
+        err = finite_difference_check(f, [cell.w, cell.u, cell.b, x, h0, c0])
         assert err < 1e-4
+
+
+def test_fused_cells_start_from_the_per_gate_draws():
+    # a cell stored as twelve per-gate tensors drew (w, u, b) gate by gate
+    # in the order i, f, o, g; the fused blocks hold exactly those numbers
+    params, _ = tiny_params(4)
+    rng = np.random.default_rng(4)
+    for cell, n_in, hidden in ((params.enc_fwd, 8, 4), (params.enc_bwd, 8, 4), (params.dec, 16, 4)):
+        for k in range(4):
+            block = slice(k * hidden, (k + 1) * hidden)
+            for fused, shape, fan_in in (
+                (cell.w.data[:, block], (n_in, hidden), n_in),
+                (cell.u.data[:, block], (hidden, hidden), hidden),
+                (cell.b.data[block], (hidden,), hidden),
+            ):
+                r = 1.0 / np.sqrt(fan_in)
+                assert np.array_equal(fused, rng.uniform(-r, r, size=shape))
 
 
 class TestEncode:
@@ -414,3 +425,36 @@ class TestFullModelGradients:
         f = lambda: example_loss(x, 3, targets, params)
         err = finite_difference_check(f, named_parameters(params), epsilon=1e-3)
         assert err < 1e-3, f"max relative error {err}"
+
+
+def test_paper_scale_example_op_and_tape_record_counts(monkeypatch):
+    """At this scale the cost is per Python-level op, so the counts are
+    pinned: a fall back to per-gate LSTM ops would multiply them (the
+    twelve-tensor cell with a per-step encoder recorded 2407 tape records
+    here).  Embed 200, hidden 128, V=1000, 32 source rows, 16 targets."""
+    from collections import Counter
+
+    from libsuggest import model, tensor
+    from libsuggest.tensor import Tape
+
+    rng = np.random.default_rng(0)
+    vocab_n = 1000
+    params = init_params(200, 128, 128, 64, vocab_n, np.full(vocab_n - N_RESERVED, 0.5), rng)
+    x = Tensor(rng.normal(size=(32, 200)))
+    targets = [int(t) for t in rng.choice(np.arange(N_RESERVED, vocab_n), size=15, replace=False)]
+    calls = Counter()
+
+    def counted(name, op):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+
+        return wrapper
+
+    for name in tensor.__all__:
+        if name not in ("Tensor", "Tape") and getattr(model, name, None) is getattr(tensor, name):
+            monkeypatch.setattr(model, name, counted(name, getattr(tensor, name)))
+    with Tape() as tape:
+        example_loss(x, 32, targets + [EOS_ID], params)
+    assert (len(tape), sum(calls.values())) == (325, 342), (len(tape), calls)
+    assert calls["bilstm"] == 1 and calls["lstm_cell"] == 16

@@ -8,22 +8,20 @@ from libsuggest.tensor import (
     Tensor,
     add,
     backward,
+    bilstm,
     concat_rows,
     dropout,
     finite_difference_check,
     log,
+    lstm_cell,
     masked_softmax,
     matmul,
     mul,
-    pick,
     relu,
-    row,
-    rows,
     scale,
     sigmoid,
-    slice1d,
-    stack_rows,
     sum_all,
+    take,
     tanh,
 )
 
@@ -110,11 +108,11 @@ class TestElementwise:
 
     def test_slicing_ops(self):
         m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(rows(m, 1, 3).data, [[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(row(m, 0).data, [1.0, 2.0])
+        np.testing.assert_array_equal(take(m, slice(1, 3)).data, [[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(take(m, 0).data, [1.0, 2.0])
         v = Tensor([7.0, 8.0, 9.0])
-        np.testing.assert_array_equal(slice1d(v, 1, 3).data, [8.0, 9.0])
-        assert pick(v, 2).item() == 9.0
+        np.testing.assert_array_equal(take(v, slice(1, 3)).data, [8.0, 9.0])
+        assert take(v, 2).item() == 9.0
 
 
 class TestMaskedSoftmax:
@@ -311,14 +309,14 @@ def _random_op_case(rng):
         parts = [Tensor(rng.normal(size=(rng.integers(1, 4),))) for _ in range(3)]
         return parts, lambda: sum_all(tanh(concat_rows(*parts)))
     if kind == 4:
-        rows_in = [Tensor(rng.normal(size=(4,))) for _ in range(3)]
-        return rows_in, lambda: sum_all(sigmoid(stack_rows(rows_in)))
+        m = Tensor(rng.normal(size=(3, 4)))
+        return [m], lambda: sum_all(sigmoid(take(m, (2, slice(1, 4)))))
     if kind == 5:
         m = Tensor(rng.normal(size=(5, 3)))
-        return [m], lambda: sum_all(mul(rows(m, 1, 4), rows(m, 1, 4)))
+        return [m], lambda: sum_all(mul(take(m, slice(1, 4)), take(m, slice(1, 4))))
     if kind == 6:
         v = Tensor(rng.normal(size=(5,)))
-        return [v], lambda: add(pick(tanh(v), 2), sum_all(slice1d(v, 1, 4)))
+        return [v], lambda: add(take(tanh(v), 2), sum_all(take(v, slice(1, 4))))
     if kind == 7:
         v = Tensor(rng.normal(size=(4,)) * 2)
         n = v.shape[0]
@@ -327,12 +325,12 @@ def _random_op_case(rng):
         picked = int(rng.integers(0, n))
         if mask[picked] == -np.inf:
             picked = (picked + 1) % n
-        return [v], lambda: log(pick(masked_softmax(v, mask), picked))
+        return [v], lambda: log(take(masked_softmax(v, mask), picked))
     if kind == 8:
         v = Tensor(rng.uniform(0.5, 2.0, size=(4,)))
         return [v], lambda: sum_all(log(v))
     m = Tensor(rng.normal(size=(3, 3)))
-    return [m], lambda: scale(sum_all(matmul(row(m, 0), m)), 0.7)
+    return [m], lambda: scale(sum_all(matmul(take(m, 0), m)), 0.7)
 
 
 def test_every_op_passes_fd_check_on_random_small_shapes():
@@ -343,3 +341,183 @@ def test_every_op_passes_fd_check_on_random_small_shapes():
         err = finite_difference_check(f, params)
         worst = max(worst, err)
     assert worst < 1e-4, f"worst relative error {worst}"
+
+
+class TestTake:
+    def test_row_range_component_and_tuple_index(self):
+        m = Tensor(np.arange(12.0).reshape(3, 4))
+        np.testing.assert_array_equal(take(m, (2, slice(1, 3))).data, [9.0, 10.0])
+        assert take(m, (1, 2)).item() == 6.0
+
+    @pytest.mark.parametrize(
+        "index", [3, -1, slice(2, 2), slice(0, 4), slice(None, 2), slice(0, 2, 1 + 1), (0, 0, 0)]
+    )
+    def test_out_of_range_index_rejected(self, index):
+        with pytest.raises(ValueError):
+            take(Tensor(np.zeros((3, 2))), index)
+
+    def test_repeated_rows_accumulate_their_gradients(self):
+        emb = Tensor(np.arange(6.0).reshape(3, 2))
+        with Tape() as tape:
+            loss = add(add(sum_all(take(emb, 1)), sum_all(take(emb, 1))), sum_all(take(emb, slice(0, 2))))
+        backward(tape, loss)
+        np.testing.assert_array_equal(tape.gradient(emb), [[1.0, 1.0], [3.0, 3.0], [0.0, 0.0]])
+
+    def test_scatter_leaves_a_shared_gradient_alone(self):
+        # add hands one gradient array to both operands; the scatter into
+        # one of them must not write into the other's
+        v = Tensor([1.0, 2.0, 3.0])
+        w = Tensor([4.0, 5.0, 6.0])
+        with Tape() as tape:
+            s = add(v, w)
+            loss = add(sum_all(mul(s, s)), take(v, 0))
+        backward(tape, loss)
+        np.testing.assert_array_equal(tape.gradient(w), 2.0 * (v.data + w.data))
+        np.testing.assert_array_equal(tape.gradient(v), 2.0 * (v.data + w.data) + [1.0, 0.0, 0.0])
+
+
+class TestDeferredLeafGradients:
+    """Vector-matrix products defer the gradient of a leaf matrix to one
+    product at the end of backward()."""
+
+    def test_leaf_used_by_vector_and_matrix_products(self):
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.normal(size=(3, 4)))
+        v, m = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(2, 3)))
+        f = lambda: add(sum_all(tanh(matmul(v, w))), sum_all(tanh(matmul(m, w))))
+        with Tape() as tape:
+            loss = f()
+        backward(tape, loss)
+        gv = 1.0 - np.tanh(v.data @ w.data) ** 2
+        gm = 1.0 - np.tanh(m.data @ w.data) ** 2
+        np.testing.assert_allclose(tape.gradient(w), np.outer(v.data, gv) + m.data.T @ gm, rtol=1e-14)
+        assert finite_difference_check(f, [w, v, m]) < 1e-7
+
+    def test_leaf_used_by_many_vector_products(self):
+        rng = np.random.default_rng(1)
+        w = Tensor(rng.normal(size=(4, 3)))
+        xs = [Tensor(rng.normal(size=4)) for _ in range(5)]
+
+        def f():
+            total = sum_all(tanh(matmul(xs[0], w)))
+            for x in xs[1:]:
+                total = add(total, sum_all(tanh(matmul(x, w))))
+            return total
+
+        with Tape() as tape:
+            loss = f()
+        backward(tape, loss)
+        expected = sum(np.outer(x.data, 1.0 - np.tanh(x.data @ w.data) ** 2) for x in xs)
+        np.testing.assert_allclose(tape.gradient(w), expected, rtol=1e-14)
+
+    def test_non_leaf_matrix_is_not_deferred(self):
+        # the product's gradient must reach w2 before mul's backward reads it
+        rng = np.random.default_rng(2)
+        w = Tensor(rng.normal(size=(3, 4)))
+        v = Tensor(rng.normal(size=3))
+        f = lambda: sum_all(tanh(matmul(v, mul(w, w))))
+        with Tape() as tape:
+            loss = f()
+        backward(tape, loss)
+        g = 1.0 - np.tanh(v.data @ (w.data * w.data)) ** 2
+        np.testing.assert_allclose(tape.gradient(w), 2.0 * w.data * np.outer(v.data, g), rtol=1e-14)
+        assert finite_difference_check(f, [w, v]) < 1e-7
+
+    def test_fresh_tapes_share_no_state(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.normal(size=(3, 2)))
+        v = Tensor(rng.normal(size=3))
+        grads = []
+        for _ in range(2):
+            with Tape() as tape:
+                loss = sum_all(matmul(v, w))
+            backward(tape, loss)
+            grads.append(tape.gradient(w))
+        backward(tape, loss)  # a second sweep over the same tape starts afresh
+        grads.append(tape.gradient(w))
+        for g in grads:
+            np.testing.assert_array_equal(g, np.outer(v.data, np.ones(2)))
+
+
+def _cell(rng, input_size, hidden):
+    return tuple(
+        Tensor(rng.normal(size=shape))
+        for shape in ((input_size, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+    )
+
+
+class TestFusedLstm:
+    @pytest.mark.parametrize("total, valid_len", [(5, 5), (5, 3), (4, 1)])
+    def test_bilstm_passes_fd_audit_with_input_gradient(self, total, valid_len):
+        rng = np.random.default_rng(total + valid_len)
+        x = Tensor(rng.normal(size=(total, 5)))
+        fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
+        # a random readout gives every output coordinate its own weight
+        readout = Tensor(rng.normal(size=(total, 6)))
+        f = lambda: sum_all(mul(tanh(bilstm(x, valid_len, fwd, bwd)), readout))
+        # every coordinate, at acceptance 1's tolerance: truncation error
+        # reaches 6e-6 here, a backward rule off by 0.1% shows 1e-3
+        err = finite_difference_check(f, [*fwd, *bwd, x], max_coords_per_tensor=1000)
+        assert err < 1e-4
+        with Tape() as tape:
+            loss = f()
+        backward(tape, loss)
+        assert not tape.gradient(x)[valid_len:].any()
+
+    def test_bilstm_matches_its_definition_step_by_step(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(6, 5)))
+        fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
+        out = bilstm(x, 4, fwd, bwd).data
+
+        def run(cell, order):
+            w, u, b = (t.data for t in cell)
+            h, c, states = np.zeros(3), np.zeros(3), {}
+            for t in order:
+                z = x.data[t] @ w + h @ u + b
+                i, f, o = (1.0 / (1.0 + np.exp(-z[k * 3 : (k + 1) * 3])) for k in range(3))
+                c = f * c + i * np.tanh(z[9:])
+                h = o * np.tanh(c)
+                states[t] = h
+            return states
+
+        forward, backward_ = run(fwd, range(4)), run(bwd, range(3, -1, -1))
+        for t in range(4):
+            np.testing.assert_allclose(out[t], np.concatenate([forward[t], backward_[t]]), rtol=1e-12)
+        assert not out[4:].any()
+
+    def test_bilstm_forward_keeps_longdouble(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(4, 5)))
+        fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
+        plain = bilstm(x, 3, fwd, bwd).data
+        for t in (*fwd, *bwd):
+            t.data = t.data.astype(np.longdouble)
+        wide = bilstm(x, 3, fwd, bwd).data
+        assert wide.dtype == np.longdouble
+        np.testing.assert_allclose(wide.astype(np.float64), plain, rtol=1e-13)
+
+    def test_lstm_cell_passes_fd_audit(self):
+        rng = np.random.default_rng(6)
+        x, h, c = (Tensor(rng.normal(size=n)) for n in (5, 3, 3))
+        cell = _cell(rng, 5, 3)
+        readout = Tensor(rng.normal(size=3))
+
+        def f():
+            h1, c1 = lstm_cell(x, h, c, *cell)
+            h2, _ = lstm_cell(x, h1, c1, *cell)  # the last cell state gets no gradient
+            return sum_all(mul(add(h2, c1), readout))
+
+        assert finite_difference_check(f, [*cell, x, h, c], max_coords_per_tensor=1000) < 1e-4
+
+    def test_shapes_validated(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(4, 5)))
+        with pytest.raises(ValueError, match="do not fit"):
+            bilstm(x, 4, _cell(rng, 5, 3), _cell(rng, 4, 3))
+        with pytest.raises(ValueError, match="share"):
+            bilstm(x, 4, _cell(rng, 5, 3), _cell(rng, 5, 2))
+        with pytest.raises(ValueError, match="valid_len"):
+            bilstm(x, 5, _cell(rng, 5, 3), _cell(rng, 5, 3))
+        with pytest.raises(ValueError, match="state"):
+            lstm_cell(Tensor(np.ones(5)), Tensor(np.ones(2)), Tensor(np.ones(3)), *_cell(rng, 5, 3))

@@ -9,6 +9,7 @@ import pytest
 import _synth
 from libsuggest.corpus import PreparedDataset
 from libsuggest.decode import greedy_decode
+from libsuggest.model import named_parameters
 from libsuggest.tensor import Tensor
 from libsuggest.trainer import (
     AdamState,
@@ -256,10 +257,16 @@ class TestCheckpointRoundTrip:
         assert loaded.tables == ckpt.tables
 
 
+def resealed(body: bytes) -> bytes:
+    import hashlib
+
+    return body + hashlib.sha256(body).digest()
+
+
 def reheadered(blob: bytes, edit) -> bytes:
     """The checkpoint with `edit` applied to its JSON header, the header
-    length and the checksum recomputed, and the tensor payload kept."""
-    import hashlib
+    padded with blanks to a multiple of 8 bytes as the writer does, the
+    header length and the checksum recomputed, and the tensor payload kept."""
     import json
     import struct
 
@@ -267,8 +274,8 @@ def reheadered(blob: bytes, edit) -> bytes:
     header = json.loads(blob[16 : 16 + length])
     edit(header)
     text = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length : -32]
-    return body + hashlib.sha256(body).digest()
+    text += b" " * (-len(text) % 8)
+    return resealed(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length : -32])
 
 
 class TestCheckpointHeaderValidation:
@@ -335,6 +342,50 @@ class TestCheckpointHeaderValidation:
     def test_duplicate_vocabulary_entry(self):
         self.rejects(lambda h: h["word_vocab"].__setitem__(1, h["word_vocab"][0]), "word_vocab")
 
+    def test_lib_freq_lacking_a_vocabulary_library(self):
+        self.rejects(lambda h: h["lib_freq"].pop(2), "lib_freq")
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_lib_freq_count_below_one(self, count):
+        self.rejects(lambda h: h["lib_freq"][1].__setitem__(1, count), "lib_freq")
+
+    def test_lib_freq_count_below_one_outside_the_vocabulary(self):
+        self.rejects(lambda h: h["lib_freq"].append(["zzz.unused", 0]), "lib_freq")
+
+    def test_first_format_version_rejected(self):
+        self.rejects(lambda h: h.update(format_version=1), "version 1")
+
+    def test_unaligned_payload(self):
+        import json
+        import struct
+
+        (length,) = struct.unpack_from("<Q", self.blob, 8)
+        text = json.dumps(json.loads(self.blob[16 : 16 + length]), sort_keys=True).encode("utf-8")
+        text += b" " * (-len(text) % 8 + 1)
+        blob = resealed(self.blob[:8] + struct.pack("<Q", len(text)) + text + self.blob[16 + length : -32])
+        with pytest.raises(CheckpointError, match="unaligned"):
+            checkpoint_from_bytes(blob)
+
+
+class TestSingleBufferLoad:
+    def test_loaded_arrays_are_aligned_writable_views_equal_to_the_saved(self, tmp_path):
+        ckpt = _synth.random_checkpoint(7, n_libs=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        for loaded in (load_checkpoint(path), checkpoint_from_bytes(checkpoint_bytes(ckpt))):
+            saved = {**named_parameters(ckpt.params), "word_embed": Tensor(ckpt.word_embed)}
+            got = {**named_parameters(loaded.params), "word_embed": Tensor(loaded.word_embed)}
+            arrays = [t.data for t in got.values()] + [loaded.params.class_weights]
+            base = arrays[0].base
+            for name, t in got.items():
+                assert t.data.dtype == np.float64, name
+                assert t.data.flags.writeable and t.data.flags.aligned, name
+                assert t.data.ctypes.data % 8 == 0, name
+                assert t.data.tobytes() == saved[name].data.tobytes(), name
+            assert loaded.params.class_weights.tobytes() == ckpt.params.class_weights.tobytes()
+            # one buffer behind every tensor, not a copy each
+            assert base is not None and all(a.base is base for a in arrays)
+
 
 def _mutations():
     from hypothesis import strategies as st
@@ -346,6 +397,48 @@ def _mutations():
         max_leaves=8,
     )
     return st.lists(st.tuples(st.sampled_from(fields), st.sampled_from(["drop", "set", "nested"]), junk), min_size=1, max_size=3)
+
+
+def test_mutated_bytes_only_raise_checkpoint_error():
+    """Raw-byte edits of the header length field, the header and the tensor
+    payload, with the checksum recomputed: a checkpoint either loads or
+    fails with CheckpointError."""
+    import struct
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    blob = checkpoint_bytes(_synth.random_checkpoint(8))
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    payload_start, end = 16 + length, len(blob) - 32
+    lengths = st.one_of(
+        st.integers(0, 2**64 - 1), st.integers(max(0, length - 24), length + 24)
+    ).map(lambda n: struct.pack("<Q", n))
+    edits = st.lists(
+        st.one_of(
+            st.tuples(st.integers(payload_start, end - 1), st.binary(min_size=1, max_size=8)),
+            st.tuples(st.integers(16, payload_start - 1), st.binary(min_size=1, max_size=3)),
+        ),
+        max_size=3,
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lengths, edits, st.integers(-16, 16))
+    def run(length_field, byte_edits, resize):
+        body = bytearray(blob[:-32])
+        body[8:16] = length_field
+        for at, raw in byte_edits:
+            body[at : at + len(raw)] = raw
+        if resize > 0:
+            body += bytes(resize)
+        elif resize < 0:
+            del body[resize:]
+        try:
+            checkpoint_from_bytes(resealed(bytes(body)))
+        except CheckpointError:
+            pass
+
+    run()
 
 
 def test_edited_headers_only_raise_checkpoint_error():
