@@ -1,10 +1,27 @@
 """The recommender network: bi-LSTM encoder over embedded description
 tokens, additive attention, an LSTM decoder whose softmax is masked
-against repeats, and the popularity-weighted sequence loss."""
+against repeats, and the popularity-weighted sequence loss.
+
+`encode`, `attention`, `initial_decoder_state`, `decoder_step` and
+`sequence_loss` take one sequence or a batch, by the rank of what they
+are given.  One sequence is an embedded source [T x dim] with an int
+length, vector decoder states, an int previous id and a set of masked
+ids; decoding uses this form, and its numbers do not depend on the batch
+code.  A batch of B sequences is [B x T x dim] with B lengths, [B x .]
+states, [B] previous ids and a [B x V] boolean repeat mask.  Training runs
+a whole mini-batch through `batch_loss`: one encoder op, then one
+`decoder_step` per target position over the rows whose targets are still
+running, which lie at the front because the rows are sorted by target
+length, longest first.  `example_loss` is the batch of one.
+
+`decoder_step_batch` is the tape-free step of beam search over plain
+arrays; each of its rows is bit-identical to the one-sequence
+`decoder_step`.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +41,7 @@ from .tensor import (
     matmul,
     relu,
     scale,
+    sum_all,
     take,
     tanh,
 )
@@ -45,6 +63,7 @@ __all__ = [
     "decoder_step_batch",
     "library_weights",
     "sequence_loss",
+    "batch_loss",
     "example_loss",
     "named_parameters",
     "init_params",
@@ -117,107 +136,180 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple
     return lstm_cell(x, h_prev, c_prev, p.w, p.u, p.b)
 
 
-def encode(x: Tensor, valid_len: int, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Bi-directional encoding of an embedded [T x dim] input.
+def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+    """Bi-directional encoding of an embedded [T x dim] input with an int
+    `valid_len`, or of a [B x T x dim] batch with one length per row.  A
+    plain array input is a constant, whose gradient is not computed.
 
-    Row t of the result concatenates the left-to-right state at t with the
-    right-to-left state at t.  Only the first `valid_len` rows enter the
-    recurrences; the remaining PAD rows come back as zeros and are meant
-    to be skipped via `valid_len` downstream.
+    Position t of the result concatenates the left-to-right state at t
+    with the right-to-left state at t; the right-to-left pass starts at
+    each row's own last token.  Only a row's first `valid_len` positions
+    enter the recurrences; the remaining PAD positions come back as zeros,
+    get zero gradient and are meant to be skipped via `valid_len`
+    downstream.
     """
-    if valid_len < 1:
+    if (np.asarray(valid_len) < 1).any():
         raise ValueError("cannot encode an all-PAD sequence")
     return bilstm(x, valid_len, (fwd.w, fwd.u, fwd.b), (bwd.w, bwd.u, bwd.b))
 
 
+def _check_lengths(enc_out: Tensor, valid_len) -> np.ndarray:
+    lengths = np.asarray(valid_len)
+    total = enc_out.shape[-2] if enc_out.ndim >= 2 else 0
+    if lengths.ndim == 0:  # plain comparisons: decoding checks this at every step
+        in_range = 1 <= valid_len <= total
+    else:
+        in_range = ((lengths >= 1) & (lengths <= total)).all()
+    if lengths.shape != enc_out.shape[:-2] or not in_range:
+        raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
+    return lengths
+
+
+def _trim(enc_out: Tensor, lengths: np.ndarray) -> Tensor:
+    """The encoder positions up to the longest length (all of them when
+    that is T)."""
+    span = int(lengths.max())
+    if span == enc_out.shape[-2]:
+        return enc_out
+    return take(enc_out, (*(slice(0, n) for n in lengths.shape), slice(0, span)))
+
+
 def attention(
-    s_t: Tensor, enc_out: Tensor, valid_len: int, p: AttentionParams
+    s_t: Tensor, enc_out: Tensor, valid_len, p: AttentionParams, keys: Tensor | None = None
 ) -> tuple[Tensor, Tensor]:
     """Score encoder states against the decoder state and average them.
 
+    One sequence: s_t [H], enc_out [T x 2H] and an int `valid_len`.  A
+    batch: s_t [B x H], enc_out [B x T x 2H] and one length per row.
     Returns the attention weights over all T positions (exact zeros past
-    `valid_len`) and the context vector over the valid positions.
+    each row's length: its scores there are -inf) and the context vector
+    over the valid positions.  `keys`, when given, is
+    `attention_keys(enc_out, valid_len, p)`, computed once for every step
+    of a batch instead of once per step.
     """
-    total = enc_out.shape[0]
-    if not 1 <= valid_len <= total:
-        raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
-    valid = take(enc_out, slice(0, valid_len)) if valid_len < total else enc_out
-    scores = matmul(tanh(add(matmul(valid, p.u_a), matmul(s_t, p.w_a))), p.v_a)
-    alpha = masked_softmax(scores, np.zeros(valid_len))
+    lengths = _check_lengths(enc_out, valid_len)
+    if s_t.shape[:-1] != lengths.shape:
+        raise ValueError(f"decoder state {s_t.shape} does not fit encoder output {enc_out.shape}")
+    valid = _trim(enc_out, lengths)
+    if keys is None:
+        keys = matmul(valid, p.u_a)
+    elif keys.shape[:-1] != valid.shape[:-1]:
+        raise ValueError(f"attention keys {keys.shape} do not fit encoder output {valid.shape}")
+    span, total = valid.shape[-2], enc_out.shape[-2]
+    scores = matmul(tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
+    alpha = masked_softmax(scores, np.arange(span) >= lengths[..., None])
     context = matmul(alpha, valid)
-    if valid_len < total:
-        alpha = concat_rows(alpha, Tensor(np.zeros(total - valid_len)))
+    if span < total:
+        alpha = concat_rows(alpha, Tensor(np.zeros(lengths.shape + (total - span,))))
     return alpha, context
 
 
 def initial_decoder_state(
-    enc_out: Tensor, valid_len: int, params: ModelParams
+    enc_out: Tensor, valid_len, params: ModelParams
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Decoder start: learned tanh map of the final forward and backward
-    encoder states; zero cell state and zero initial context."""
-    enc_hidden = enc_out.shape[1] // 2
-    final_fwd = take(enc_out, (valid_len - 1, slice(0, enc_hidden)))
-    final_bwd = take(enc_out, (0, slice(enc_hidden, 2 * enc_hidden)))
+    encoder states; zero cell state and zero initial context.  One row per
+    sequence for a batched `enc_out`."""
+    lengths = _check_lengths(enc_out, valid_len)
+    enc_hidden = enc_out.shape[-1] // 2
+    batch = (np.arange(lengths.size),) if lengths.ndim else ()
+    lead = tuple(slice(0, n) for n in lengths.shape)
+    final_fwd = take(enc_out, (*batch, lengths - 1, slice(0, enc_hidden)))
+    final_bwd = take(enc_out, (*lead, 0, slice(enc_hidden, 2 * enc_hidden)))
     s0 = tanh(add(matmul(concat_rows(final_fwd, final_bwd), params.init_w), params.init_b))
-    cell0 = Tensor(np.zeros(params.init_b.shape[0]))
-    context0 = Tensor(np.zeros(2 * enc_hidden))
+    cell0 = Tensor(np.zeros(lengths.shape + params.init_b.shape))
+    context0 = Tensor(np.zeros(lengths.shape + (2 * enc_hidden,)))
     return s0, cell0, context0
 
 
+def _previous_embedding(prev_id, lead: tuple[int, ...], params: ModelParams) -> Tensor:
+    vocab_n = params.lib_vocab_size
+    if not lead:
+        if prev_id == BOS:
+            return params.bos
+        if not 0 <= prev_id < vocab_n:
+            raise ValueError(f"previous id {prev_id} out of vocabulary range")
+        return take(params.emb, prev_id)
+    prev = np.asarray(prev_id)
+    if prev.shape != lead:
+        raise ValueError(f"previous ids of shape {prev.shape} do not fit states of {lead} rows")
+    if (prev == BOS).all():
+        return add(Tensor(np.zeros(lead + params.bos.shape)), params.bos)
+    # BOS starts every row of a batch or none of them
+    if ((prev < 0) | (prev >= vocab_n)).any():
+        raise ValueError(f"previous ids {prev} out of vocabulary range")
+    return take(params.emb, prev)
+
+
+def _repeat_mask(mask_ids, lead: tuple[int, ...], vocab_n: int) -> np.ndarray:
+    if isinstance(mask_ids, np.ndarray):
+        if mask_ids.shape != lead + (vocab_n,) or mask_ids.dtype != bool:
+            raise ValueError(f"repeat mask of shape {mask_ids.shape} != {lead + (vocab_n,)} booleans")
+        if mask_ids.all(axis=-1).any():
+            raise ValueError("repeat mask covers the whole library vocabulary")
+        return mask_ids
+    if len(mask_ids) >= vocab_n:
+        raise ValueError("repeat mask covers the whole library vocabulary")
+    masked = np.zeros(vocab_n, dtype=bool)
+    for i in mask_ids:
+        if not 0 <= i < vocab_n:
+            raise ValueError(f"masked id {i} out of vocabulary range")
+        masked[i] = True
+    return masked
+
+
 def decoder_step(
-    prev_id: int,
+    prev_id,
     context_prev: Tensor,
     s_prev: Tensor,
     cell_prev: Tensor,
     enc_out: Tensor,
-    valid_len: int,
-    mask_ids: Set[int],
+    valid_len,
+    mask_ids,
     params: ModelParams,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
+    keys: Tensor | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
     """One decode step; returns (s_t, cell_t, context_t, logits_t, y_t).
 
     The previous emission's embedding (or the BOS vector) is concatenated
     with the previous context to feed the decoder LSTM; attention then
     reads the encoder output with the fresh state, and the masked softmax
-    zeroes every id in `mask_ids`.  Callers put only previously emitted
-    libraries in the mask, never EOS or PAD.
-    """
-    vocab_n = params.lib_vocab_size
-    if prev_id != BOS and not 0 <= prev_id < vocab_n:
-        raise ValueError(f"previous id {prev_id} out of vocabulary range")
-    if len(mask_ids) >= vocab_n:
-        raise ValueError("repeat mask covers the whole library vocabulary")
+    zeroes every id in the repeat mask.  Callers put only previously
+    emitted libraries in the mask, never EOS or PAD.
 
-    prev_emb = params.bos if prev_id == BOS else take(params.emb, prev_id)
+    One sequence: an int `prev_id`, vector states, enc_out [T x 2H], an
+    int `valid_len` and a set of masked ids.  A batch of B sequences:
+    [B] previous ids (BOS for every row or for none), [B x .] states,
+    enc_out [B x T x 2H], [B] lengths and a [B x V] boolean mask that is
+    True at the masked ids; the caller updates that mask in place between
+    steps.  `keys` is passed on to `attention`.
+    """
+    lead = s_prev.shape[:-1]
+    prev_emb = _previous_embedding(prev_id, lead, params)
+    masked = _repeat_mask(mask_ids, lead, params.lib_vocab_size)
+
     x = concat_rows(prev_emb, context_prev)
     s_t, cell_t = lstm_step(x, s_prev, cell_prev, params.dec)
-    _, context_t = attention(s_t, enc_out, valid_len, params.attn)
+    _, context_t = attention(s_t, enc_out, valid_len, params.attn, keys)
 
     s_used = dropout(s_t, dropout_p, rng, training=dropout_p > 0.0)
     hidden = relu(add(matmul(s_used, params.out.w_d), matmul(context_t, params.out.v_d)))
     logits = matmul(hidden, params.out.w_o)
-
-    mask = np.zeros(vocab_n)
-    for i in mask_ids:
-        if not 0 <= i < vocab_n:
-            raise ValueError(f"masked id {i} out of vocabulary range")
-        mask[i] = -np.inf
-    y_t = masked_softmax(logits, mask)
+    y_t = masked_softmax(logits, masked)
     return s_t, cell_t, context_t, logits, y_t
 
 
-def attention_keys(enc_out: Tensor, valid_len: int, p: AttentionParams) -> np.ndarray:
-    """The encoder side of the attention scores, `enc_out[:valid_len] @ u_a`.
+def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
+    """The encoder side of the attention scores, `enc_out @ u_a` over the
+    positions up to the longest length, for one sequence or a batch.
 
-    It does not depend on the decoder state, so `decoder_step_batch` takes
-    it precomputed: once per source instead of once per step.
+    It does not depend on the decoder state, so `attention` and
+    `decoder_step_batch` take it precomputed: once per source instead of
+    once per step.
     """
-    total = enc_out.shape[0]
-    if not 1 <= valid_len <= total:
-        raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
-    return enc_out.data[:valid_len] @ p.u_a.data
+    return matmul(_trim(enc_out, _check_lengths(enc_out, valid_len)), p.u_a)
 
 
 def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -239,7 +331,7 @@ def decoder_step_batch(
     cell_prev: np.ndarray,
     enc_out: Tensor,
     valid_len: int,
-    keys: np.ndarray,
+    keys: Tensor,
     masked: np.ndarray,
     params: ModelParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -271,7 +363,7 @@ def decoder_step_batch(
     s_t, cell_t = _lstm_rows(x, s_prev, cell_prev, params.dec)
 
     query = _rows_matmul(s_t, params.attn.w_a.data)
-    scores = np.tanh(keys + query[:, None, :]) @ params.attn.v_a.data
+    scores = np.tanh(keys.data + query[:, None, :]) @ params.attn.v_a.data
     every = np.ones(valid_len, dtype=bool)
     alpha = np.stack([_softmax(row_scores, every) for row_scores in scores])
     context_t = _rows_matmul(alpha, valid)
@@ -295,22 +387,14 @@ def library_weights(freq: Mapping[str, int], lib_vocab: Vocabulary) -> np.ndarra
     return 1.0 - counts / counts.sum()
 
 
-def _loss_weight(target_id: int, class_weights: np.ndarray) -> float:
-    if target_id == EOS_ID:
-        return 1.0
-    if target_id in (PAD_ID, UNK_ID):
-        raise ValueError("PAD/UNK cannot be loss targets")
-    return float(class_weights[target_id - N_RESERVED])
-
-
-def sequence_loss(
-    step_probs: Sequence[Tensor], targets: Sequence[int], class_weights: np.ndarray
-) -> Tensor:
+def sequence_loss(step_probs: Sequence[Tensor], targets: Sequence, class_weights: np.ndarray) -> Tensor:
     """Weighted negative log-likelihood summed over target positions.
 
-    Every non-PAD target position (EOS included, at weight 1) contributes
-    -w * log y_t[target].  A zero target probability signals a masking bug
-    (the target itself was masked) and raises.
+    Step t holds a probability vector and its target id, or a [n_t x V]
+    matrix with one target id per row.  Every target (EOS included, at
+    weight 1) contributes -w * log y_t[target].  A zero target
+    probability signals a masking bug (the target itself was masked) and
+    raises.
     """
     if len(step_probs) != len(targets):
         raise ValueError("one probability vector per target position required")
@@ -318,11 +402,77 @@ def sequence_loss(
         raise ValueError("no target positions")
     total: Tensor | None = None
     for y_t, target in zip(step_probs, targets):
-        if float(y_t.data[target]) <= 0.0:
+        target = np.asarray(target)
+        if target.shape != y_t.shape[:-1]:
+            raise ValueError(f"targets of shape {target.shape} do not fit probabilities {y_t.shape}")
+        if ((target == PAD_ID) | (target == UNK_ID)).any():
+            raise ValueError("PAD/UNK cannot be loss targets")
+        picked = take(y_t, (np.arange(target.size), target) if target.ndim else int(target))
+        if (picked.data <= 0.0).any():
             raise ValueError(f"target {target} has zero probability (masked target?)")
-        term = scale(log(take(y_t, target)), -_loss_weight(target, class_weights))
+        weights = np.where(target == EOS_ID, 1.0, class_weights[np.maximum(target - N_RESERVED, 0)])
+        term = sum_all(scale(log(picked), -weights))
         total = term if total is None else add(total, term)
     return total
+
+
+def batch_loss(
+    x: Tensor | np.ndarray,
+    valid_len: Sequence[int],
+    targets: Sequence[Sequence[int]],
+    params: ModelParams,
+    dropout_p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Teacher-forced loss summed over a batch of B examples.
+
+    x is the embedded sources [B x T x dim] with B lengths (a plain array
+    when, as in training, the source gets no gradient).  The rows must
+    come sorted by target length, longest first, so that the sequences
+    still running at step t are the first n_t rows: step t runs one
+    `decoder_step` over those rows only, and the states, encoder outputs
+    and attention keys shrink to the first rows whenever a target ends.
+    Each row's repeat mask grows with its ground-truth prefix, mirroring
+    what inference does with its own emissions.  Dropout (when active)
+    draws once over the [B x T x 2H] encoder output, then once per step
+    over the [n_t x H] decoder state before the readout.
+    """
+    lengths = np.asarray(valid_len)
+    sizes = [len(t) for t in targets]
+    if x.ndim != 3 or lengths.shape != (len(targets),) or x.shape[0] != len(targets):
+        raise ValueError(f"{len(targets)} target lists do not fit input {x.shape} with lengths {lengths.shape}")
+    if not sizes or min(sizes) < 1 or sizes != sorted(sizes, reverse=True):
+        raise ValueError("targets must be non-empty and sorted by length, longest first")
+    enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
+    enc_out = dropout(enc_out, dropout_p, rng, training=dropout_p > 0.0)
+    s_t, cell_t, context_t = initial_decoder_state(enc_out, lengths, params)
+    enc = _trim(enc_out, lengths)
+    keys = attention_keys(enc, lengths, params.attn)
+
+    ids = np.full((len(targets), sizes[0]), EOS_ID)
+    for row, target in zip(ids, targets):
+        row[: len(target)] = target
+    masked = np.zeros((len(targets), params.lib_vocab_size), dtype=bool)
+    prev = np.full(len(targets), BOS)
+    probs, step_targets = [], []
+    n = len(targets)
+    for t in range(sizes[0]):
+        if sizes[n - 1] <= t:
+            n = sum(size > t for size in sizes)
+            rows = slice(0, n)
+            s_t, cell_t, context_t = take(s_t, rows), take(cell_t, rows), take(context_t, rows)
+            window = (rows, slice(0, int(lengths[:n].max())))
+            enc, keys = take(enc, window), take(keys, window)
+        step = ids[:n, t]
+        s_t, cell_t, context_t, _, y_t = decoder_step(
+            prev[:n], context_t, s_t, cell_t, enc, lengths[:n], masked[:n], params, dropout_p, rng, keys
+        )
+        probs.append(y_t)
+        step_targets.append(step)
+        libs = step != EOS_ID
+        masked[np.flatnonzero(libs), step[libs]] = True
+        prev = step
+    return sequence_loss(probs, step_targets, params.class_weights)
 
 
 def example_loss(
@@ -333,28 +483,11 @@ def example_loss(
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Teacher-forced loss for one example (sum over its target positions).
+    """Teacher-forced loss for one example [T x dim], as a batch of one.
 
-    The repeat mask grows with the ground-truth prefix, mirroring what
-    inference does with its own emissions; dropout (when active) hits the
-    encoder output rows and the decoder state before the readout.
+    The source is a constant here: its gradient is not computed.
     """
-    enc_out = encode(x, valid_len, params.enc_fwd, params.enc_bwd)
-    enc_out = dropout(enc_out, dropout_p, rng, training=dropout_p > 0.0)
-    s_t, cell_t, context_t = initial_decoder_state(enc_out, valid_len, params)
-
-    probs = []
-    mask: set[int] = set()
-    prev = BOS
-    for target in targets:
-        s_t, cell_t, context_t, _, y_t = decoder_step(
-            prev, context_t, s_t, cell_t, enc_out, valid_len, mask, params, dropout_p, rng
-        )
-        probs.append(y_t)
-        if target != EOS_ID:
-            mask.add(target)
-        prev = target
-    return sequence_loss(probs, targets, params.class_weights)
+    return batch_loss(x.data[None], [valid_len], [targets], params, dropout_p, rng)
 
 
 def named_parameters(params: ModelParams) -> dict[str, Tensor]:

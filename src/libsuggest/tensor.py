@@ -5,19 +5,21 @@ that survive a finite-difference audit.  Ops record their backward rule on
 the thread's active tape (see `Tape`); with no active tape they are plain
 numpy computations.
 
-At these sizes the cost is the number of Python-level ops, so the LSTM is
-fused.  A cell stores its four gates [i | f | o | g] side by side as
+At these sizes the cost is the number of Python-level ops, so the ops take
+a batch as leading axes and the LSTM is fused.  `matmul`, `add`, `take`,
+`masked_softmax` and the cells accept one example (a vector, or a [T x .]
+matrix for a sequence) or a batch of them as [B x .] and [B x T x .]
+arrays.  A cell stores its four gates [i | f | o | g] side by side as
 `w[in x 4H]`, `u[H x 4H]` and `b[4H]`.  `lstm_cell` is one decoder step as
 one op.  `bilstm` is a whole bidirectional encoder pass as one op: each
 direction projects its input in one product `x @ w + b`, then runs the
-recurrence, and its backward is hand-written backpropagation through time
-(`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`, plus `dx`).
+recurrence over [B x 4H] rows, and its backward is hand-written
+backpropagation through time (`dW = X^T dG`, `dU = H_prev^T dG`,
+`db = sum dG`, plus `dx`).
 
-Two kinds of gradient skip the per-use allocation of a weight-sized
-array.  A vector-matrix product into a *leaf* matrix (one no op on the
-tape produced, such as a parameter) defers its `(x, g)` rows;
-`backward` adds `stack(xs)^T @ stack(gs)` once at the end of the sweep.
-`take` scatters its gradient into the accumulated one in place.
+Gradients accumulate in place once the tape owns the array it holds for a
+tensor, so repeated uses of a weight add into one buffer; `take` scatters
+its gradient the same way.
 
 The one exception to float64 is `finite_difference_check`, whose probes
 evaluate the forward pass in `np.longdouble` (a 64-bit mantissa on x86-64
@@ -119,7 +121,6 @@ class Tape:
         self._produced: set[int] = set()
         self._grads: dict[int, np.ndarray] = {}
         self._owned: set[int] = set()  # gradients no other name refers to
-        self._deferred: dict[int, tuple[Tensor, list, list]] = {}
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -139,36 +140,31 @@ class Tape:
         return len(self._records)
 
     def _acc(self, t: Tensor, g: np.ndarray) -> None:
+        """Add `g` to t's gradient, in place once the tape owns that array."""
         key = id(t)
         old = self._grads.get(key)
         if old is None:
             self._grads[key] = g
+        elif key in self._owned:
+            old += g
         else:
             self._grads[key] = old + g
             self._owned.add(key)
 
-    def _acc_outer(self, t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
-        """Add outer(x, g) to the gradient of matrix `t`; for a leaf, defer
-        it to one product over all its rows at the end of the sweep."""
-        key = id(t)
-        if key in self._produced:
-            self._acc(t, np.outer(x, g))
-            return
-        entry = self._deferred.get(key)
-        if entry is None:
-            entry = self._deferred[key] = (t, [], [])
-        entry[1].append(x)
-        entry[2].append(g)
-
     def _scatter(self, t: Tensor, index, g: np.ndarray) -> None:
-        """Add `g` into t's gradient at `index`, in place once the tape owns it."""
+        """Add `g` into t's gradient at `index`, in place once the tape owns
+        it; an index holding an array may repeat positions, which add up."""
         key = id(t)
         buf = self._grads.get(key)
         if key not in self._owned:
             buf = np.zeros_like(t.data) if buf is None else buf.copy()
             self._grads[key] = buf
             self._owned.add(key)
-        buf[index] += g
+        parts = index if isinstance(index, tuple) else (index,)
+        if any(isinstance(part, np.ndarray) for part in parts):
+            np.add.at(buf, index, g)
+        else:
+            buf[index] += g
 
 
 def _record(outs: tuple[Tensor, ...], rule: Callable) -> None:
@@ -182,7 +178,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Run the reverse sweep, accumulating d(loss)/d(tensor) on the tape.
 
     Gradients add up across repeated uses of the same tensor.  Read them
-    back with `tape.gradient(t)`.
+    back with `tape.gradient(t)` for tensors no op on the tape produced
+    (parameters and inputs); the gradient of an op's output is dropped
+    once its rule has used it, so the sweep holds no more of them than
+    it needs.
     """
     if loss.ndim != 0:
         raise ValueError("loss must be a scalar tensor")
@@ -190,57 +189,57 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError("loss was not produced on this tape")
     tape._grads = {id(loss): np.ones((), dtype=np.float64)}
     tape._owned = set()
-    tape._deferred = {}
     grads = tape._grads
     for outs, rule in reversed(tape._records):
-        gs = [grads.get(id(o)) for o in outs]
+        gs = [grads.pop(id(o), None) for o in outs]
         if any(g is not None for g in gs):
             rule(tape, *gs)
-    for t, xs, gs in tape._deferred.values():
-        tape._acc(t, np.stack(xs).T @ np.stack(gs))
-    tape._deferred = {}
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands (vector cases follow numpy)."""
+    """Contract the last axis of `a` with the first matrix axis of `b`.
+
+    With a vector or a matrix `b`, the leading axes of `a` are rows (the
+    vector cases follow numpy): [.. x K] @ [K] is [..], [.. x K] @ [K x N]
+    is [.. x N].  With `b` one axis longer than `a` and at least 3-D, each
+    leading index has its own matrix: [B x K] @ [B x K x N] is [B x N].
+    """
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ValueError("matmul expects 1-D or 2-D operands")
-    if ad.shape[-1] != bd.shape[0]:
+    batched = bd.ndim >= 3
+    if ad.ndim < 1 or bd.ndim < 1 or (batched and (bd.ndim != ad.ndim + 1 or bd.shape[:-2] != ad.shape[:-1])):
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd)
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim >= 2 else 0]:
+        raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+    out = Tensor((ad[..., None, :] @ bd)[..., 0, :] if batched else ad @ bd)
 
     def rule(tape, g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            tape._acc(a, g @ bd.T)
-            tape._acc(b, ad.T @ g)
-        elif ad.ndim == 2:
-            tape._acc(a, np.outer(g, bd))
-            tape._acc(b, ad.T @ g)
+        if batched:
+            tape._acc(a, (g[..., None, :] @ np.swapaxes(bd, -1, -2))[..., 0, :])
+            tape._acc(b, ad[..., :, None] * g[..., None, :])
         elif bd.ndim == 2:
-            tape._acc(a, bd @ g)
-            tape._acc_outer(b, ad, g)
+            tape._acc(a, g @ bd.T)
+            tape._acc(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
         else:
-            tape._acc(a, g * bd)
-            tape._acc(b, g * ad)
+            tape._acc(a, g[..., None] * bd)
+            tape._acc(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1))
 
     _record((out,), rule)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also broadcasts a vector `b` over the rows of `a`."""
+    """Elementwise sum.  A `b` without the second-to-last axis of `a` is
+    broadcast along it: a bias over the rows of a matrix, or one [B x N]
+    row per [T x N] block of a [B x T x N] array."""
     ad, bd = a.data, b.data
     broadcast = ad.shape != bd.shape
-    if broadcast and not (
-        ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]
-    ):
+    if broadcast and not (ad.ndim >= 2 and bd.shape == ad.shape[:-2] + ad.shape[-1:]):
         raise ValueError(f"add shape mismatch: {ad.shape} + {bd.shape}")
-    out = Tensor(ad + bd)
+    out = Tensor(ad + (bd[..., None, :] if broadcast else bd))
 
     def rule(tape, g):
         tape._acc(a, g)
-        tape._acc(b, g.sum(axis=0) if broadcast else g)
+        tape._acc(b, g.sum(axis=-2) if broadcast else g)
 
     _record((out,), rule)
     return out
@@ -260,20 +259,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a plain (non-differentiated) scalar."""
-    factor = float(factor)
+def scale(x: Tensor, factor) -> Tensor:
+    """Multiply by a plain (non-differentiated) scalar, or elementwise by a
+    constant array of x's shape."""
+    if isinstance(factor, np.ndarray):
+        if factor.shape != x.shape:
+            raise ValueError(f"scale factor shape {factor.shape} != tensor shape {x.shape}")
+    else:
+        factor = float(factor)
     out = Tensor(x.data * factor)
     _record((out,), lambda tape, g: tape._acc(x, g * factor))
     return out
 
 
 def _unary(x: Tensor, value: np.ndarray, local: Callable[[], np.ndarray]) -> Tensor:
-    # the local gradient is only worth computing when a tape records the op
+    # the local gradient is computed in the sweep, from arrays the tape
+    # keeps anyway, so that no third array per op waits for it
     out = Tensor(value)
-    if _active_tape() is not None:
-        local_grad = local()
-        _record((out,), lambda tape, g: tape._acc(x, g * local_grad))
+    _record((out,), lambda tape, g: tape._acc(x, g * local()))
     return out
 
 
@@ -324,8 +327,10 @@ def concat_rows(*parts: Tensor) -> Tensor:
 
 
 def take(x: Tensor, index) -> Tensor:
-    """`x[index]` for a basic index: an int or a step-free `slice` per
-    leading axis, alone or in a tuple (a row, a row range, a component).
+    """`x[index]` where the index holds, per leading axis, an int, a
+    step-free `slice` or a 1-D integer array, alone or in a tuple (a row, a
+    row range, a component, or one row per batch row).  Arrays follow
+    numpy's advanced indexing and may repeat a position.
 
     Backward adds the gradient into x's accumulated one in place.
     """
@@ -336,9 +341,12 @@ def take(x: Tensor, index) -> Tensor:
         if isinstance(part, slice):
             if part.indices(n) != (part.start, part.stop, 1) or part.start >= part.stop:
                 raise ValueError(f"range {part!r} out of bounds for {x.shape}")
+        elif isinstance(part, np.ndarray):
+            if part.ndim != 1 or part.dtype.kind not in "iu" or not ((part >= 0) & (part < n)).all():
+                raise ValueError(f"index array {part!r} out of bounds for {x.shape}")
         elif not 0 <= operator.index(part) < n:
             raise ValueError(f"index {part} out of bounds for {x.shape}")
-    out = Tensor(x.data[index].copy())
+    out = Tensor(x.data[index])  # a view for a basic index: ops never write into data
     _record((out,), lambda tape, g: tape._scatter(x, index, g))
     return out
 
@@ -358,26 +366,42 @@ def _softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return y
 
 
-def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Softmax of `logits + mask` where mask entries are 0 or -inf.
+def _softmax_rows(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """`_softmax` of each row of a matrix at once; exp(-inf) makes the
+    exact zeros, and the sums run over whole rows, zeros included."""
+    y = np.where(valid, logits, -np.inf)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
 
-    Masked positions are skipped in the exp-sum instead of added, so the
-    output is exactly zero there and never NaN.  The mask is a constant:
-    backward only flows into `logits`.
+
+def masked_softmax(logits: Tensor, mask) -> Tensor:
+    """Softmax over the last axis of a vector or of each row of a matrix,
+    skipping the masked positions.
+
+    The mask has the shape of `logits`: a boolean array that is True where
+    masked, or `logits + mask` semantics with entries 0 or -inf.  Masked
+    positions are skipped in the exp-sum instead of added, so the output
+    is exactly zero there and never NaN.  The mask is a constant: backward
+    only flows into `logits`.
     """
-    md = mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
     ld = logits.data
-    if ld.ndim != 1 or md.shape != ld.shape:
-        raise ValueError("masked_softmax expects a vector and an equal-shape mask")
-    valid = md == 0.0
-    if not np.all(valid | np.isneginf(md)):
-        raise ValueError("mask entries must be 0 or -inf")
-    if not valid.any():
+    md = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+    if ld.ndim not in (1, 2) or md.shape != ld.shape:
+        raise ValueError("masked_softmax expects a vector or a matrix and an equal-shape mask")
+    if md.dtype == bool:
+        valid = ~md
+    else:
+        valid = md == 0.0
+        if not np.all(valid | np.isneginf(md)):
+            raise ValueError("mask entries must be 0 or -inf")
+    if not valid.any(axis=-1).all():
         raise ValueError("all positions masked")
-    y = _softmax(ld, valid)
+    y = _softmax(ld, valid) if ld.ndim == 1 else _softmax_rows(ld, valid)
     out = Tensor(y)
     # y is zero at masked positions, so their logit grads stay zero
-    _record((out,), lambda tape, g: tape._acc(logits, y * (g - float(g @ y))))
+    _record((out,), lambda tape, g: tape._acc(logits, y * (g - (g * y).sum(axis=-1, keepdims=True))))
     return out
 
 
@@ -410,17 +434,17 @@ def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
 
 
 def _lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, saved):
-    """Gradients of one cell update for vectors: (dz, dc_prev)."""
+    """Gradients of one cell update, for a vector or [B x H] rows: (dz, dc_prev)."""
     ifo, g, c_prev, tanh_c = saved
-    hidden = g.shape[0]
-    i, f, o = ifo[:hidden], ifo[hidden : 2 * hidden], ifo[2 * hidden :]
+    hidden = g.shape[-1]
+    i, f, o = ifo[..., :hidden], ifo[..., hidden : 2 * hidden], ifo[..., 2 * hidden :]
     dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    dz = np.empty(4 * hidden)
-    dz[:hidden] = dc * g
-    dz[hidden : 2 * hidden] = dc * c_prev
-    dz[2 * hidden : 3 * hidden] = dh * tanh_c
-    dz[: 3 * hidden] *= ifo * (1.0 - ifo)
-    dz[3 * hidden :] = dc * i * (1.0 - g * g)
+    dz = np.empty(g.shape[:-1] + (4 * hidden,))
+    dz[..., :hidden] = dc * g
+    dz[..., hidden : 2 * hidden] = dc * c_prev
+    dz[..., 2 * hidden : 3 * hidden] = dh * tanh_c
+    dz[..., : 3 * hidden] *= ifo * (1.0 - ifo)
+    dz[..., 3 * hidden :] = dc * i * (1.0 - g * g)
     return dz, dc * f
 
 
@@ -437,10 +461,11 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
     """One forget-gate LSTM step (no peepholes) as one op: returns (h, c).
 
     `z = x @ w + h @ u + b` holds the pre-activations of the gates
-    [i | f | o | g]; c' = f*c + i*g and h' = o*tanh(c').
+    [i | f | o | g]; c' = f*c + i*g and h' = o*tanh(c').  x, h and c are
+    vectors, or [B x .] matrices with one row per sequence.
     """
-    hidden = _check_cell(w, u, b, x.shape[0] if x.ndim == 1 else -1)
-    if h.shape != (hidden,) or c.shape != (hidden,):
+    hidden = _check_cell(w, u, b, x.shape[-1] if x.ndim in (1, 2) else -1)
+    if h.shape != x.shape[:-1] + (hidden,) or c.shape != h.shape:
         raise ValueError(f"LSTM state shapes {h.shape}, {c.shape} do not fit hidden size {hidden}")
     xd, hd = x.data, h.data
     h_new, c_new, saved = _lstm_gates(xd @ w.data + hd @ u.data + b.data, c.data)
@@ -448,14 +473,15 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
 
     def rule(tape, dh, dc):
         dz, dc_prev = _lstm_gates_backward(
-            np.zeros(hidden) if dh is None else dh, np.zeros(hidden) if dc is None else dc, saved
+            np.zeros(h.shape) if dh is None else dh, np.zeros(h.shape) if dc is None else dc, saved
         )
-        tape._acc(x, w.data @ dz)
-        tape._acc(h, u.data @ dz)
+        tape._acc(x, dz @ w.data.T)
+        tape._acc(h, dz @ u.data.T)
         tape._acc(c, dc_prev)
-        tape._acc_outer(w, xd, dz)
-        tape._acc_outer(u, hd, dz)
-        tape._acc(b, dz)
+        x_rows, h_rows, dz_rows = np.atleast_2d(xd, hd, dz)
+        tape._acc(w, x_rows.T @ dz_rows)
+        tape._acc(u, h_rows.T @ dz_rows)
+        tape._acc(b, dz_rows.sum(axis=0))
 
     _record((h_out, c_out), rule)
     return h_out, c_out
@@ -464,53 +490,77 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
 Cell = tuple[Tensor, Tensor, Tensor]  # fused (w, u, b)
 
 
-def bilstm(x: Tensor, valid_len: int, fwd: Cell, bwd: Cell) -> Tensor:
-    """Bidirectional LSTM over the first `valid_len` rows of x [T x in], as
-    one op.  Row t of the [T x 2H] result is the left-to-right state at t
-    next to the right-to-left state at t; rows from `valid_len` on are
-    zeros.  Both directions start from zero state and cell.
+def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
+    """Bidirectional LSTM as one op over x [T x in] with an int `valid_len`,
+    or over a batch x [B x T x in] with one length per row.  A plain array
+    x is a constant: backward skips its gradient, the `dG @ w^T` products.
+
+    Position t of the [.. x T x 2H] result is the left-to-right state at t
+    next to the right-to-left state at t.  Both directions start from zero
+    state and cell; the right-to-left one starts at each row's own last
+    token.  Positions from a row's length on get exactly zero output and
+    gradient, and what x holds there does not reach the output.  The
+    recurrence runs over the batch's longest row, as [B x 4H] products.
     """
-    if x.ndim != 2 or not 1 <= valid_len <= x.shape[0]:
-        raise ValueError(f"valid_len {valid_len} out of range for input of shape {x.shape}")
-    hidden = _check_cell(*fwd, x.shape[1])
-    if _check_cell(*bwd, x.shape[1]) != hidden:
+    lengths = np.asarray(valid_len)
+    x_data = (x if isinstance(x, Tensor) else Tensor(x)).data
+    if x_data.ndim not in (2, 3) or lengths.shape != x_data.shape[:-2]:
+        raise ValueError(f"valid_len {valid_len} does not fit input of shape {x_data.shape}")
+    if not ((lengths >= 1) & (lengths <= x_data.shape[-2])).all():
+        raise ValueError(f"valid_len {valid_len} out of range for input of shape {x_data.shape}")
+    hidden = _check_cell(*fwd, x_data.shape[-1])
+    if _check_cell(*bwd, x_data.shape[-1]) != hidden:
         raise ValueError("encoder directions must share a hidden size")
-    xd = x.data[:valid_len]
+    lens = lengths.reshape(-1)
+    rows, span, n_in = len(lens), int(lens.max()), x_data.shape[-1]
+    xd = x_data.reshape(rows, -1, n_in)[:, :span]
+    x_flat = xd.reshape(-1, n_in)
+    # a position past a row's length keeps that row's state at zero
+    inside = np.arange(span) < lens[:, None]
+    ragged = ~inside.all(axis=0)
     runs = []
-    for (w, u, b), steps in ((fwd, range(valid_len)), (bwd, range(valid_len - 1, -1, -1))):
-        gates_in = xd @ w.data + b.data
-        h = np.zeros(hidden, dtype=gates_in.dtype)
+    for (w, u, b), steps in ((fwd, range(span)), (bwd, range(span - 1, -1, -1))):
+        gates_in = (x_flat @ w.data + b.data).reshape(rows, span, 4 * hidden)
+        h = np.zeros((rows, hidden), dtype=gates_in.dtype)
         c = h
-        states = np.empty((valid_len, hidden), dtype=gates_in.dtype)
+        states = np.empty((rows, span, hidden), dtype=gates_in.dtype)
         previous = np.empty_like(states)
-        saved = [None] * valid_len
+        saved = [None] * span
         for t in steps:
-            previous[t] = h
-            h, c, saved[t] = _lstm_gates(gates_in[t] + h @ u.data, c)
-            states[t] = h
+            previous[:, t] = h
+            h, c, saved[t] = _lstm_gates(gates_in[:, t] + h @ u.data, c)
+            if ragged[t]:
+                h, c = np.where(inside[:, t, None], h, 0.0), np.where(inside[:, t, None], c, 0.0)
+            states[:, t] = h
         runs.append((states, previous, saved))
-    out_data = np.zeros((x.shape[0], 2 * hidden), dtype=np.result_type(runs[0][0], runs[1][0]))
-    out_data[:valid_len, :hidden] = runs[0][0]
-    out_data[:valid_len, hidden:] = runs[1][0]
-    out = Tensor(out_data)
+    out_data = np.zeros((rows, x_data.shape[-2], 2 * hidden), dtype=np.result_type(runs[0][0], runs[1][0]))
+    out_data[:, :span, :hidden] = runs[0][0]
+    out_data[:, :span, hidden:] = runs[1][0]
+    out = Tensor(out_data.reshape(x_data.shape[:-1] + (2 * hidden,)))
 
     def rule(tape, g):
-        dx = np.zeros_like(x.data)
+        g = g.reshape(rows, -1, 2 * hidden)
+        dx = np.zeros((rows, x_data.shape[-2], n_in)) if isinstance(x, Tensor) else None
         for (w, u, b), (_, previous, saved), steps, cols in (
-            (fwd, runs[0], range(valid_len - 1, -1, -1), slice(0, hidden)),
-            (bwd, runs[1], range(valid_len), slice(hidden, 2 * hidden)),
+            (fwd, runs[0], range(span - 1, -1, -1), slice(0, hidden)),
+            (bwd, runs[1], range(span), slice(hidden, 2 * hidden)),
         ):
-            dh_out = g[:valid_len, cols]
-            dgates = np.empty((valid_len, 4 * hidden))
-            dh, dc = np.zeros(hidden), np.zeros(hidden)
+            dgates = np.empty((rows, span, 4 * hidden))
+            dh, dc = np.zeros((rows, hidden)), np.zeros((rows, hidden))
             for t in steps:
-                dgates[t], dc = _lstm_gates_backward(dh_out[t] + dh, dc, saved[t])
-                dh = u.data @ dgates[t]
-            tape._acc(w, xd.T @ dgates)
-            tape._acc(u, previous.T @ dgates)
-            tape._acc(b, dgates.sum(axis=0))
-            dx[:valid_len] += dgates @ w.data.T
-        tape._acc(x, dx)
+                dh = g[:, t, cols] + dh
+                if ragged[t]:
+                    dh, dc = np.where(inside[:, t, None], dh, 0.0), np.where(inside[:, t, None], dc, 0.0)
+                dgates[:, t], dc = _lstm_gates_backward(dh, dc, saved[t])
+                dh = dgates[:, t] @ u.data.T
+            dg_flat = dgates.reshape(-1, 4 * hidden)
+            tape._acc(w, x_flat.T @ dg_flat)
+            tape._acc(u, previous.reshape(-1, hidden).T @ dg_flat)
+            tape._acc(b, dg_flat.sum(axis=0))
+            if dx is not None:
+                dx[:, :span] += (dg_flat @ w.data.T).reshape(rows, span, n_in)
+        if dx is not None:
+            tape._acc(x, dx.reshape(x_data.shape))
 
     _record((out,), rule)
     return out

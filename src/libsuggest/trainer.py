@@ -1,7 +1,13 @@
 """Mini-batch training loop and checkpoint persistence.
 
 Adam with global-norm gradient clipping, teacher forcing, seeded shuffling
-and dropout.  Checkpoints are a versioned binary container that round-trips
+and dropout.  Each mini-batch is one batched forward pass over [B x T x .]
+arrays (`model.batch_loss`), one tape and one backward sweep.  Dropout
+draws its masks per batch: once over the batch's [B x T x 2H] encoder
+output, then once per decoder step over the [n_t x H] states of the rows
+still running.  Same-seed runs are byte-identical; checkpoints differ from
+those of the earlier loop over single examples, which drew per example.
+Checkpoints are a versioned binary container that round-trips
 bit-exactly: magic, JSON metadata padded so that the tensors start 8-byte
 aligned, raw little-endian float64 tensors, and a trailing SHA-256
 checksum.
@@ -20,10 +26,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import N_RESERVED, PreparedDataset, PreprocTables, Vocabulary
+from .corpus import N_RESERVED, PAD_ID, PreparedDataset, PreprocTables, Vocabulary
 from .embeddings import EmbeddingTable, vocab_matrix
-from .model import ModelParams, example_loss, init_params, library_weights, named_parameters
-from .tensor import Tape, Tensor, add, backward, scale
+from .model import ModelParams, batch_loss, init_params, library_weights, named_parameters
+from .tensor import Tape, Tensor, backward, scale
 
 __all__ = [
     "TrainConfig",
@@ -115,7 +121,14 @@ def adam_step(
     t: int,
     cfg: TrainConfig,
 ) -> tuple[dict[str, Tensor], AdamState]:
-    """One Adam update (in place on the parameter tensors), step index t >= 1."""
+    """One Adam update, step index t >= 1, in place on the parameter
+    tensors and on the moment arrays of `state`.
+
+    The update is lr * m_hat / (sqrt(v_hat) + eps) with m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g and the bias-corrected m_hat, v_hat; the in-place
+    form runs each elementwise operation in that order, so its bytes are
+    those of the formula.
+    """
     if t < 1:
         raise ValueError("step index must be >= 1")
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
@@ -123,11 +136,18 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = m / (1.0 - b1**t)
+        step *= cfg.learning_rate
+        step /= denom
+        p.data -= step
     return params, state
 
 
@@ -165,6 +185,11 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     walks mini-batches: teacher-forced forward with dropout, weighted loss
     averaged over the batch, backward, global-norm clipping, Adam.  Runs
     are bit-reproducible for a given (seed, dataset, config).
+
+    The embedded sources are padded once into one [N x max_src x dim]
+    array.  A mini-batch is sorted by target length, longest first (a
+    stable sort, so ties keep their shuffled order), cut to its longest
+    source and run as one `model.batch_loss` call on one tape.
     """
     if not data.examples:
         raise ValueError("cannot train on an empty dataset")
@@ -193,11 +218,15 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     state = AdamState.for_params(named)
 
     word_embed = vocab_matrix(data.word_vocab, table)
-    sources = [Tensor(word_embed[np.array(ex.source.ids)]) for ex in data.examples]
-    lengths = [ex.source.length for ex in data.examples]
-    targets = [list(ex.target.ids[: ex.target.length]) for ex in data.examples]
-
     n = len(data.examples)
+    source_ids = np.full((n, max(len(ex.source.ids) for ex in data.examples)), PAD_ID)
+    for row, ex in zip(source_ids, data.examples):
+        row[: len(ex.source.ids)] = ex.source.ids
+    sources = word_embed[source_ids]
+    lengths = np.array([ex.source.length for ex in data.examples])
+    targets = [list(ex.target.ids[: ex.target.length]) for ex in data.examples]
+    target_lengths = np.array([len(t) for t in targets])
+
     step = 0
     final_loss: float | None = None
     for epoch in range(1, cfg.max_epochs + 1):
@@ -205,20 +234,19 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
         epoch_total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
+            batch = batch[np.argsort(-target_lengths[batch], kind="stable")]
+            x = sources[batch, : lengths[batch].max()]
             with Tape() as tape:
-                total: Tensor | None = None
-                for idx in batch:
-                    loss_i = example_loss(
-                        sources[idx], lengths[idx], targets[idx], params, cfg.dropout_p, rng
-                    )
-                    total = loss_i if total is None else add(total, loss_i)
-                batch_loss = scale(total, 1.0 / len(batch))
-            loss_value = batch_loss.item()
+                total = batch_loss(
+                    x, lengths[batch], [targets[i] for i in batch], params, cfg.dropout_p, rng
+                )
+                mean_loss = scale(total, 1.0 / len(batch))
+            loss_value = mean_loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}"
                 )
-            backward(tape, batch_loss)
+            backward(tape, mean_loss)
             grads = {}
             for name, p in named.items():
                 g = tape.gradient(p)
@@ -411,7 +439,8 @@ def _check_tensor_list(listed, cfg: TrainConfig, word_vocab: Vocabulary, lib_voc
 
 
 def checkpoint_from_bytes(data) -> ModelCheckpoint:
-    """Parse the binary container; raises CheckpointError on any corruption.
+    """Parse the binary container; raises CheckpointError on any corruption,
+    including a tensor that holds NaN or inf.
 
     The tensors are views into one buffer holding the container: `data`
     itself when it is writable and 8-byte aligned (as `load_checkpoint`
@@ -465,6 +494,15 @@ def checkpoint_from_bytes(data) -> ModelCheckpoint:
         offset += nbytes
     if offset != len(body):
         raise CheckpointError("trailing bytes after tensor payload")
+    # A NaN or inf weight would load and then decode to nothing.  The sum
+    # of finite values is finite unless it overflows, so one pass without
+    # a temporary array clears the payload; otherwise each tensor is checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = body[header_start + header_len :].view("<f8").sum()
+    if not np.isfinite(total):
+        bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+        if bad:
+            raise CheckpointError(f"tensor {bad[0]!r} holds a value that is not finite")
 
     with _field("tables"):
         raw = header["tables"]

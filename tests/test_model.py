@@ -11,6 +11,7 @@ from libsuggest.model import (
     LstmParams,
     attention,
     attention_keys,
+    batch_loss,
     decoder_step,
     decoder_step_batch,
     encode,
@@ -177,6 +178,37 @@ class TestAttention:
             f, [params.attn.w_a, params.attn.u_a, params.attn.v_a, s, enc_out]
         )
         assert err < 1e-4
+
+    def test_batched_rows_pass_fd_audit_with_precomputed_keys(self):
+        # rows of lengths T, 1 and a middle length; the keys come from
+        # attention_keys on the tape, as training computes them once
+        params, rng = tiny_params(14)
+        enc_out = Tensor(rng.normal(size=(3, 5, 8)))
+        s = Tensor(rng.normal(size=(3, 4)))
+        lengths = np.array([5, 1, 3])
+        readout = Tensor(rng.normal(size=(3, 13)))
+
+        def f():
+            from libsuggest.tensor import concat_rows, mul, sum_all
+
+            keys = attention_keys(enc_out, lengths, params.attn)
+            alpha, context = attention(s, enc_out, lengths, params.attn, keys)
+            return sum_all(mul(concat_rows(alpha, context), readout))
+
+        attn = [params.attn.w_a, params.attn.u_a, params.attn.v_a]
+        assert finite_difference_check(f, [*attn, s, enc_out], max_coords_per_tensor=1000) < 1e-4
+
+    def test_batched_rows_equal_one_sequence_calls(self):
+        params, rng = tiny_params(15)
+        lengths = np.array([4, 1, 2, 4])
+        enc_out = rng.normal(size=(4, 4, 8))
+        s = rng.normal(size=(4, 4))
+        alpha, context = attention(Tensor(s), Tensor(enc_out), lengths, params.attn)
+        for b, n in enumerate(lengths):
+            a_b, c_b = attention(Tensor(s[b]), Tensor(enc_out[b]), int(n), params.attn)
+            np.testing.assert_allclose(alpha.data[b], a_b.data, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(context.data[b], c_b.data, rtol=1e-13, atol=1e-16)
+            assert (alpha.data[b, n:] == 0.0).all()
 
 
 class TestDecoderStep:
@@ -400,6 +432,106 @@ class TestGoldenForward:
         assert math.isclose(loss.item(), 4.4039981039714045, rel_tol=0, abs_tol=1e-12)
 
 
+def random_batch(rng, params, source_lengths, target_lengths, total):
+    """Embedded sources [B x total x dim] with junk past each length, and
+    distinct library targets ending in EOS."""
+    vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.input_size
+    x = rng.normal(size=(len(source_lengths), total, embed_dim))
+    for row, n in zip(x, source_lengths):
+        row[n:] *= 50.0
+    targets = [
+        [int(i) for i in rng.choice(np.arange(N_RESERVED, vocab_n), size=n - 1, replace=False)] + [EOS_ID]
+        for n in target_lengths
+    ]
+    return x, np.array(source_lengths), targets
+
+
+def odd_params(seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(5, 7, 9, 3, 14, np.linspace(0.2, 0.9, 14 - N_RESERVED), rng)
+    return params, rng
+
+
+class TestBatchLoss:
+    """`batch_loss` against a reference built from the one-sequence
+    functions, example by example."""
+
+    def reference(self, params, x, lengths, targets):
+        from libsuggest.tensor import add
+
+        total = None
+        for row, n, target in zip(x, lengths, targets):
+            enc_out = encode(Tensor(row), int(n), params.enc_fwd, params.enc_bwd)
+            s, cell, ctx = initial_decoder_state(enc_out, int(n), params)
+            probs, mask, prev = [], set(), BOS
+            for t in target:
+                s, cell, ctx, _, y = decoder_step(prev, ctx, s, cell, enc_out, int(n), mask, params)
+                probs.append(y)
+                if t != EOS_ID:
+                    mask.add(t)
+                prev = t
+            loss = sequence_loss(probs, target, params.class_weights)
+            total = loss if total is None else add(total, loss)
+        return total
+
+    def gradients(self, params, f):
+        from libsuggest.tensor import Tape, backward
+
+        with Tape() as tape:
+            loss = f()
+        backward(tape, loss)
+        return loss.item(), {name: tape.gradient(p) for name, p in named_parameters(params).items()}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_every_gradient_match_the_per_example_reference(self, seed):
+        # equal-length targets keep their order; sources of lengths T, 1
+        # and in between; every row's junk past its length must not leak
+        params, rng = odd_params(seed)
+        x, lengths, targets = random_batch(rng, params, [6, 1, 3, 6, 2], [5, 4, 4, 2, 1], 6)
+        got, got_grads = self.gradients(params, lambda: batch_loss(x, lengths, targets, params))
+        want, want_grads = self.gradients(params, lambda: self.reference(params, x, lengths, targets))
+        assert abs(got - want) <= 1e-10 * abs(want)
+        for name, want_g in want_grads.items():
+            scale = np.abs(want_g).max()
+            assert np.abs(got_grads[name] - want_g).max() <= 1e-10 * scale, name
+
+    def test_passes_fd_audit_at_odd_dimensions(self):
+        params, rng = odd_params(3)
+        x, lengths, targets = random_batch(rng, params, [4, 1, 2], [3, 3, 1], 4)
+        err = finite_difference_check(lambda: batch_loss(x, lengths, targets, params), named_parameters(params))
+        assert err < 1e-4
+
+    def test_padded_source_positions_get_zero_gradient(self):
+        from libsuggest.tensor import Tape, backward
+
+        params, rng = odd_params(4)
+        x, lengths, targets = random_batch(rng, params, [5, 1, 3], [3, 2, 2], 5)
+        source = Tensor(x)
+        with Tape() as tape:
+            loss = batch_loss(source, lengths, targets, params)
+        backward(tape, loss)
+        dx = tape.gradient(source)
+        for b, n in enumerate(lengths):
+            assert (dx[b, n:] == 0.0).all() and (dx[b, :n] != 0.0).any()
+        junk = x.copy()
+        junk[0, 5:], junk[1, 1:], junk[2, 3:] = 0.0, -7.0, 1e3
+        assert batch_loss(junk, lengths, targets, params).item() == loss.item()
+
+    def test_example_loss_is_the_batch_of_one(self):
+        params, rng = odd_params(5)
+        x, lengths, targets = random_batch(rng, params, [3], [4], 5)
+        one = example_loss(Tensor(x[0]), 3, targets[0], params).item()
+        assert one == batch_loss(x, lengths, targets, params).item()
+
+    def test_rows_must_come_longest_target_first(self):
+        params, rng = odd_params(6)
+        x, lengths, targets = random_batch(rng, params, [3, 3], [2, 3], 3)
+        with pytest.raises(ValueError, match="longest first"):
+            batch_loss(x, lengths, targets, params)
+        with pytest.raises(ValueError, match="do not fit"):
+            batch_loss(x, lengths[:1], targets, params)
+
+
 class TestFullModelGradients:
     # The fd oracle probes in extended precision, so its rounding noise is
     # far below the 1e-8 denominator floor and even coordinates with
@@ -428,10 +560,12 @@ class TestFullModelGradients:
 
 
 def test_paper_scale_example_op_and_tape_record_counts(monkeypatch):
-    """At this scale the cost is per Python-level op, so the counts are
-    pinned: a fall back to per-gate LSTM ops would multiply them (the
-    twelve-tensor cell with a per-step encoder recorded 2407 tape records
-    here).  Embed 200, hidden 128, V=1000, 32 source rows, 16 targets."""
+    """At this scale the cost is per Python-level op, so the counts of one
+    32-example paper-scale batch are pinned: embed 200, hidden 128,
+    V=1000, 32 source rows each, targets of 16 down to 1 positions (two
+    rows each).  One example of 32 source rows and 16 targets took 325
+    tape records and 342 op calls when training looped over examples; a
+    fall back to a per-example loop would multiply the batch's counts."""
     from collections import Counter
 
     from libsuggest import model, tensor
@@ -440,8 +574,11 @@ def test_paper_scale_example_op_and_tape_record_counts(monkeypatch):
     rng = np.random.default_rng(0)
     vocab_n = 1000
     params = init_params(200, 128, 128, 64, vocab_n, np.full(vocab_n - N_RESERVED, 0.5), rng)
-    x = Tensor(rng.normal(size=(32, 200)))
-    targets = [int(t) for t in rng.choice(np.arange(N_RESERVED, vocab_n), size=15, replace=False)]
+    x = rng.normal(size=(32, 32, 200))
+    targets = [
+        [int(t) for t in rng.choice(np.arange(N_RESERVED, vocab_n), size=15 - b // 2, replace=False)] + [EOS_ID]
+        for b in range(32)
+    ]
     calls = Counter()
 
     def counted(name, op):
@@ -455,6 +592,7 @@ def test_paper_scale_example_op_and_tape_record_counts(monkeypatch):
         if name not in ("Tensor", "Tape") and getattr(model, name, None) is getattr(tensor, name):
             monkeypatch.setattr(model, name, counted(name, getattr(tensor, name)))
     with Tape() as tape:
-        example_loss(x, 32, targets + [EOS_ID], params)
-    assert (len(tape), sum(calls.values())) == (325, 342), (len(tape), calls)
+        batch_loss(x, np.full(32, 32), targets, params)
+    assert (len(tape), sum(calls.values())) == (402, 419), (len(tape), calls)
+    assert len(tape) < 32 * 325 and sum(calls.values()) < 32 * 342
     assert calls["bilstm"] == 1 and calls["lstm_cell"] == 16

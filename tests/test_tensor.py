@@ -377,8 +377,8 @@ class TestTake:
 
 
 class TestDeferredLeafGradients:
-    """Vector-matrix products defer the gradient of a leaf matrix to one
-    product at the end of backward()."""
+    """A leaf matrix used by many products, vector and matrix ones, gets
+    the sum of their gradients, accumulated in place on the tape."""
 
     def test_leaf_used_by_vector_and_matrix_products(self):
         rng = np.random.default_rng(0)
@@ -437,6 +437,61 @@ class TestDeferredLeafGradients:
         grads.append(tape.gradient(w))
         for g in grads:
             np.testing.assert_array_equal(g, np.outer(v.data, np.ones(2)))
+
+
+class TestBatchedOps:
+    """The batch forms of the ops: leading axes as rows, one matrix per
+    row, a broadcast along the second-to-last axis, array indices that
+    may repeat, and a softmax per row."""
+
+    def test_compositions_pass_fd_audit(self):
+        rng = np.random.default_rng(0)
+        keys = Tensor(rng.normal(size=(3, 4, 5)))
+        query = Tensor(rng.normal(size=(3, 5)))
+        v = Tensor(rng.normal(size=5))
+        values = Tensor(rng.normal(size=(3, 4, 2)))
+        w = Tensor(rng.normal(size=(2, 6)))
+        emb = Tensor(rng.normal(size=(5, 2)))
+        readout = Tensor(rng.normal(size=(3, 6)))
+        mask = np.zeros((3, 4), dtype=bool)
+        mask[1, 2:] = mask[2, 0] = True
+
+        def f():
+            alpha = masked_softmax(matmul(tanh(add(keys, query)), v), mask)
+            rows = add(matmul(alpha, values), take(emb, np.array([1, 3, 1])))
+            y = masked_softmax(matmul(rows, w), np.zeros((3, 6), dtype=bool))
+            picked = log(take(y, (np.arange(3), np.array([5, 0, 2]))))
+            lifted = sum_all(tanh(matmul(values, w)))
+            return add(add(sum_all(mul(tanh(matmul(rows, w)), readout)), sum_all(picked)), lifted)
+
+        params = [keys, query, v, values, w, emb]
+        assert finite_difference_check(f, params, max_coords_per_tensor=1000) < 1e-4
+
+    def test_forward_definitions(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 2))
+        np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, np.einsum("bk,bkn->bn", a, b), rtol=1e-14)
+        row = rng.normal(size=2)
+        np.testing.assert_array_equal(add(Tensor(b), Tensor(np.tile(row, (3, 1)))).data, b + row)
+        logits = rng.normal(size=(3, 6))
+        mask = rng.random((3, 6)) < 0.4
+        mask[:, 0] = False
+        y = masked_softmax(Tensor(logits), mask).data
+        for r in range(3):
+            expected = masked_softmax(Tensor(logits[r]), np.where(mask[r], -np.inf, 0.0)).data
+            np.testing.assert_allclose(y[r], expected, rtol=1e-14, atol=0)
+            assert (y[r][mask[r]] == 0.0).all()
+        with pytest.raises(ValueError, match="all positions"):
+            masked_softmax(Tensor(logits), np.ones((3, 6), dtype=bool))
+        with pytest.raises(ValueError, match="mismatch"):
+            matmul(Tensor(a), Tensor(rng.normal(size=(2, 4, 2))))
+        with pytest.raises(ValueError, match="mismatch"):
+            add(Tensor(b), Tensor(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("index", [np.array([0, 3]), np.array([-1]), np.array([[0]]), np.array([0.0])])
+    def test_bad_index_arrays_rejected(self, index):
+        with pytest.raises(ValueError):
+            take(Tensor(np.zeros((3, 2))), index)
 
 
 def _cell(rng, input_size, hidden):
@@ -510,6 +565,55 @@ class TestFusedLstm:
 
         assert finite_difference_check(f, [*cell, x, h, c], max_coords_per_tensor=1000) < 1e-4
 
+    @pytest.mark.parametrize("lengths", [(5, 1, 3), (1, 3, 5), (2, 2, 2)])
+    def test_batched_bilstm_passes_fd_audit_with_input_gradient(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        x = Tensor(rng.normal(size=(3, 5, 4)))
+        fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
+        readout = Tensor(rng.normal(size=(3, 5, 6)))
+        f = lambda: sum_all(mul(tanh(bilstm(x, np.array(lengths), fwd, bwd)), readout))
+        err = finite_difference_check(f, [*fwd, *bwd, x], max_coords_per_tensor=1000)
+        assert err < 1e-4
+
+    def test_batched_rows_equal_one_sequence_calls(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 6, 5))
+        fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
+        lengths = np.array([6, 1, 4, 6])
+        out = bilstm(Tensor(x), lengths, fwd, bwd).data
+        for b, n in enumerate(lengths):
+            np.testing.assert_allclose(out[b], bilstm(Tensor(x[b]), int(n), fwd, bwd).data, rtol=1e-13, atol=1e-16)
+
+    def test_padded_positions_get_exactly_zero_output_and_gradient(self):
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(3, 5, 4))
+        fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
+        lengths = np.array([5, 1, 3])
+        readout = Tensor(rng.normal(size=(3, 5, 6)))
+        x = Tensor(data)
+        with Tape() as tape:
+            out = bilstm(x, lengths, fwd, bwd)
+            loss = sum_all(mul(tanh(out), readout))
+        backward(tape, loss)
+        junk = data.copy()
+        junk[1, 1:], junk[2, 3:] = 1e6, np.nan
+        again = bilstm(Tensor(junk), lengths, fwd, bwd).data
+        for b, n in enumerate(lengths):
+            assert (out.data[b, n:] == 0.0).all() and (tape.gradient(x)[b, n:] == 0.0).all()
+            assert again[b, :n].tobytes() == out.data[b, :n].tobytes()
+
+    def test_plain_array_input_is_a_constant(self):
+        rng = np.random.default_rng(10)
+        data = rng.normal(size=(2, 4, 5))
+        fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
+        grads = []
+        for x in (Tensor(data), data):
+            with Tape() as tape:
+                loss = sum_all(tanh(bilstm(x, np.array([4, 2]), fwd, bwd)))
+            backward(tape, loss)
+            grads.append([tape.gradient(t).tobytes() for t in (*fwd, *bwd)])
+        assert grads[0] == grads[1]
+
     def test_shapes_validated(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(4, 5)))
@@ -519,5 +623,9 @@ class TestFusedLstm:
             bilstm(x, 4, _cell(rng, 5, 3), _cell(rng, 5, 2))
         with pytest.raises(ValueError, match="valid_len"):
             bilstm(x, 5, _cell(rng, 5, 3), _cell(rng, 5, 3))
+        with pytest.raises(ValueError, match="valid_len"):
+            bilstm(Tensor(np.ones((2, 4, 5))), 4, _cell(rng, 5, 3), _cell(rng, 5, 3))
+        with pytest.raises(ValueError, match="valid_len"):
+            bilstm(Tensor(np.ones((2, 4, 5))), np.array([4, 0]), _cell(rng, 5, 3), _cell(rng, 5, 3))
         with pytest.raises(ValueError, match="state"):
             lstm_cell(Tensor(np.ones(5)), Tensor(np.ones(2)), Tensor(np.ones(3)), *_cell(rng, 5, 3))

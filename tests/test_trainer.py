@@ -79,6 +79,34 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape"):
             adam_step(p, {"w": np.zeros(3)}, state, 1, self.cfg())
 
+    def test_in_place_update_matches_the_allocating_formula_byte_for_byte(self):
+        def reference(w, g, m, v, t, cfg):
+            # the update as it was written before it ran in place
+            b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            return w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+        cfg = replace(self.cfg(), learning_rate=3e-3, adam_beta1=0.85, adam_beta2=0.995)
+        rng = np.random.default_rng(11)
+        shapes = {"w": (5, 4), "b": (4,)}
+        params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+        expected = {name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for name, p in params.items()}
+        state = AdamState.for_params(params)
+        moments = {name: (state.m[name], state.v[name]) for name in params}
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for name, shape in shapes.items()}
+            adam_step(params, grads, state, t, cfg)
+            for name in params:
+                w, m, v = expected[name]
+                w, m, v = expected[name] = reference(w, grads[name], m, v, t, cfg)
+                assert params[name].data.tobytes() == w.tobytes(), (name, t)
+                assert state.m[name].tobytes() == m.tobytes() and state.v[name].tobytes() == v.tobytes(), (name, t)
+        # the moments were updated in place, not replaced
+        assert all(state.m[n] is moments[n][0] and state.v[n] is moments[n][1] for n in params)
+
 
 class TestClipGradients:
     def test_norm_ten_halved_at_max_five(self):
@@ -365,6 +393,30 @@ class TestCheckpointHeaderValidation:
         blob = resealed(self.blob[:8] + struct.pack("<Q", len(text)) + text + self.blob[16 + length : -32])
         with pytest.raises(CheckpointError, match="unaligned"):
             checkpoint_from_bytes(blob)
+
+
+class TestNonFiniteTensors:
+    """A NaN or inf weight is a CheckpointError naming the tensor: loaded,
+    it would make recommend return nothing.  The writer computes the
+    checksum over the bad bytes, so only the finiteness check rejects them."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("out.w_o", np.nan), ("word_embed", np.inf), ("word_embed", -np.inf), ("emb", np.nan)],
+    )
+    def test_rejected_naming_the_tensor(self, name, value):
+        ckpt = _synth.random_checkpoint(9)
+        array = ckpt.word_embed if name == "word_embed" else named_parameters(ckpt.params)[name].data
+        array[-1, 1] = value
+        with pytest.raises(CheckpointError, match=f"'{name}'"):
+            checkpoint_from_bytes(checkpoint_bytes(ckpt))
+
+    def test_finite_values_whose_sum_overflows_load(self):
+        ckpt = _synth.random_checkpoint(9)
+        ckpt.params.out.w_o.data[0, :2] = np.finfo(np.float64).max
+        ckpt.word_embed[-1, 0] = -np.finfo(np.float64).tiny
+        loaded = checkpoint_from_bytes(checkpoint_bytes(ckpt))
+        assert (loaded.params.out.w_o.data[0, :2] == np.finfo(np.float64).max).all()
 
 
 class TestSingleBufferLoad:
