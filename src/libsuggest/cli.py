@@ -262,10 +262,13 @@ def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
         lib_vocab = Vocabulary([line.rstrip("\n") for line in fh if line.strip()])
     lib_freq: dict[str, int] = {}
     with open(path("lib_freq.tsv"), encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                lib, count = line.rstrip("\n").split("\t")
-                lib_freq[lib] = int(count)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2 or not fields[1].isdecimal():
+                raise DatasetError(f"{path('lib_freq.tsv')}: expected 'library<TAB>count'", lineno)
+            lib_freq[fields[0]] = int(fields[1])
     with open(path("tables.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
     tables = PreprocTables(
@@ -275,10 +278,16 @@ def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
     )
     examples = []
     with open(path("train.jsonl"), encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             row = json.loads(line)
+            for key, vocab in (("src_ids", word_vocab), ("tgt_ids", lib_vocab)):
+                if not all(type(i) is int and 0 <= i < len(vocab) for i in row[key]):
+                    raise DatasetError(
+                        f"{path('train.jsonl')}: {key} holds an id outside its {len(vocab)}-entry vocabulary",
+                        lineno,
+                    )
             examples.append(
                 EncodedExample(
                     name=row["name"],
@@ -313,19 +322,30 @@ def _load_test_set(path, ckpt):
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from None
+            if not isinstance(row, dict):
+                raise DatasetError("record is not an object", lineno)
+            libraries = _strings(row, "libraries", lineno)
             if "tokens" in row:
-                cases.append((list(row["tokens"]), list(row["libraries"])))
-            else:
-                tables = ckpt.tables
-                tokens = process_description(
-                    row.get("name", ""),
-                    row["description"],
-                    tables.stopwords,
-                    tables.domain_vocab,
-                    tables.lemma_table,
-                )
-                cases.append((tokens, list(row["libraries"])))
+                cases.append((_strings(row, "tokens", lineno), libraries))
+                continue
+            name, description = row.get("name", ""), row.get("description")
+            if not isinstance(name, str) or not isinstance(description, str):
+                raise DatasetError("a record without tokens needs a string description and name", lineno)
+            tables = ckpt.tables
+            tokens = process_description(
+                name, description, tables.stopwords, tables.domain_vocab, tables.lemma_table
+            )
+            cases.append((tokens, libraries))
     return cases
+
+
+def _strings(row: dict, key: str, lineno: int) -> list[str]:
+    if key not in row:
+        raise DatasetError(f"missing key {key!r}", lineno)
+    value = row[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DatasetError(f"{key} must be a list of strings", lineno)
+    return value
 
 
 def cmd_evaluate(args) -> int:

@@ -5,18 +5,18 @@ library, and neither PAD nor UNK is ever emitted (selection only considers
 library ids and EOS).  Decoding is read-only over the checkpoint and never
 applies dropout.
 
-Greedy decoding, and the greedy rollout that seeds every beam, run
-`model.decoder_step` one step at a time.  Beam search runs all live
-hypotheses of a step through one `model.decoder_step_batch` call over
-[B x .] arrays, with the encoder side of attention computed once per
-query, and selects from the [B x V] probabilities: np.partition on
-np.log scores finds the width-th best, and only the candidates within a
-relative margin of 1e-9 of it are scored again as `score + math.log(p)`
-and sorted by (-score, sequence).  The margin covers the last-bit
-difference between np.log and math.log, so ties and near-ties resolve
-as a sort of every candidate would.  Each row of the batched step is
-bit-identical to `decoder_step`, so the answers and their reported
-probabilities equal those of a decode one hypothesis at a time.
+Both run training's `model.decoder_step` with no tape, with the encoder
+side of attention computed once per query.  Greedy decoding, and the
+greedy rollout that seeds every beam, step one sequence.  Beam search
+steps its live hypotheses as the [B] rows of one call and selects from
+the [B x V] probabilities: np.partition on np.log scores finds the
+width-th best, and only the candidates within a relative margin of 1e-9
+of it are scored again as `score + math.log(p)` and sorted by (-score,
+sequence).  The margin covers the last-bit difference between np.log and
+math.log, so ties and near-ties resolve as a sort of every candidate
+would.  With no tape each row of the step is bit-identical to the
+one-sequence step, so the answers and their reported probabilities equal
+those of a decode one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EOS_ID, PAD_ID, UNK_ID, process_description
-from .model import BOS, attention_keys, decoder_step, decoder_step_batch, encode, initial_decoder_state
+from .model import BOS, attention_keys, decoder_step, encode, initial_decoder_state
 from .tensor import Tensor
 from .trainer import ModelCheckpoint
 
@@ -77,13 +77,14 @@ def _greedy_rollout(state, ckpt: ModelCheckpoint, max_steps: int):
     """Follow the argmax at every step; returns (ids, per-step probs,
     completed, eos_prob) where `completed` means EOS was chosen in time."""
     enc_out, valid_len, s_t, cell_t, context_t = state
+    keys = attention_keys(enc_out, valid_len, ckpt.params.attn)
     emitted: list[int] = []
     probs: list[float] = []
     mask: set[int] = set()
     prev = BOS
     for _ in range(max_steps):
         s_t, cell_t, context_t, _, y_t = decoder_step(
-            prev, context_t, s_t, cell_t, enc_out, valid_len, mask, ckpt.params
+            prev, context_t, s_t, cell_t, enc_out, valid_len, mask, ckpt.params, keys=keys
         )
         choice = _best_candidate(y_t.data, mask)
         if choice == EOS_ID:
@@ -152,12 +153,11 @@ def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     the greedy rollout's completion, so the returned score never falls
     below greedy's regardless of width.
 
-    Each step runs every live hypothesis through one `decoder_step_batch`
-    call and picks the next beam with `_select` from the [B x V]
-    probabilities.  Both are exact: the batched step is bit-identical to
-    `decoder_step` row by row, and `_select` ranks by `math.log` scores
-    with ties broken by the lexicographically smaller sequence, so the
-    answer and its probabilities are those of a per-hypothesis search.
+    Each step runs the live hypotheses as the [B] rows of one
+    `decoder_step`, with no tape each bit-identical to a one-sequence step
+    (`tensor._product`), and `_select` ranks by `math.log` scores, ties to
+    the lexicographically smaller sequence: the answer and its
+    probabilities are those of a per-hypothesis search.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -175,21 +175,24 @@ def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
         pool.append((score, tuple(seed_ids), tuple(steps)))
 
-    # the live hypotheses, one per row of the state arrays and of `masked`
+    # the live hypotheses, one per row of the states and of `masked`
     seqs: list[tuple[int, ...]] = [()]
     probs: list[tuple[float, ...]] = [()]
     scores = [0.0]
-    s, cell, context = s_t.data[None], cell_t.data[None], context_t.data[None]
+    s, cell, context = (Tensor(t.data[None]) for t in (s_t, cell_t, context_t))
     masked = np.zeros((1, params.lib_vocab_size), dtype=bool)
+    # read-only views repeating the encoder output and keys over the live rows
+    enc_rows, key_rows = (np.broadcast_to(t.data, (beam_width, *t.shape)) for t in (enc_out, keys))
     for _ in range(max_steps):
-        prev = [seq[-1] if seq else BOS for seq in seqs]
-        s, cell, context, y = decoder_step_batch(
-            prev, context, s, cell, enc_out, valid_len, keys, masked, params
+        rows = len(seqs)
+        s, cell, context, _, y = decoder_step(
+            np.array([seq[-1] if seq else BOS for seq in seqs]), context, s, cell, Tensor(enc_rows[:rows]),
+            np.full(rows, valid_len), masked, params, keys=Tensor(key_rows[:rows]),
         )
         candidate = ~masked
         candidate[:, [PAD_ID, UNK_ID]] = False
         keep, seqs_next, probs_next, scores_next = [], [], [], []
-        for cand_score, seq, p, r in _select(y, candidate, scores, seqs, beam_width):
+        for cand_score, seq, p, r in _select(y.data, candidate, scores, seqs, beam_width):
             if seq[-1] == EOS_ID:
                 pool.append((cand_score, seq[:-1], probs[r] + (p,)))
             else:
@@ -200,7 +203,8 @@ def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         if not keep:
             break
         seqs, probs, scores = seqs_next, probs_next, scores_next
-        s, cell, context, masked = s[keep], cell[keep], context[keep], masked[keep]
+        s, cell, context = (Tensor(t.data[keep]) for t in (s, cell, context))
+        masked = masked[keep]
         masked[np.arange(len(keep)), [seq[-1] for seq in seqs]] = True
         # emissions only lower a score, so no live path can beat the pool best
         if pool and max(p[0] for p in pool) >= max(scores):

@@ -1,4 +1,4 @@
-"""Pre-trained word-embedding table: text format load/save and sequence embedding."""
+"""Pre-trained word-embedding table: text format load/save and the id-aligned embedding matrix."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import PAD_ID, UNK_ID, TokenSequence, Vocabulary
+from .corpus import UNK_ID, Vocabulary
 
 __all__ = [
     "EmbeddingFormatError",
@@ -14,7 +14,6 @@ __all__ = [
     "load_embeddings",
     "save_embeddings",
     "vocab_matrix",
-    "embed_sequence",
 ]
 
 
@@ -130,30 +129,10 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 def vocab_matrix(word_vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
     """Embedding rows aligned to vocabulary ids: PAD and EOS rows are zero,
     UNK (and any word missing from the table) gets the unknown vector.
-
-    Row-gathering this matrix by id reproduces `embed_sequence` exactly.
+    Gathering its rows by token id embeds a sequence.
     """
     out = np.zeros((len(word_vocab), table.dimension))
     out[UNK_ID] = table.unk_vector
     for word in word_vocab.regular_tokens():
         out[word_vocab.id(word)] = table.vector(word)
-    return out
-
-
-def embed_sequence(
-    seq: TokenSequence, word_vocab: Vocabulary, table: EmbeddingTable
-) -> np.ndarray:
-    """Map a token sequence to a [len(ids) x dimension] float64 matrix.
-
-    PAD rows are all zero; UNK rows (and in-vocabulary words missing from
-    the table) get the table's unknown-word vector.
-    """
-    out = np.zeros((len(seq.ids), table.dimension))
-    for t, token_id in enumerate(seq.ids):
-        if token_id == PAD_ID:
-            continue
-        if token_id == UNK_ID:
-            out[t] = table.unk_vector
-        else:
-            out[t] = table.vector(word_vocab.token(token_id))
     return out

@@ -6,17 +6,16 @@ against repeats, and the popularity-weighted sequence loss.
 `sequence_loss` take one sequence or a batch, by the rank of what they
 are given.  One sequence is an embedded source [T x dim] with an int
 length, vector decoder states, an int previous id and a set of masked
-ids; decoding uses this form, and its numbers do not depend on the batch
-code.  A batch of B sequences is [B x T x dim] with B lengths, [B x .]
-states, [B] previous ids and a [B x V] boolean repeat mask.  Training runs
-a whole mini-batch through `batch_loss`: one encoder op, then one
-`decoder_step` per target position over the rows whose targets are still
-running, which lie at the front because the rows are sorted by target
-length, longest first.  `example_loss` is the batch of one.
+ids.  A batch of B sequences is [B x T x dim] with B lengths, [B x .]
+states, [B] previous ids and a [B x V] boolean repeat mask.
 
-`decoder_step_batch` is the tape-free step of beam search over plain
-arrays; each of its rows is bit-identical to the one-sequence
-`decoder_step`.
+`decoder_step` is the one decoder step.  Training runs a mini-batch
+through `batch_loss`: one encoder op, then one `decoder_step` per target
+position over the rows whose targets are still running, which lie at the
+front because the rows are sorted by target length, longest first
+(`example_loss` is the batch of one).  Decoding runs it with no tape,
+where each row of a batch, such as a beam's [B] hypotheses, is
+bit-identical to the one-sequence step (`tensor._product`).
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import numpy as np
 from .corpus import EOS_ID, N_RESERVED, PAD_ID, UNK_ID, Vocabulary
 from .tensor import (
     Tensor,
-    _lstm_gates,
-    _softmax,
     add,
     bilstm,
     concat_rows,
@@ -54,13 +51,11 @@ __all__ = [
     "AttentionParams",
     "OutputParams",
     "ModelParams",
-    "lstm_step",
     "encode",
     "attention",
     "initial_decoder_state",
     "decoder_step",
     "attention_keys",
-    "decoder_step_batch",
     "library_weights",
     "sequence_loss",
     "batch_loss",
@@ -129,11 +124,6 @@ class ModelParams:
     @property
     def lib_vocab_size(self) -> int:
         return self.emb.shape[0]
-
-
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple[Tensor, Tensor]:
-    """Standard forget-gate LSTM cell (no peepholes)."""
-    return lstm_cell(x, h_prev, c_prev, p.w, p.u, p.b)
 
 
 def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) -> Tensor:
@@ -284,14 +274,15 @@ def decoder_step(
     [B] previous ids (BOS for every row or for none), [B x .] states,
     enc_out [B x T x 2H], [B] lengths and a [B x V] boolean mask that is
     True at the masked ids; the caller updates that mask in place between
-    steps.  `keys` is passed on to `attention`.
+    steps.  `keys` is passed on to `attention`.  With no tape, row b of
+    each result equals the one-sequence step on row b's inputs bit for bit.
     """
     lead = s_prev.shape[:-1]
     prev_emb = _previous_embedding(prev_id, lead, params)
     masked = _repeat_mask(mask_ids, lead, params.lib_vocab_size)
 
     x = concat_rows(prev_emb, context_prev)
-    s_t, cell_t = lstm_step(x, s_prev, cell_prev, params.dec)
+    s_t, cell_t = lstm_cell(x, s_prev, cell_prev, params.dec.w, params.dec.u, params.dec.b)
     _, context_t = attention(s_t, enc_out, valid_len, params.attn, keys)
 
     s_used = dropout(s_t, dropout_p, rng, training=dropout_p > 0.0)
@@ -306,73 +297,11 @@ def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
     positions up to the longest length, for one sequence or a batch.
 
     It does not depend on the decoder state, so `attention` and
-    `decoder_step_batch` take it precomputed: once per source instead of
-    once per step.
+    `decoder_step` take it precomputed: once per source instead of once
+    per step, which decoding needs most, as its products with no tape run
+    as stacked rows at several times a GEMM's cost (`tensor._product`).
     """
     return matmul(_trim(enc_out, _check_lengths(enc_out, valid_len)), p.u_a)
-
-
-def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # one stacked product of B [1 x K] slices, each the same BLAS call as
-    # the vector-matrix `x[b] @ w`; a [B x K] @ [K x N] GEMM sums in
-    # another order and differs from it in the last bits
-    return (x[:, None, :] @ w)[:, 0]
-
-
-def _lstm_rows(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: LstmParams):
-    h, c, _ = _lstm_gates(_rows_matmul(x, p.w.data) + _rows_matmul(h, p.u.data) + p.b.data, c)
-    return h, c
-
-
-def decoder_step_batch(
-    prev_ids: Sequence[int],
-    context_prev: np.ndarray,
-    s_prev: np.ndarray,
-    cell_prev: np.ndarray,
-    enc_out: Tensor,
-    valid_len: int,
-    keys: Tensor,
-    masked: np.ndarray,
-    params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`decoder_step` for B hypotheses at once, on plain arrays and without
-    a tape; returns (s_t, cell_t, context_t, y_t), each with B rows.
-
-    Row b of the inputs is one hypothesis: its previous id (or BOS), its
-    context, state and cell, and row b of the [B x V] boolean `masked`,
-    which is True at the ids `decoder_step` would get in `mask_ids`.
-    `keys` is `attention_keys(enc_out, valid_len, params.attn)`.  Row b of
-    every result is bit-identical to what `decoder_step` returns for row b:
-    vector-matrix products run as stacked products, everything else is
-    elementwise, and both softmaxes run row by row.  No dropout, since only
-    inference uses it.
-    """
-    vocab_n = params.lib_vocab_size
-    prev = np.asarray(prev_ids)
-    if masked.shape != (len(prev), vocab_n):
-        raise ValueError(f"mask shape {masked.shape} != ({len(prev)}, {vocab_n})")
-    if ((prev != BOS) & ((prev < 0) | (prev >= vocab_n))).any():
-        raise ValueError("previous id out of vocabulary range")
-    if masked.all(axis=1).any():
-        raise ValueError("repeat mask covers the whole library vocabulary")
-    valid = enc_out.data[:valid_len]
-
-    prev_emb = params.emb.data[np.where(prev == BOS, 0, prev)]
-    prev_emb[prev == BOS] = params.bos.data
-    x = np.concatenate([prev_emb, context_prev], axis=1)
-    s_t, cell_t = _lstm_rows(x, s_prev, cell_prev, params.dec)
-
-    query = _rows_matmul(s_t, params.attn.w_a.data)
-    scores = np.tanh(keys.data + query[:, None, :]) @ params.attn.v_a.data
-    every = np.ones(valid_len, dtype=bool)
-    alpha = np.stack([_softmax(row_scores, every) for row_scores in scores])
-    context_t = _rows_matmul(alpha, valid)
-
-    out = params.out
-    hidden = np.maximum(_rows_matmul(s_t, out.w_d.data) + _rows_matmul(context_t, out.v_d.data), 0.0)
-    logits = _rows_matmul(hidden, out.w_o.data)
-    y_t = np.stack([_softmax(row_logits, ~row_mask) for row_logits, row_mask in zip(logits, masked)])
-    return s_t, cell_t, context_t, y_t
 
 
 def library_weights(freq: Mapping[str, int], lib_vocab: Vocabulary) -> np.ndarray:

@@ -17,6 +17,10 @@ recurrence over [B x 4H] rows, and its backward is hand-written
 backpropagation through time (`dW = X^T dG`, `dU = H_prev^T dG`,
 `db = sum dG`, plus `dx`).
 
+With no tape, `matmul` and `lstm_cell` multiply as stacked rows
+(`_product`) and a softmax sums whole rows, so a row of a batch, such as
+a beam hypothesis, gets the bits of the one-example call.
+
 Gradients accumulate in place once the tape owns the array it holds for a
 tensor, so repeated uses of a weight add into one buffer; `take` scatters
 its gradient the same way.
@@ -196,6 +200,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
             rule(tape, *gs)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` as stacked [1 x K] rows, each the BLAS call of the one-row
+    `a[i] @ b` whatever the row count; but a matrix `b` under a tape gets a
+    GEMM, which sums in another order yet costs 2-5x less, for training."""
+    if b.ndim == 2 and _active_tape() is not None:
+        return a @ b
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Contract the last axis of `a` with the first matrix axis of `b`.
 
@@ -210,7 +223,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2 if bd.ndim >= 2 else 0]:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    out = Tensor((ad[..., None, :] @ bd)[..., 0, :] if batched else ad @ bd)
+    out = Tensor(ad @ bd if bd.ndim == 1 else _product(ad, bd))
 
     def rule(tape, g):
         if batched:
@@ -358,17 +371,10 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def _softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Softmax over the `valid` positions of a vector, exact zeros elsewhere."""
-    shifted = np.exp(logits[valid] - logits[valid].max())
-    y = np.zeros_like(logits)
-    y[valid] = shifted / shifted.sum()
-    return y
-
-
 def _softmax_rows(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """`_softmax` of each row of a matrix at once; exp(-inf) makes the
-    exact zeros, and the sums run over whole rows, zeros included."""
+    """Softmax over the `valid` positions of a vector or of each matrix row,
+    exact zeros (exp(-inf)) elsewhere; the sums run over whole rows, zeros
+    included, so a matrix row gets the bits of the same vector alone."""
     y = np.where(valid, logits, -np.inf)
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
@@ -398,7 +404,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
             raise ValueError("mask entries must be 0 or -inf")
     if not valid.any(axis=-1).all():
         raise ValueError("all positions masked")
-    y = _softmax(ld, valid) if ld.ndim == 1 else _softmax_rows(ld, valid)
+    y = _softmax_rows(ld, valid)
     out = Tensor(y)
     # y is zero at masked positions, so their logit grads stay zero
     _record((out,), lambda tape, g: tape._acc(logits, y * (g - (g * y).sum(axis=-1, keepdims=True))))
@@ -468,7 +474,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
     if h.shape != x.shape[:-1] + (hidden,) or c.shape != h.shape:
         raise ValueError(f"LSTM state shapes {h.shape}, {c.shape} do not fit hidden size {hidden}")
     xd, hd = x.data, h.data
-    h_new, c_new, saved = _lstm_gates(xd @ w.data + hd @ u.data + b.data, c.data)
+    h_new, c_new, saved = _lstm_gates(_product(xd, w.data) + _product(hd, u.data) + b.data, c.data)
     h_out, c_out = Tensor(h_new), Tensor(c_new)
 
     def rule(tape, dh, dc):

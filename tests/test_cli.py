@@ -1,12 +1,14 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import _synth
-from libsuggest.cli import load_config, main
+from libsuggest.cli import _load_prepared, _load_test_set, load_config, main
+from libsuggest.corpus import DatasetError
 from libsuggest.trainer import TrainConfig
 
 
@@ -178,7 +180,56 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestPreparedDirectory:
+    """`train --preprocessed` input that would fail inside training, or
+    without naming where, raises DatasetError with the file and line."""
+
+    @staticmethod
+    def copy(pipeline, tmp_path):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        return prep
+
+    def test_lib_freq_line_without_two_fields(self, pipeline, tmp_path):
+        prep = self.copy(pipeline, tmp_path)
+        lines = (prep / "lib_freq.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n") + "\t7\n"
+        (prep / "lib_freq.tsv").write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^line 2: .*lib_freq\.tsv"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+    @pytest.mark.parametrize("key", ["src_ids", "tgt_ids"])
+    def test_id_outside_the_vocabulary(self, pipeline, tmp_path, key):
+        prep = self.copy(pipeline, tmp_path)
+        lines = (prep / "train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row[key][0] = 99999
+        lines[2] = json.dumps(row) + "\n"
+        (prep / "train.jsonl").write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^line 3: .*train\.jsonl: {key}"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+
 class TestEvaluateCommand:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            "7",
+            '{"tokens": 5, "libraries": ["a"]}',
+            '{"tokens": "abc", "libraries": ["a"]}',
+            '{"tokens": ["a"], "libraries": "lib"}',
+            '{"tokens": ["a"]}',
+            '{"description": "parse json files"}',
+            '{"description": 5, "libraries": ["a"]}',
+        ],
+    )
+    def test_malformed_test_set_line_raises_dataset_error(self, tmp_path, line):
+        path = tmp_path / "test.jsonl"
+        path.write_text('{"tokens": ["a"], "libraries": ["b"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="^line 2: "):
+            _load_test_set(path, _synth.random_checkpoint(0))
+
     def test_default_flags_table(self, pipeline, capsys):
         code = main(
             [

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from libsuggest.corpus import PAD_ID, TokenSequence, Vocabulary
+from libsuggest.corpus import PAD_ID, UNK_ID, TokenSequence, Vocabulary
 from libsuggest.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
-    embed_sequence,
     load_embeddings,
     save_embeddings,
     vocab_matrix,
@@ -87,6 +86,24 @@ class TestRoundTrip:
         assert load_embeddings(a).unk_vector.tobytes() == load_embeddings(b).unk_vector.tobytes()
 
 
+def embed_sequence(seq, word_vocab, table):
+    """Reference embedding of a token sequence, one id at a time: PAD rows
+    are zero, UNK rows (and in-vocabulary words missing from the table) get
+    the table's unknown-word vector."""
+    out = np.zeros((len(seq.ids), table.dimension))
+    for t, token_id in enumerate(seq.ids):
+        if token_id == UNK_ID:
+            out[t] = table.unk_vector
+        elif token_id != PAD_ID:
+            out[t] = table.vector(word_vocab.token(token_id))
+    return out
+
+
+def gathered(seq, word_vocab, table):
+    """How the program embeds a sequence: rows of `vocab_matrix` by id."""
+    return vocab_matrix(word_vocab, table)[np.array(seq.ids)]
+
+
 class TestEmbedSequence:
     def setup_method(self):
         self.vocab = Vocabulary(["cat", "dog"])
@@ -96,23 +113,23 @@ class TestEmbedSequence:
 
     def test_all_pad_is_zero_matrix(self):
         seq = TokenSequence((PAD_ID, PAD_ID, PAD_ID), 0)
-        out = embed_sequence(seq, self.vocab, self.table)
+        out = gathered(seq, self.vocab, self.table)
         assert out.shape == (3, 2)
         assert np.all(out == 0.0)
 
     def test_known_token_row(self):
         seq = TokenSequence((self.vocab.id("cat"), PAD_ID), 1)
-        out = embed_sequence(seq, self.vocab, self.table)
+        out = gathered(seq, self.vocab, self.table)
         np.testing.assert_array_equal(out[0], [1.0, 2.0])
 
     def test_unk_row_uses_unk_vector(self):
-        seq = TokenSequence((self.vocab.id("cat"), 1), 2)
-        out = embed_sequence(seq, self.vocab, self.table)
+        seq = TokenSequence((self.vocab.id("cat"), UNK_ID), 2)
+        out = gathered(seq, self.vocab, self.table)
         np.testing.assert_array_equal(out[1], self.table.unk_vector)
 
     def test_pad_rows_have_exactly_zero_norm(self):
         seq = TokenSequence((self.vocab.id("dog"), PAD_ID, PAD_ID), 1)
-        out = embed_sequence(seq, self.vocab, self.table)
+        out = gathered(seq, self.vocab, self.table)
         assert np.linalg.norm(out[1]) == 0.0
         assert np.linalg.norm(out[2]) == 0.0
 
@@ -120,12 +137,13 @@ class TestEmbedSequence:
         rng = np.random.default_rng(3)
         table = EmbeddingTable(4, {f"w{i}": rng.normal(size=4) for i in range(5)})
         vocab = Vocabulary(sorted(table.vectors))
-        ids = tuple(vocab.id(f"w{i}") for i in range(5)) + (1, PAD_ID)
+        ids = tuple(vocab.id(f"w{i}") for i in range(5)) + (UNK_ID, PAD_ID)
         seq = TokenSequence(ids, 6)
-        assert np.isfinite(embed_sequence(seq, vocab, table)).all()
+        assert np.isfinite(gathered(seq, vocab, table)).all()
 
     def test_vocab_matrix_gather_matches_embed_sequence(self):
-        seq = TokenSequence((self.vocab.id("dog"), 1, PAD_ID), 2)
-        matrix = vocab_matrix(self.vocab, self.table)
-        gathered = matrix[np.array(seq.ids)]
-        np.testing.assert_array_equal(gathered, embed_sequence(seq, self.vocab, self.table))
+        # a vocabulary word missing from the table falls back to UNK too
+        vocab = Vocabulary(["cat", "dog", "emu"])
+        for ids in ((vocab.id("dog"), UNK_ID, PAD_ID), (vocab.id("emu"), vocab.id("cat"), vocab.id("dog"))):
+            seq = TokenSequence(ids, sum(i != PAD_ID for i in ids))
+            np.testing.assert_array_equal(gathered(seq, vocab, self.table), embed_sequence(seq, vocab, self.table))

@@ -13,18 +13,16 @@ from libsuggest.model import (
     attention_keys,
     batch_loss,
     decoder_step,
-    decoder_step_batch,
     encode,
     example_loss,
     init_params,
     initial_decoder_state,
     library_weights,
-    lstm_step,
     named_parameters,
     sequence_loss,
 )
 from libsuggest.corpus import Vocabulary
-from libsuggest.tensor import Tensor, finite_difference_check
+from libsuggest.tensor import Tensor, finite_difference_check, lstm_cell
 
 
 def zero_lstm(input_size, hidden):
@@ -44,14 +42,14 @@ def tiny_params(seed, n_regular=6, embed_dim=8, hidden=4, lib_embed=8):
 class TestLstmStep:
     def test_zero_params_zero_cell(self):
         p = zero_lstm(3, 2)
-        h, c = lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
+        h, c = lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p.w, p.u, p.b)
         np.testing.assert_array_equal(h.data, np.zeros(2))
         np.testing.assert_array_equal(c.data, np.zeros(2))
 
     def test_zero_params_nonzero_cell(self):
         p = zero_lstm(3, 2)
         v = np.array([0.4, -1.2])
-        h, c = lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(v), p)
+        h, c = lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(v), p.w, p.u, p.b)
         np.testing.assert_allclose(c.data, 0.5 * v, atol=1e-15)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
@@ -64,7 +62,7 @@ class TestLstmStep:
         c0 = Tensor(rng.normal(size=(cell.hidden_size,)))
 
         def f():
-            h, c = lstm_step(x, h0, c0, cell)
+            h, c = lstm_cell(x, h0, c0, cell.w, cell.u, cell.b)
             from libsuggest.tensor import add, sum_all
 
             return add(sum_all(h), sum_all(c))
@@ -253,8 +251,14 @@ class TestDecoderStep:
 
 
 class TestDecoderStepBatch:
-    """Every row of the batched step must equal `decoder_step` bit for bit:
-    beam search reports these probabilities and its ranking rests on them."""
+    """With no tape, every row of a batched `decoder_step` must equal the
+    one-sequence step bit for bit: beam search runs its hypotheses as those
+    rows, reports their probabilities and ranks by them."""
+
+    @staticmethod
+    def broadcast(t, batch):
+        # the beam's form: [B] read-only views of one sequence's array
+        return Tensor(np.broadcast_to(t.data, (batch, *t.shape)))
 
     def check_rows(self, params, rng, total, valid_len, batch):
         vocab_n = params.lib_vocab_size
@@ -263,8 +267,6 @@ class TestDecoderStepBatch:
         enc_out = encode(x, valid_len, params.enc_fwd, params.enc_bwd)
         keys = attention_keys(enc_out, valid_len, params.attn)
         dec_hidden, ctx_width = params.init_b.shape[0], enc_out.shape[1]
-        # row 0 starts the sequence; the others continue after a library
-        prev = [BOS] + [int(i) for i in rng.integers(N_RESERVED, vocab_n, size=batch - 1)]
         masked = np.zeros((batch, vocab_n), dtype=bool)
         for b in range(1, batch):
             n = min(b, vocab_n - N_RESERVED - 1)
@@ -272,14 +274,21 @@ class TestDecoderStepBatch:
         ctx = rng.normal(size=(batch, ctx_width))
         s = rng.normal(size=(batch, dec_hidden))
         cell = rng.normal(size=(batch, dec_hidden))
-        got = decoder_step_batch(prev, ctx, s, cell, enc_out, valid_len, keys, masked, params)
-        for b in range(batch):
-            s_t, cell_t, ctx_t, _, y_t = decoder_step(
-                prev[b], Tensor(ctx[b].copy()), Tensor(s[b].copy()), Tensor(cell[b].copy()),
-                enc_out, valid_len, set(np.flatnonzero(masked[b]).tolist()), params,
+        # BOS starts every row or none: the first step, then the steps after a library
+        for prev in (np.full(batch, BOS), rng.integers(N_RESERVED, vocab_n, size=batch)):
+            s_b, cell_b, ctx_b, _, y_b = decoder_step(
+                prev, Tensor(ctx), Tensor(s), Tensor(cell), self.broadcast(enc_out, batch),
+                np.full(batch, valid_len), masked, params, keys=self.broadcast(keys, batch),
             )
-            for name, batched, single in zip(("s", "cell", "context", "y"), got, (s_t, cell_t, ctx_t, y_t)):
-                assert np.array_equal(batched[b], single.data), (name, b, batch, valid_len, total)
+            for b in range(batch):
+                s_t, cell_t, ctx_t, _, y_t = decoder_step(
+                    int(prev[b]), Tensor(ctx[b].copy()), Tensor(s[b].copy()), Tensor(cell[b].copy()),
+                    enc_out, valid_len, set(np.flatnonzero(masked[b]).tolist()), params,
+                )
+                for name, batched, single in zip(
+                    ("s", "cell", "context", "y"), (s_b, cell_b, ctx_b, y_b), (s_t, cell_t, ctx_t, y_t)
+                ):
+                    assert np.array_equal(batched.data[b], single.data), (name, b, batch, valid_len, total)
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 10])
     def test_rows_match_decoder_step_on_random_checkpoints(self, batch):
@@ -308,16 +317,20 @@ class TestDecoderStepBatch:
 
     def test_invalid_rows_rejected(self):
         params = _synth.random_checkpoint(0).params
-        enc_out = Tensor(np.ones((2, 8)))
-        keys = attention_keys(enc_out, 2, params.attn)
-        state = np.zeros((1, 4)), np.zeros((1, 4))
-        ctx = np.zeros((1, 8))
+        enc_out = Tensor(np.ones((1, 2, 8)))
+        keys = attention_keys(enc_out, [2], params.attn)
+        state = Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))
+        ctx = Tensor(np.zeros((1, 8)))
+
+        def step(prev, masked):
+            return decoder_step(np.array(prev), ctx, *state, enc_out, np.array([2]), masked, params, keys=keys)
+
         with pytest.raises(ValueError, match="whole"):
-            decoder_step_batch([BOS], ctx, *state, enc_out, 2, keys, np.ones((1, 8), dtype=bool), params)
+            step([BOS], np.ones((1, 8), dtype=bool))
         with pytest.raises(ValueError, match="out of vocabulary"):
-            decoder_step_batch([8], ctx, *state, enc_out, 2, keys, np.zeros((1, 8), dtype=bool), params)
+            step([8], np.zeros((1, 8), dtype=bool))
         with pytest.raises(ValueError, match="shape"):
-            decoder_step_batch([BOS], ctx, *state, enc_out, 2, keys, np.zeros((2, 8), dtype=bool), params)
+            step([BOS], np.zeros((2, 8), dtype=bool))
 
 
 class TestLibraryWeights:

@@ -629,3 +629,30 @@ class TestFusedLstm:
             bilstm(Tensor(np.ones((2, 4, 5))), np.array([4, 0]), _cell(rng, 5, 3), _cell(rng, 5, 3))
         with pytest.raises(ValueError, match="state"):
             lstm_cell(Tensor(np.ones(5)), Tensor(np.ones(2)), Tensor(np.ones(3)), *_cell(rng, 5, 3))
+
+
+class TestRowProducts:
+    """With no tape recording, the products of `matmul` and `lstm_cell`
+    run as stacked rows, so each row of a batch gets the bits of the
+    one-row call whatever the row count: decoding relies on it.  Under a
+    tape they stay GEMMs, so training's bits do not move."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 10, 32])
+    def test_rows_equal_one_row_calls_without_a_tape(self, rows):
+        rng = np.random.default_rng(rows)
+        a, w = rng.normal(size=(rows, 456)), Tensor(rng.normal(size=(456, 512)))
+        out = matmul(Tensor(a), w).data
+        x, h, c = rng.normal(size=(rows, 320)), rng.normal(size=(rows, 128)), rng.normal(size=(rows, 128))
+        cell = _cell(rng, 320, 128)
+        h_out, c_out = lstm_cell(Tensor(x), Tensor(h), Tensor(c), *cell)
+        for r in range(rows):
+            assert np.array_equal(out[r], matmul(Tensor(a[r]), w).data)
+            h_r, c_r = lstm_cell(Tensor(x[r]), Tensor(h[r]), Tensor(c[r]), *cell)
+            assert np.array_equal(h_out.data[r], h_r.data) and np.array_equal(c_out.data[r], c_r.data)
+
+    def test_products_under_a_tape_are_gemms(self):
+        rng = np.random.default_rng(0)
+        a, w = Tensor(rng.normal(size=(32, 456))), Tensor(rng.normal(size=(456, 512)))
+        with Tape():
+            out = matmul(a, w)
+        assert np.array_equal(out.data, a.data @ w.data)
