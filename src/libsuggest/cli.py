@@ -277,24 +277,39 @@ def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
         lemma_table=dict(raw["lemma"]),
     )
     examples = []
-    with open(path("train.jsonl"), encoding="utf-8") as fh:
+    train_path = path("train.jsonl")
+    with open(train_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{train_path}: invalid JSON ({exc.msg})", lineno) from None
+            if not isinstance(row, dict):
+                raise DatasetError(f"{train_path}: record is not an object", lineno)
+            if not isinstance(row.get("name"), str):
+                raise DatasetError(f"{train_path}: 'name' must be a string", lineno)
+            for key in ("src_len", "tgt_len"):
+                if type(row.get(key)) is not int:
+                    raise DatasetError(f"{train_path}: {key!r} must be an integer", lineno)
             for key, vocab in (("src_ids", word_vocab), ("tgt_ids", lib_vocab)):
+                if not isinstance(row.get(key), list):
+                    raise DatasetError(f"{train_path}: {key!r} must be a list of ids", lineno)
                 if not all(type(i) is int and 0 <= i < len(vocab) for i in row[key]):
                     raise DatasetError(
-                        f"{path('train.jsonl')}: {key} holds an id outside its {len(vocab)}-entry vocabulary",
-                        lineno,
+                        f"{train_path}: {key} holds an id outside its {len(vocab)}-entry vocabulary", lineno
                     )
-            examples.append(
-                EncodedExample(
-                    name=row["name"],
-                    source=TokenSequence(tuple(row["src_ids"]), row["src_len"]),
-                    target=TokenSequence(tuple(row["tgt_ids"]), row["tgt_len"]),
+            try:
+                examples.append(
+                    EncodedExample(
+                        name=row["name"],
+                        source=TokenSequence(tuple(row["src_ids"]), row["src_len"]),
+                        target=TokenSequence(tuple(row["tgt_ids"]), row["tgt_len"]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise DatasetError(f"{train_path}: {exc}", lineno) from None
     return PreparedDataset(examples, word_vocab, lib_vocab, lib_freq, tables)
 
 

@@ -6,17 +6,21 @@ library ids and EOS).  Decoding is read-only over the checkpoint and never
 applies dropout.
 
 Both run training's `model.decoder_step` with no tape, with the encoder
-side of attention computed once per query.  Greedy decoding, and the
-greedy rollout that seeds every beam, step one sequence.  Beam search
-steps its live hypotheses as the [B] rows of one call and selects from
-the [B x V] probabilities: np.partition on np.log scores finds the
-width-th best, and only the candidates within a relative margin of 1e-9
-of it are scored again as `score + math.log(p)` and sorted by (-score,
-sequence).  The margin covers the last-bit difference between np.log and
-math.log, so ties and near-ties resolve as a sort of every candidate
-would.  With no tape each row of the step is bit-identical to the
-one-sequence step, so the answers and their reported probabilities equal
-those of a decode one hypothesis at a time.
+side of attention computed once per query.  Greedy decoding steps one
+sequence.  Beam search takes one query or a list of them and runs them
+together: each step is one call whose rows are every query's live
+hypotheses, then its greedy rollout (the seed of its pool) until that
+completes, over encoder outputs and keys zero-padded to the longest
+source.  Each query selects from its own rows of the [rows x V]
+probabilities: np.partition on np.log scores finds the width-th best, and
+only the candidates within a relative margin of 1e-9 of it are scored
+again as `score + math.log(p)` and sorted by (-score, sequence).  The
+margin covers the last-bit difference between np.log and math.log, so
+ties and near-ties resolve as a sort of every candidate would.  With no
+tape each row of the step is bit-identical to the one-sequence step,
+whatever the other rows and the padding, so the answers and their
+reported probabilities equal those of a decode of one query, one
+hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -142,90 +146,171 @@ def _select(y: np.ndarray, candidate: np.ndarray, scores: list[float], seqs: lis
     return chosen[:width]
 
 
-def _beam(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
-    """Beam search core; returns (library ids, per-step probabilities).
+class _Search:
+    """One query's beam search and the greedy rollout that seeds its pool,
+    advanced a step at a time from their rows of a shared decoder step.
 
-    Hypotheses are scored by the sum of log-probabilities of their
+    The hypotheses are scored by the sum of log-probabilities of their
     emissions.  EOS candidates compete inside the beam and retire the
     hypothesis into a completed pool that is never discarded; the answer
     is the best completed hypothesis, falling back to the best live one
-    when nothing completed within max_steps.  The pool is pre-seeded with
-    the greedy rollout's completion, so the returned score never falls
-    below greedy's regardless of width.
+    when nothing completed within max_steps.  The greedy rollout's
+    completion counts as pooled from the start, so the returned score
+    never falls below greedy's regardless of width.
+    """
 
-    Each step runs the live hypotheses as the [B] rows of one
-    `decoder_step`, with no tape each bit-identical to a one-sequence step
-    (`tensor._product`), and `_select` ranks by `math.log` scores, ties to
-    the lexicographically smaller sequence: the answer and its
-    probabilities are those of a per-hypothesis search.
+    def __init__(self, tokens, ckpt: ModelCheckpoint):
+        enc_out, self.length, s_t, cell_t, context_t = _start_state(tokens, ckpt)
+        self.enc = enc_out.data
+        self.keys = attention_keys(enc_out, self.length, ckpt.params.attn).data
+        self.start = (s_t.data, cell_t.data, context_t.data)
+        # the live hypotheses, one per row of the step
+        self.seqs: list[tuple[int, ...]] = [()]
+        self.probs: list[tuple[float, ...]] = [()]
+        self.scores = [0.0]
+        self.pool: list[tuple[float, tuple[int, ...], tuple[float, ...]]] = []
+        # (pool size, best live score) after each step the beam went on from
+        self.steps: list[tuple[int, float]] = []
+        self.beam_live = True
+        self.seed: list[int] = []
+        self.seed_probs: list[float] = []
+        self.seed_live = True
+
+    def step_beam(self, y: np.ndarray, masked: np.ndarray, width: int) -> list[tuple[int, int]]:
+        """Extend the live hypotheses from their rows of the step; returns
+        (row, emitted id) for each hypothesis that stays live."""
+        candidate = ~masked
+        candidate[:, [PAD_ID, UNK_ID]] = False
+        kept, seqs, probs, scores = [], [], [], []
+        for score, seq, p, r in _select(y, candidate, self.scores, self.seqs, width):
+            if seq[-1] == EOS_ID:
+                self.pool.append((score, seq[:-1], self.probs[r] + (p,)))
+            else:
+                kept.append((r, seq[-1]))
+                seqs.append(seq)
+                probs.append(self.probs[r] + (p,))
+                scores.append(score)
+        if not kept:
+            self.beam_live = False
+            return []
+        self.seqs, self.probs, self.scores = seqs, probs, scores
+        self.steps.append((len(self.pool), max(scores)))
+        # emissions only lower a score, so no live path can beat the pool best
+        if self.pool and max(p[0] for p in self.pool) >= max(scores):
+            self.beam_live = False
+        return kept
+
+    def step_seed(self, y: np.ndarray) -> int | None:
+        """Follow greedy's argmax on the seed's row; returns the emitted id,
+        or None once the rollout completes."""
+        choice = _best_candidate(y, set(self.seed))
+        if choice != EOS_ID:
+            self.seed.append(choice)
+            self.seed_probs.append(float(y[choice]))
+            return choice
+        self.seed_live = False
+        steps = self.seed_probs + [float(y[EOS_ID])]
+        score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
+        # pooled from the start, the completion stops the beam at the first
+        # step whose best live score it reaches, with the pool of that step
+        for size, best_live in self.steps:
+            if score >= best_live:
+                del self.pool[size:]
+                self.beam_live = False
+                break
+        self.pool.append((score, tuple(self.seed), tuple(steps)))
+        return None
+
+    def answer(self) -> tuple[list[int], list[float]]:
+        if self.pool:
+            _, seq, probs = min(self.pool, key=lambda p: (-p[0], p[1]))
+            return list(seq), list(probs)
+        best = min(range(len(self.seqs)), key=lambda r: (-self.scores[r], self.seqs[r]))
+        return list(self.seqs[best]), list(self.probs[best])
+
+
+def _one_source(sources) -> bool:
+    """One token list rather than a list of them, told apart by rank as
+    the model functions tell one sequence from a batch."""
+    return not sources or isinstance(sources[0], str)
+
+
+def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
+    """Beam search core: (library ids, per-step probabilities) for one
+    token list, or a list of them for a list of token lists.
+
+    Each step runs one `decoder_step` whose rows are each query's live
+    hypotheses, then its greedy seed while that runs.  With no tape a row
+    is bit-identical to the one-sequence step (`tensor._product`, and
+    attention's sums over positions in order), whatever the other rows
+    and the zero padding of its source, and `_select` ranks by `math.log`
+    scores, ties to the lexicographically smaller sequence: each answer is
+    that of a per-hypothesis search of its query alone.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    state = _start_state(tokens, ckpt)
-    enc_out, valid_len, s_t, cell_t, context_t = state
+    single = _one_source(sources)
+    searches = [_Search(tokens, ckpt) for tokens in ([sources] if single else sources)]
     params = ckpt.params
-    keys = attention_keys(enc_out, valid_len, params.attn)
+    lengths = np.array([q.length for q in searches])
+    enc_all = np.zeros((len(searches), lengths.max(), searches[0].enc.shape[-1]))
+    keys_all = np.zeros(enc_all.shape[:2] + searches[0].keys.shape[-1:])
+    for i, q in enumerate(searches):
+        enc_all[i, : q.length], keys_all[i, : q.length] = q.enc, q.keys
 
-    pool: list[tuple[float, tuple[int, ...], tuple[float, ...]]] = []
-    seed_ids, seed_probs, seed_done, seed_eos = _greedy_rollout(state, ckpt, max_steps)
-    if seed_done:
-        steps = seed_probs + [seed_eos]
-        score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
-        pool.append((score, tuple(seed_ids), tuple(steps)))
-
-    # the live hypotheses, one per row of the states and of `masked`
-    seqs: list[tuple[int, ...]] = [()]
-    probs: list[tuple[float, ...]] = [()]
-    scores = [0.0]
-    s, cell, context = (Tensor(t.data[None]) for t in (s_t, cell_t, context_t))
-    masked = np.zeros((1, params.lib_vocab_size), dtype=bool)
-    # read-only views repeating the encoder output and keys over the live rows
-    enc_rows, key_rows = (np.broadcast_to(t.data, (beam_width, *t.shape)) for t in (enc_out, keys))
+    # row r of the step belongs to query owner[r]; each starts with one
+    # hypothesis row and one seed row, both at BOS
+    owner = np.repeat(np.arange(len(searches)), 2)
+    prev = np.full(len(owner), BOS)
+    s, cell, context = (np.repeat(np.stack(parts), 2, axis=0) for parts in zip(*(q.start for q in searches)))
+    masked = np.zeros((len(owner), params.lib_vocab_size), dtype=bool)
+    gathered = None
     for _ in range(max_steps):
-        rows = len(seqs)
-        s, cell, context, _, y = decoder_step(
-            np.array([seq[-1] if seq else BOS for seq in seqs]), context, s, cell, Tensor(enc_rows[:rows]),
-            np.full(rows, valid_len), masked, params, keys=Tensor(key_rows[:rows]),
+        if not np.array_equal(owner, gathered):
+            # copies, made again only when the rows change hands
+            gathered, row_lengths = owner, lengths[owner]
+            span = row_lengths.max()
+            enc_rows, key_rows = Tensor(enc_all[owner, :span]), Tensor(keys_all[owner, :span])
+        s_t, cell_t, context_t, _, y = decoder_step(
+            prev, Tensor(context), Tensor(s), Tensor(cell), enc_rows, row_lengths, masked, params, keys=key_rows
         )
-        candidate = ~masked
-        candidate[:, [PAD_ID, UNK_ID]] = False
-        keep, seqs_next, probs_next, scores_next = [], [], [], []
-        for cand_score, seq, p, r in _select(y.data, candidate, scores, seqs, beam_width):
-            if seq[-1] == EOS_ID:
-                pool.append((cand_score, seq[:-1], probs[r] + (p,)))
-            else:
-                keep.append(r)
-                seqs_next.append(seq)
-                probs_next.append(probs[r] + (p,))
-                scores_next.append(cand_score)
-        if not keep:
+        kept: list[tuple[int, int, int]] = []  # (row, emitted id, query) of the next step
+        row = 0
+        for i, q in enumerate(searches):
+            n_beam, n_seed = (len(q.seqs) if q.beam_live else 0), int(q.seed_live)
+            beam = q.step_beam(y.data[row : row + n_beam], masked[row : row + n_beam], beam_width) if n_beam else []
+            lib = q.step_seed(y.data[row + n_beam]) if n_seed else None
+            if q.beam_live:  # the seed's completion may have stopped it
+                kept += [(row + r, j, i) for r, j in beam]
+            if lib is not None:
+                kept.append((row + n_beam, lib, i))
+            row += n_beam + n_seed
+        if not kept:
             break
-        seqs, probs, scores = seqs_next, probs_next, scores_next
-        s, cell, context = (Tensor(t.data[keep]) for t in (s, cell, context))
-        masked = masked[keep]
-        masked[np.arange(len(keep)), [seq[-1] for seq in seqs]] = True
-        # emissions only lower a score, so no live path can beat the pool best
-        if pool and max(p[0] for p in pool) >= max(scores):
-            break
+        rows, ids, owners = (np.array(column) for column in zip(*kept))
+        s, cell, context = (t.data[rows] for t in (s_t, cell_t, context_t))
+        masked = masked[rows]
+        masked[np.arange(len(rows)), ids] = True
+        prev, owner = ids, owners
 
-    if pool:
-        pool.sort(key=lambda p: (-p[0], p[1]))
-        _, seq, best_probs = pool[0]
-        return list(seq), list(best_probs)
-    best = min(range(len(seqs)), key=lambda r: (-scores[r], seqs[r]))
-    return list(seqs[best]), list(probs[best])
+    answers = [q.answer() for q in searches]
+    return answers[0] if single else answers
 
 
-def beam_search(tokens, ckpt: ModelCheckpoint, beam_width: int, max_steps: int) -> list[str]:
-    """Best no-repeat library sequence by total log-probability.
+def beam_search(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int) -> list[str] | list[list[str]]:
+    """Best no-repeat library sequence by total log-probability, for one
+    token list, or a list of such sequences for a list of token lists,
+    decoded together (see `_beam`).
 
     With beam_width 1 this reduces exactly to greedy_decode; with a width
     covering every hypothesis it is exhaustive search.
     """
-    seq, _ = _beam(tokens, ckpt, beam_width, max_steps)
-    return [ckpt.lib_vocab.token(i) for i in seq]
+    found = _beam(sources, ckpt, beam_width, max_steps)
+    if _one_source(sources):
+        return [ckpt.lib_vocab.token(i) for i in found[0]]
+    return [[ckpt.lib_vocab.token(i) for i in seq] for seq, _ in found]
 
 
 def recommend(

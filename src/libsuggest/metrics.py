@@ -20,6 +20,9 @@ __all__ = [
 
 METRIC_NAMES = ("recall_rate@k", "precision@k", "psr@k")
 
+# cases decoded together by one beam search, as rows of each decoder step
+DECODE_GROUP = 8
+
 
 @dataclass(frozen=True)
 class EvalCase:
@@ -144,7 +147,12 @@ def evaluate(
     `test_set` holds (description tokens, ground-truth libraries) pairs.
     Ground truth is restricted to libraries with a known training-corpus
     frequency (PSR needs one); cases left with no known truth are skipped
-    and counted.  Decoding uses beam search to max(ks) + 5 steps.
+    and counted.  Decoding uses beam search to max(ks) + 5 steps, over
+    consecutive groups of `DECODE_GROUP` evaluable cases: one
+    `beam_search` call per group, whose decoder steps run the hypotheses
+    and greedy seeds of all its cases as rows.  Each case's answer is the
+    one it gets decoded alone, so the report does not depend on the
+    grouping.
     """
     if not test_set:
         raise ValueError("empty test set")
@@ -153,20 +161,24 @@ def evaluate(
         raise ValueError("ks must be a non-empty list of positive ints")
 
     max_steps = max(ks) + 5
-    cases: list[EvalCase] = []
+    pending: list[tuple[int, list[str], frozenset[str]]] = []
     skipped = 0
     for index, (tokens, truth) in enumerate(test_set):
         known = frozenset(lib for lib in truth if ckpt.lib_freq.get(lib, 0) >= 1)
         if not known:
             skipped += 1
             continue
-        try:
-            recommended = beam_search(list(tokens), ckpt, beam_width, max_steps)
-        except ValueError as exc:
-            raise ValueError(f"case {index}: {exc}") from exc
-        cases.append(EvalCase(tuple(recommended), known))
-    if not cases:
+        if not tokens:
+            raise ValueError(f"case {index}: cannot decode from an empty token list")
+        pending.append((index, list(tokens), known))
+    if not pending:
         raise ValueError("no evaluable cases (every case lacked known ground truth)")
+
+    cases: list[EvalCase] = []
+    for start in range(0, len(pending), DECODE_GROUP):
+        group = pending[start : start + DECODE_GROUP]
+        recommended = beam_search([tokens for _, tokens, _ in group], ckpt, beam_width, max_steps)
+        cases += [EvalCase(tuple(libs), known) for libs, (_, _, known) in zip(recommended, group)]
 
     values: dict[str, dict[int, float]] = {name: {} for name in METRIC_NAMES}
     for k in ks:

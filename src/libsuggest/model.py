@@ -14,8 +14,9 @@ through `batch_loss`: one encoder op, then one `decoder_step` per target
 position over the rows whose targets are still running, which lie at the
 front because the rows are sorted by target length, longest first
 (`example_loss` is the batch of one).  Decoding runs it with no tape,
-where each row of a batch, such as a beam's [B] hypotheses, is
-bit-identical to the one-sequence step (`tensor._product`).
+where each row of a batch, such as the hypotheses of several queries
+over their zero-padded sources, is bit-identical to the one-sequence
+step (`tensor._product`, and attention's sums over positions in order).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .tensor import (
     bilstm,
     concat_rows,
     dropout,
+    einsum,
     log,
     lstm_cell,
     masked_softmax,
@@ -186,9 +188,12 @@ def attention(
     elif keys.shape[:-1] != valid.shape[:-1]:
         raise ValueError(f"attention keys {keys.shape} do not fit encoder output {valid.shape}")
     span, total = valid.shape[-2], enc_out.shape[-2]
-    scores = matmul(tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
-    alpha = masked_softmax(scores, np.arange(span) >= lengths[..., None])
-    context = matmul(alpha, valid)
+    # numpy's own loops and an in-order softmax sum: a row's bits depend on
+    # neither the other rows nor the zero padding past its length
+    b = "b" if lengths.ndim else ""
+    scores = einsum(f"{b}sa,a->{b}s", tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
+    alpha = masked_softmax(scores, np.arange(span) >= lengths[..., None], sequential=True)
+    context = einsum(f"{b}s,{b}sh->{b}h", alpha, valid)
     if span < total:
         alpha = concat_rows(alpha, Tensor(np.zeros(lengths.shape + (total - span,))))
     return alpha, context

@@ -210,6 +210,49 @@ class TestPreparedDirectory:
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
 
 
+    @staticmethod
+    def replace_row(pipeline, tmp_path, edit):
+        prep = TestPreparedDirectory.copy(pipeline, tmp_path)
+        lines = (prep / "train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = edit(json.loads(lines[2])) + "\n"
+        (prep / "train.jsonl").write_text("".join(lines), encoding="utf-8")
+        return prep
+
+    def test_invalid_json_line(self, pipeline, tmp_path):
+        prep = self.replace_row(pipeline, tmp_path, lambda row: json.dumps(row)[:-1])
+        with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: invalid JSON"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+    def test_non_object_line(self, pipeline, tmp_path):
+        prep = self.replace_row(pipeline, tmp_path, lambda row: "[1]")
+        with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: record is not an object"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("name", None), ("name", 5), ("src_ids", None), ("src_ids", 5), ("src_len", None),
+            ("src_len", "3"), ("tgt_ids", None), ("tgt_ids", "abc"), ("tgt_len", None), ("tgt_len", 2.0),
+        ],
+    )
+    def test_missing_or_mistyped_field(self, pipeline, tmp_path, key, value):
+        def edit(row):  # None drops the key
+            if value is None:
+                del row[key]
+            else:
+                row[key] = value
+            return json.dumps(row)
+
+        prep = self.replace_row(pipeline, tmp_path, edit)
+        with pytest.raises(DatasetError, match=rf"^line 3: .*train\.jsonl: '{key}'"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+    def test_length_past_the_ids(self, pipeline, tmp_path):
+        prep = self.replace_row(pipeline, tmp_path, lambda row: json.dumps({**row, "src_len": 99}))
+        with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: length out of range"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+
 class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "line",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _synth
+from libsuggest import decode
 from libsuggest.corpus import EOS_ID, N_RESERVED
 from libsuggest.decode import NoSignalError, _beam, beam_search, greedy_decode, recommend
 from libsuggest.model import BOS, decoder_step
@@ -212,6 +213,78 @@ class TestBatchedBeamMatchesReference:
                 assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
                 assert (ids, probs) == reference_beam(TOKENS, ckpt, width, 3)
             assert beam_search(TOKENS, ckpt, 1, 6) == greedy_decode(TOKENS, ckpt, 6)
+
+
+class TestManyQueries:
+    """A list of token lists decodes in one beam search, each step one
+    `decoder_step` over the rows of every query; a query's answer and its
+    probabilities must not depend on which queries share its steps."""
+
+    SOURCES = [
+        ["t0", "t3", "t5"],
+        ["t1"],
+        ["t2", "t4", "t0", "t1", "t3", "t5", "t2", "t4", "t0"],  # past max_src
+        ["t5", "t5"],
+        ["t1", "t2", "t9"],  # an unknown word
+        ["t4", "t0", "t3", "t2", "t1"],
+    ]
+
+    @pytest.mark.parametrize("width", [1, 3, 10])
+    def test_batched_beam_equals_per_query_beam(self, width):
+        rng = np.random.default_rng(width)
+        for seed in range(12):
+            ckpt = _synth.random_checkpoint(seed, n_libs=40 if seed % 2 else 5)
+            alone = [_beam(tokens, ckpt, width, 6) for tokens in self.SOURCES]
+            assert _beam(self.SOURCES, ckpt, width, 6) == alone
+            order = rng.permutation(len(self.SOURCES))
+            assert _beam([self.SOURCES[i] for i in order], ckpt, width, 6) == [alone[i] for i in order]
+            cut = int(rng.integers(1, len(self.SOURCES)))
+            parts = _beam(self.SOURCES[:cut], ckpt, width, 6) + _beam(self.SOURCES[cut:], ckpt, width, 6)
+            assert parts == alone
+            names = [[ckpt.lib_vocab.token(i) for i in ids] for ids, _ in alone]
+            assert beam_search(self.SOURCES, ckpt, width, 6) == names
+            if seed < 3:
+                assert alone == [reference_beam(tokens, ckpt, width, 6) for tokens in self.SOURCES]
+
+    def test_late_seed_completion_stops_the_beam_where_pooling_it_first_would(self):
+        """The greedy seed completes at step 5, with the score of the best
+        live hypothesis of step 0, so a search that pools it before the beam
+        starts (`reference_beam`) stops at step 0.
+
+        Found by a scan of `_synth.random_checkpoint` at widths 2, 3 and
+        5, max_steps 6 and 12 and two token lists.  Seeds 0-149 with 5, 12
+        and 40 libraries never reach this path, not even with the readout
+        `w_o` scaled by 3, 10 or 30.  Scaled by 1e3 or 1e4, greedy's
+        probabilities round to exactly 1.0, so its completion ties the live
+        score of a step before it: over seeds 0-19 the first hits were seed
+        11 at 1e3 (step 3 back to 2) and seed 5 at 1e4, pinned here, which
+        reaches back furthest.
+        """
+        ckpt = _synth.random_checkpoint(5)
+        ckpt.params.out.w_o.data *= 1e4
+        seed_ids, seed_probs, completed, eos = _greedy_rollout(_start_state(TOKENS, ckpt), ckpt, 6)
+        assert completed and len(seed_ids) == 5
+        seed_score = sum(math.log(p) for p in seed_probs + [eos])
+        enc_out, valid_len, s0, c0, ctx0 = _start_state(TOKENS, ckpt)
+        *_, y0 = decoder_step(BOS, ctx0, s0, c0, enc_out, valid_len, set(), ckpt.params)
+        # the best live score of step 0, when width >= 2
+        assert seed_score >= math.log(y0.data[N_RESERVED:].max())
+        for width in (2, 3, 5):
+            for max_steps in (6, 12):
+                assert _beam(TOKENS, ckpt, width, max_steps) == reference_beam(TOKENS, ckpt, width, max_steps)
+
+    def test_seed_completion_stops_the_beam_at_its_own_step(self, monkeypatch):
+        # unscaled: greedy completes at step 10 with a score above the best
+        # live one of that step (width 2), so the search ends there, after
+        # 11 steps; pooled only after the step's check, it would run a 12th.
+        # The only such case in a scan of seeds 0-99 with 5, 8, 12 and 40
+        # libraries that counted the steps of both
+        ckpt = _synth.random_checkpoint(59, n_libs=40)
+        assert _beam(TOKENS, ckpt, 2, 12) == reference_beam(TOKENS, ckpt, 2, 12)
+        calls = []
+        monkeypatch.setattr(decode, "decoder_step", lambda *a, **kw: calls.append(None) or decoder_step(*a, **kw))
+        _beam(TOKENS, ckpt, 2, 12)
+        assert len(calls) == 11
 
 
 @pytest.fixture(scope="module")

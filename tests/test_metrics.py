@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import _synth
-from libsuggest.metrics import EvalCase, evaluate, precision_at_k, psr_at_k, recall_rate_at_k
+from libsuggest.decode import beam_search
+from libsuggest.metrics import EvalCase, EvalReport, evaluate, precision_at_k, psr_at_k, recall_rate_at_k
 
 
 def case(recommended, truth):
@@ -235,6 +236,48 @@ class TestEvaluate:
         plain = psr_at_k(cases, 1, freq, beta=0.0)
         stratified = psr_at_k(cases, 1, freq, beta=0.2)
         assert stratified < plain
+
+
+class TestGroupedEvaluate:
+    """`evaluate` decodes its evaluable cases in groups of
+    `metrics.DECODE_GROUP` through one `beam_search` call each."""
+
+    @staticmethod
+    def cases_of(ckpt, n):
+        libs = ckpt.lib_vocab.regular_tokens()
+        return [
+            (
+                [f"t{(3 * i + j) % 9}" for j in range(1 + i % 7)],
+                ["never-seen"] if i % 7 == 3 else [libs[(5 * i + 2 * j) % len(libs)] for j in range(1 + i % 6)],
+            )
+            for i in range(n)
+        ]
+
+    def test_report_equals_a_case_by_case_reference(self):
+        # 20 cases, 3 without known truth: groups of 8, 8 and 1 cases
+        ckpt = _synth.random_checkpoint(5, n_libs=40, n_words=8)
+        test_set = self.cases_of(ckpt, 20)
+        ks = (1, 5, 10, 20)
+        cases = []
+        for tokens, truth in test_set:
+            known = frozenset(lib for lib in truth if lib in ckpt.lib_freq)
+            if known:
+                cases.append(EvalCase(tuple(beam_search(tokens, ckpt, 3, max(ks) + 5)), known))
+        values = {
+            "recall_rate@k": {k: recall_rate_at_k(cases, k) for k in ks},
+            "precision@k": {k: precision_at_k(cases, k) for k in ks},
+            "psr@k": {k: psr_at_k(cases, k, ckpt.lib_freq, 0.2) for k in ks},
+        }
+        expected = EvalReport(ks=ks, values=values, cases=17, skipped=3, beam_width=3, beta=0.2)
+        assert len(cases) == 17
+        assert evaluate(ckpt, test_set, ks=ks).format_machine() == expected.format_machine()
+
+    def test_empty_tokens_in_the_middle_of_a_group_name_their_case(self):
+        ckpt = _synth.random_checkpoint(5, n_libs=40, n_words=8)
+        test_set = self.cases_of(ckpt, 12)
+        test_set[5] = ([], test_set[5][1])
+        with pytest.raises(ValueError, match=r"^case 5: "):
+            evaluate(ckpt, test_set)
 
 
 _EVALUATE_SCRIPT = """

@@ -315,6 +315,46 @@ class TestDecoderStepBatch:
             self.check_rows(params, rng, 5, 5, batch)
             self.check_rows(params, rng, 5, 2, batch)
 
+    @staticmethod
+    def check_padded_row(params, rng, n, span):
+        """Row 1 has a length-n source zero-padded to `span`, among rows of
+        other queries; it must equal the one-sequence step on that source
+        alone, as the multi-query beam needs."""
+        vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.input_size
+        lengths = [span, n, *(int(m) for m in rng.integers(1, span + 1, size=3))]
+        encs = [encode(Tensor(rng.normal(size=(m, embed_dim))), m, params.enc_fwd, params.enc_bwd) for m in lengths]
+        keys = [attention_keys(enc, m, params.attn) for enc, m in zip(encs, lengths)]
+        enc_rows = np.zeros((len(lengths), span, encs[0].shape[-1]))
+        key_rows = np.zeros((len(lengths), span, keys[0].shape[-1]))
+        for r, m in enumerate(lengths):
+            enc_rows[r, :m], key_rows[r, :m] = encs[r].data, keys[r].data
+        dec_hidden = params.init_b.shape[0]
+        s, cell = rng.normal(size=(2, len(lengths), dec_hidden))
+        ctx = rng.normal(size=(len(lengths), enc_rows.shape[-1]))
+        masked = np.zeros((len(lengths), vocab_n), dtype=bool)
+        masked[1, N_RESERVED] = True
+        for prev in (np.full(len(lengths), BOS), rng.integers(N_RESERVED + 1, vocab_n, size=len(lengths))):
+            batched = decoder_step(
+                prev, Tensor(ctx), Tensor(s), Tensor(cell), Tensor(enc_rows), np.array(lengths), masked,
+                params, keys=Tensor(key_rows),
+            )
+            single = decoder_step(
+                int(prev[1]), Tensor(ctx[1]), Tensor(s[1]), Tensor(cell[1]), encs[1], n, {N_RESERVED}, params
+            )
+            for name, i in (("s", 0), ("cell", 1), ("context", 2), ("y", 4)):
+                assert np.array_equal(batched[i].data[1], single[i].data), (name, n, span)
+
+    def test_zero_padded_rows_among_other_queries_match_decoder_step(self):
+        # the lengths about numpy's 8-wide pairwise sums and BLAS blocking
+        rng = np.random.default_rng(200)
+        vocab_n = 1003
+        paper = init_params(200, 128, 128, 64, vocab_n, np.full(vocab_n - N_RESERVED, 0.5), rng)
+        odd = init_params(5, 7, 9, 3, 41, np.full(41 - N_RESERVED, 0.5), rng)
+        for params in (paper, odd):
+            for n in (1, 7, 8, 9, 31, 32):
+                for span in (n + 1, 40):
+                    self.check_padded_row(params, rng, n, span)
+
     def test_invalid_rows_rejected(self):
         params = _synth.random_checkpoint(0).params
         enc_out = Tensor(np.ones((1, 2, 8)))

@@ -11,6 +11,7 @@ from libsuggest.tensor import (
     bilstm,
     concat_rows,
     dropout,
+    einsum,
     finite_difference_check,
     log,
     lstm_cell,
@@ -49,11 +50,42 @@ class TestMatmul:
         assert err < 1e-5
 
     def test_vector_cases(self):
+        # a vector times a matrix; a vector `b` is a contraction for einsum
         m = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([1.0, 1.0])
-        np.testing.assert_array_equal(matmul(m, v).data, [3.0, 7.0])
         np.testing.assert_array_equal(matmul(v, m).data, [4.0, 6.0])
-        assert matmul(v, v).item() == 2.0
+        np.testing.assert_array_equal(einsum("ij,j->i", m, v).data, [3.0, 7.0])
+        with pytest.raises(ValueError, match="mismatch"):
+            matmul(m, v)
+
+
+class TestEinsum:
+    """The contractions attention sums over source positions with."""
+
+    def test_attention_contractions_pass_fd_audit(self):
+        rng = np.random.default_rng(3)
+        for lead in ((), (3,)):
+            b = "b" if lead else ""
+            t = Tensor(rng.normal(size=lead + (4, 5)))
+            v = Tensor(rng.normal(size=5))
+            values = Tensor(rng.normal(size=lead + (4, 2)))
+            f = lambda: sum_all(tanh(einsum(f"{b}s,{b}sh->{b}h", tanh(einsum(f"{b}sa,a->{b}s", t, v)), values)))
+            assert finite_difference_check(f, [t, v, values], max_coords_per_tensor=1000) < 1e-5
+
+    def test_zero_terms_appended_to_the_summed_axis_keep_the_bits(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 8, 9, 31, 32):
+            alpha, values = rng.random(n), rng.normal(size=(n, 256))
+            alone = einsum("s,sh->h", Tensor(alpha), Tensor(values)).data
+            padded_alpha, padded_values = np.zeros((5, 40)), np.zeros((5, 40, 256))
+            padded_alpha[2, :n], padded_values[2, :n] = alpha, values
+            out = einsum("bs,bsh->bh", Tensor(padded_alpha), Tensor(padded_values)).data
+            assert np.array_equal(out[2], alone), n
+
+    @pytest.mark.parametrize("subscripts", ["ij,j", "ij,jk->il", "ii,i->i", "ij,k->i", "ij,j->", "i,ij->j"])
+    def test_subscripts_validated(self, subscripts):
+        with pytest.raises(ValueError):
+            einsum(subscripts, Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
 
 
 class TestConstruction:
@@ -153,6 +185,16 @@ class TestMaskedSoftmax:
             assert abs(out.sum() - 1.0) <= 1e-9
             assert (out >= 0).all()
             assert (out[masked] == 0.0).all()
+
+    def test_sequential_sum_ignores_masked_positions_appended(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 7, 8, 9, 31, 32):
+            logits = rng.normal(size=n) * 3
+            alone = masked_softmax(Tensor(logits), np.zeros(n, dtype=bool), sequential=True).data
+            padded = np.concatenate([logits, rng.normal(size=40 - n)])
+            mask = np.arange(40) >= n
+            rows = masked_softmax(Tensor(np.stack([padded] * 3)), np.stack([mask] * 3), sequential=True).data
+            assert np.array_equal(rows[1, :n], alone) and (rows[1, n:] == 0.0).all(), n
 
 
 class TestBackward:
@@ -266,7 +308,7 @@ class TestFiniteDifferenceCheck:
 
     def test_parameters_left_as_found(self):
         rng = np.random.default_rng(1)
-        a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=3))
+        a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 2)))
         arrays = [a.data, b.data]
         before = [d.tobytes() for d in arrays]
         finite_difference_check(lambda: sum_all(tanh(matmul(a, b))), [a, b])
@@ -457,8 +499,8 @@ class TestBatchedOps:
         mask[1, 2:] = mask[2, 0] = True
 
         def f():
-            alpha = masked_softmax(matmul(tanh(add(keys, query)), v), mask)
-            rows = add(matmul(alpha, values), take(emb, np.array([1, 3, 1])))
+            alpha = masked_softmax(einsum("bsa,a->bs", tanh(add(keys, query)), v), mask, sequential=True)
+            rows = add(einsum("bs,bsh->bh", alpha, values), take(emb, np.array([1, 3, 1])))
             y = masked_softmax(matmul(rows, w), np.zeros((3, 6), dtype=bool))
             picked = log(take(y, (np.arange(3), np.array([5, 0, 2]))))
             lifted = sum_all(tanh(matmul(values, w)))
@@ -470,7 +512,7 @@ class TestBatchedOps:
     def test_forward_definitions(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 2))
-        np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, np.einsum("bk,bkn->bn", a, b), rtol=1e-14)
+        np.testing.assert_allclose(einsum("bk,bkn->bn", Tensor(a), Tensor(b)).data, np.einsum("bk,bkn->bn", a, b), rtol=1e-14)
         row = rng.normal(size=2)
         np.testing.assert_array_equal(add(Tensor(b), Tensor(np.tile(row, (3, 1)))).data, b + row)
         logits = rng.normal(size=(3, 6))
@@ -483,8 +525,8 @@ class TestBatchedOps:
             assert (y[r][mask[r]] == 0.0).all()
         with pytest.raises(ValueError, match="all positions"):
             masked_softmax(Tensor(logits), np.ones((3, 6), dtype=bool))
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(Tensor(a), Tensor(rng.normal(size=(2, 4, 2))))
+        with pytest.raises(ValueError):
+            einsum("bk,bkn->bn", Tensor(a), Tensor(rng.normal(size=(2, 4, 2))))
         with pytest.raises(ValueError, match="mismatch"):
             add(Tensor(b), Tensor(np.ones((4, 2))))
 
