@@ -18,6 +18,9 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .corpus import (
+    EOS_ID,
+    N_RESERVED,
+    RESERVED_TOKENS,
     DatasetError,
     EncodedExample,
     PreparedDataset,
@@ -28,11 +31,13 @@ from .corpus import (
     build_vocabularies,
     encode_example,
     filter_projects,
+    json_lines,
     load_dataset,
     load_lemma_table,
     load_word_list,
     process_description,
     sort_libraries,
+    text_lines,
 )
 from .decode import NoSignalError, recommend
 from .embeddings import EmbeddingFormatError, load_embeddings
@@ -203,15 +208,7 @@ def cmd_preprocess(args) -> int:
         "word_vocab.txt": "".join(tok + "\n" for tok in word_vocab.regular_tokens()),
         "lib_vocab.txt": "".join(tok + "\n" for tok in lib_vocab.regular_tokens()),
         "lib_freq.tsv": "".join(f"{lib}\t{n}\n" for lib, n in sorted(lib_freq.items())),
-        "tables.json": json.dumps(
-            {
-                "stopwords": sorted(stopwords),
-                "domain_vocab": None if domain_vocab is None else sorted(domain_vocab),
-                "lemma": sorted(lemma_table.items()),
-            },
-            **_JSON_KW,
-        )
-        + "\n",
+        "tables.json": json.dumps(tables.to_json(), **_JSON_KW) + "\n",
         "train.jsonl": _dump_jsonl(_example_row(r, s, t) for r, s, t in train_examples),
         "test.jsonl": _dump_jsonl(_example_row(r, s, t) for r, s, t in test_examples),
     }
@@ -245,71 +242,82 @@ def _write_directory(out_dir: str, files: dict[str, str]) -> None:
         raise
 
 
+def _json_file(path, parse):
+    """`parse` of the JSON document in the file; its errors name the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError, DatasetError) as exc:
+            raise DatasetError(f"{path}: {exc}") from None
+
+
+def _vocabulary_file(path) -> Vocabulary:
+    """One token per line; a token may not repeat or be a reserved symbol."""
+    tokens: dict[str, None] = {}
+    for lineno, token in text_lines(path):
+        if token in RESERVED_TOKENS or token in tokens:
+            raise DatasetError(f"{path}: token {token!r} is reserved or listed twice", lineno)
+        tokens[token] = None
+    return Vocabulary(list(tokens))
+
+
 def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
     def path(name):
         return os.path.join(directory, name)
 
-    with open(path("meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    for key in ("max_src", "max_tgt"):
-        if meta[key] != getattr(cfg, key):
-            raise ValueError(
-                f"preprocessed data used {key}={meta[key]}, config says {getattr(cfg, key)}"
-            )
-    with open(path("word_vocab.txt"), encoding="utf-8") as fh:
-        word_vocab = Vocabulary([line.rstrip("\n") for line in fh if line.strip()])
-    with open(path("lib_vocab.txt"), encoding="utf-8") as fh:
-        lib_vocab = Vocabulary([line.rstrip("\n") for line in fh if line.strip()])
+    def check_meta(meta):
+        if not isinstance(meta, dict):
+            raise DatasetError("meta is not an object")
+        for key in ("max_src", "max_tgt"):
+            if type(meta.get(key)) is not int:
+                raise DatasetError(f"{key!r} must be an integer")
+            if meta[key] != getattr(cfg, key):
+                raise DatasetError(
+                    f"preprocessed data used {key}={meta[key]}, config says {getattr(cfg, key)}"
+                )
+
+    _json_file(path("meta.json"), check_meta)
+    word_vocab = _vocabulary_file(path("word_vocab.txt"))
+    lib_vocab = _vocabulary_file(path("lib_vocab.txt"))
     lib_freq: dict[str, int] = {}
-    with open(path("lib_freq.tsv"), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2 or not fields[1].isdecimal():
-                raise DatasetError(f"{path('lib_freq.tsv')}: expected 'library<TAB>count'", lineno)
-            lib_freq[fields[0]] = int(fields[1])
-    with open(path("tables.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    tables = PreprocTables(
-        stopwords=frozenset(raw["stopwords"]),
-        domain_vocab=None if raw["domain_vocab"] is None else frozenset(raw["domain_vocab"]),
-        lemma_table=dict(raw["lemma"]),
-    )
+    for lineno, line in text_lines(path("lib_freq.tsv")):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[1].isdecimal() or int(fields[1]) < 1:
+            raise DatasetError(
+                f"{path('lib_freq.tsv')}: expected 'library<TAB>count' with a count >= 1", lineno
+            )
+        lib_freq[fields[0]] = int(fields[1])
+    # the loss weights of training come from the counts of the vocabulary
+    for lib in lib_vocab.regular_tokens():
+        if lib not in lib_freq:
+            raise DatasetError(f"{path('lib_freq.tsv')}: no count for library {lib!r} of lib_vocab.txt")
+    tables = _json_file(path("tables.json"), PreprocTables.from_json)
     examples = []
     train_path = path("train.jsonl")
-    with open(train_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{train_path}: invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(row, dict):
-                raise DatasetError(f"{train_path}: record is not an object", lineno)
-            if not isinstance(row.get("name"), str):
-                raise DatasetError(f"{train_path}: 'name' must be a string", lineno)
-            for key in ("src_len", "tgt_len"):
-                if type(row.get(key)) is not int:
-                    raise DatasetError(f"{train_path}: {key!r} must be an integer", lineno)
-            for key, vocab in (("src_ids", word_vocab), ("tgt_ids", lib_vocab)):
-                if not isinstance(row.get(key), list):
-                    raise DatasetError(f"{train_path}: {key!r} must be a list of ids", lineno)
-                if not all(type(i) is int and 0 <= i < len(vocab) for i in row[key]):
-                    raise DatasetError(
-                        f"{train_path}: {key} holds an id outside its {len(vocab)}-entry vocabulary", lineno
-                    )
-            try:
-                examples.append(
-                    EncodedExample(
-                        name=row["name"],
-                        source=TokenSequence(tuple(row["src_ids"]), row["src_len"]),
-                        target=TokenSequence(tuple(row["tgt_ids"]), row["tgt_len"]),
-                    )
+    for lineno, row in json_lines(train_path):
+        if not isinstance(row.get("name"), str):
+            raise DatasetError(f"{train_path}: 'name' must be a string", lineno)
+        for key in ("src_len", "tgt_len"):
+            if type(row.get(key)) is not int:
+                raise DatasetError(f"{train_path}: {key!r} must be an integer", lineno)
+        for key, vocab in (("src_ids", word_vocab), ("tgt_ids", lib_vocab)):
+            if not isinstance(row.get(key), list):
+                raise DatasetError(f"{train_path}: {key!r} must be a list of ids", lineno)
+            if not all(type(i) is int and 0 <= i < len(vocab) for i in row[key]):
+                raise DatasetError(
+                    f"{train_path}: {key} holds an id outside its {len(vocab)}-entry vocabulary", lineno
                 )
-            except ValueError as exc:
-                raise DatasetError(f"{train_path}: {exc}", lineno) from None
+        try:
+            source = TokenSequence(tuple(row["src_ids"]), row["src_len"])
+            target = TokenSequence(tuple(row["tgt_ids"]), row["tgt_len"])
+        except ValueError as exc:
+            raise DatasetError(f"{train_path}: {exc}", lineno) from None
+        # the loss needs distinct libraries closed by EOS: no UNK, no early EOS, no repeat
+        libs = target.ids[: target.length - 1]
+        closed = target.length >= 1 and target.ids[target.length - 1] == EOS_ID
+        if not closed or min(libs, default=N_RESERVED) < N_RESERVED or len(set(libs)) < len(libs):
+            raise DatasetError(f"{train_path}: tgt_ids must be distinct library ids closed by EOS", lineno)
+        examples.append(EncodedExample(row["name"], source, target))
     return PreparedDataset(examples, word_vocab, lib_vocab, lib_freq, tables)
 
 
@@ -329,28 +337,19 @@ def _load_test_set(path, ckpt):
     """Test cases from a preprocessed test.jsonl (tokens ready) or a raw
     dataset file (processed here with the checkpoint's tables)."""
     cases = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(row, dict):
-                raise DatasetError("record is not an object", lineno)
-            libraries = _strings(row, "libraries", lineno)
-            if "tokens" in row:
-                cases.append((_strings(row, "tokens", lineno), libraries))
-                continue
-            name, description = row.get("name", ""), row.get("description")
-            if not isinstance(name, str) or not isinstance(description, str):
-                raise DatasetError("a record without tokens needs a string description and name", lineno)
-            tables = ckpt.tables
-            tokens = process_description(
-                name, description, tables.stopwords, tables.domain_vocab, tables.lemma_table
-            )
-            cases.append((tokens, libraries))
+    for lineno, row in json_lines(path):
+        libraries = _strings(row, "libraries", lineno)
+        if "tokens" in row:
+            cases.append((_strings(row, "tokens", lineno), libraries))
+            continue
+        name, description = row.get("name", ""), row.get("description")
+        if not isinstance(name, str) or not isinstance(description, str):
+            raise DatasetError("a record without tokens needs a string description and name", lineno)
+        tables = ckpt.tables
+        tokens = process_description(
+            name, description, tables.stopwords, tables.domain_vocab, tables.lemma_table
+        )
+        cases.append((tokens, libraries))
     return cases
 
 
@@ -444,7 +443,6 @@ def main(argv=None) -> int:
         TrainingError,
         NoSignalError,
         ValueError,
-        KeyError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,14 @@
 Turns raw project records (name, description, library list) into filtered,
 token-processed records, deterministic vocabularies, and fixed-length id
 sequences ready for the model.
+
+Two stored formats are defined here once for every module that reads or
+writes them.  `json_lines` reads a JSON-lines file, one object per line
+(the raw dataset, a prepared `train.jsonl` and a test set), through
+`text_lines`, the line reader of every line-based input file.
+`PreprocTables.to_json` and `PreprocTables.from_json` write and check the
+description-processing tables, stored as `tables.json` by `preprocess`
+and in every checkpoint header.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 PAD_ID = 0
@@ -32,6 +40,8 @@ __all__ = [
     "PreprocTables",
     "EncodedExample",
     "PreparedDataset",
+    "text_lines",
+    "json_lines",
     "load_dataset",
     "load_word_list",
     "load_lemma_table",
@@ -141,6 +151,33 @@ class PreprocTables:
     domain_vocab: frozenset[str] | None
     lemma_table: Mapping[str, str]
 
+    def to_json(self) -> dict:
+        """The stored form: sorted word lists and sorted [surface, base] pairs."""
+        return {
+            "stopwords": sorted(self.stopwords),
+            "domain_vocab": None if self.domain_vocab is None else sorted(self.domain_vocab),
+            "lemma": sorted(self.lemma_table.items()),
+        }
+
+    @classmethod
+    def from_json(cls, raw) -> PreprocTables:
+        """The tables from their stored form; DatasetError if it is malformed."""
+        if not isinstance(raw, dict) or set(raw) != {"stopwords", "domain_vocab", "lemma"}:
+            raise DatasetError("tables must be an object with keys 'stopwords', 'domain_vocab' and 'lemma'")
+        stopwords, domain_vocab, lemma = raw["stopwords"], raw["domain_vocab"], raw["lemma"]
+        if not _is_strings(stopwords):
+            raise DatasetError("'stopwords' must be a list of strings")
+        if domain_vocab is not None and not _is_strings(domain_vocab):
+            raise DatasetError("'domain_vocab' must be null or a list of strings")
+        if not isinstance(lemma, list) or not all(_is_strings(pair) and len(pair) == 2 for pair in lemma):
+            raise DatasetError("'lemma' must be a list of [surface, base] string pairs")
+        domain = None if domain_vocab is None else frozenset(domain_vocab)
+        return cls(frozenset(stopwords), domain, dict(lemma))
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
 
 @dataclass(frozen=True)
 class EncodedExample:
@@ -160,6 +197,36 @@ class PreparedDataset:
     tables: PreprocTables
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file that are not blank, without their
+    line breaks, with their 1-based line numbers.  A line that is not
+    UTF-8 raises DatasetError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the line breaks of text mode: \n, \r\n and \r
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}: not UTF-8 text", lineno) from None
+        if line.strip():
+            yield lineno, line
+
+
+def json_lines(path) -> Iterator[tuple[int, dict]]:
+    """The objects of a JSON-lines file with their line numbers, as
+    `text_lines` reads it.  A line that is not a JSON object raises
+    DatasetError naming the file and the line."""
+    for lineno, line in text_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: invalid JSON ({exc.msg})", lineno) from None
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{path}: record is not an object", lineno)
+        yield lineno, obj
+
+
 def load_dataset(path) -> list[ProjectRecord]:
     """Parse a UTF-8 JSON-lines dataset file into records, in file order.
 
@@ -170,61 +237,47 @@ def load_dataset(path) -> list[ProjectRecord]:
     """
     records: list[ProjectRecord] = []
     seen_names: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(obj, dict):
-                raise DatasetError("record is not an object", lineno)
-            for key in ("name", "description", "libraries"):
-                if key not in obj:
-                    raise DatasetError(f"missing key {key!r}", lineno)
-            name = obj["name"]
-            description = obj["description"]
-            libraries = obj["libraries"]
-            if not isinstance(name, str) or not name.strip():
-                raise DatasetError("name must be a non-empty string", lineno)
-            if not isinstance(description, str) or not description.strip():
-                raise DatasetError("description must be a non-empty string", lineno)
-            if not isinstance(libraries, list) or not all(
-                isinstance(lib, str) and lib for lib in libraries
-            ):
-                raise DatasetError("libraries must be a list of non-empty strings", lineno)
-            stars = obj.get("stars")
-            if stars is not None and (isinstance(stars, bool) or not isinstance(stars, int)):
-                raise DatasetError("stars must be an integer", lineno)
-            if stars is not None and stars < 0:
-                raise DatasetError("stars must be nonnegative", lineno)
-            if name in seen_names:
-                raise DatasetError(f"duplicate project name {name!r}", lineno)
-            seen_names.add(name)
-            deduped = tuple(dict.fromkeys(libraries))
-            records.append(ProjectRecord(name, description, deduped, stars))
+    for lineno, obj in json_lines(path):
+        for key in ("name", "description", "libraries"):
+            if key not in obj:
+                raise DatasetError(f"missing key {key!r}", lineno)
+        name = obj["name"]
+        description = obj["description"]
+        libraries = obj["libraries"]
+        if not isinstance(name, str) or not name.strip():
+            raise DatasetError("name must be a non-empty string", lineno)
+        if not isinstance(description, str) or not description.strip():
+            raise DatasetError("description must be a non-empty string", lineno)
+        if not isinstance(libraries, list) or not all(
+            isinstance(lib, str) and lib for lib in libraries
+        ):
+            raise DatasetError("libraries must be a list of non-empty strings", lineno)
+        stars = obj.get("stars")
+        if stars is not None and (isinstance(stars, bool) or not isinstance(stars, int)):
+            raise DatasetError("stars must be an integer", lineno)
+        if stars is not None and stars < 0:
+            raise DatasetError("stars must be nonnegative", lineno)
+        if name in seen_names:
+            raise DatasetError(f"duplicate project name {name!r}", lineno)
+        seen_names.add(name)
+        deduped = tuple(dict.fromkeys(libraries))
+        records.append(ProjectRecord(name, description, deduped, stars))
     return records
 
 
 def load_word_list(path) -> frozenset[str]:
     """Word file: one word per line, blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    return frozenset(line.strip() for _, line in text_lines(path))
 
 
 def load_lemma_table(path) -> dict[str, str]:
     """Lemma file: `surface<TAB>base` per line."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DatasetError("expected 'surface<TAB>base'", lineno)
-            table[parts[0]] = parts[1]
+    for lineno, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DatasetError("expected 'surface<TAB>base'", lineno)
+        table[parts[0]] = parts[1]
     return table
 
 

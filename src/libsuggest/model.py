@@ -17,12 +17,19 @@ front because the rows are sorted by target length, longest first
 where each row of a batch, such as the hypotheses of several queries
 over their zero-padded sources, is bit-identical to the one-sequence
 step (`tensor._product`, and attention's sums over positions in order).
+
+The parameter layout is defined once.  The fields of `ModelParams` give
+the order of the trainable tensors and `parameter_shapes` their shapes;
+`named_parameters` and `params_from_named` walk those fields, and
+`init_params` draws over that table.  A checkpoint stores the tensors in
+the same order (`trainer.checkpoint_bytes`).
 """
 
 from __future__ import annotations
 
+import typing
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +70,8 @@ __all__ = [
     "batch_loss",
     "example_loss",
     "named_parameters",
+    "params_from_named",
+    "parameter_shapes",
     "init_params",
 ]
 
@@ -110,7 +119,12 @@ class OutputParams:
 
 @dataclass
 class ModelParams:
-    """All learned tensors plus the fixed per-library loss weights."""
+    """All learned tensors plus the fixed per-library loss weights.
+
+    The field order, and that of each group's fields, is the order of the
+    tensors everywhere: `named_parameters`, `parameter_shapes`, the draws
+    of `init_params` and a checkpoint.
+    """
 
     enc_fwd: LstmParams
     enc_bwd: LstmParams
@@ -126,6 +140,9 @@ class ModelParams:
     @property
     def lib_vocab_size(self) -> int:
         return self.emb.shape[0]
+
+
+_FIELDS = typing.get_type_hints(ModelParams)  # field name -> Tensor, a group of tensors or np.ndarray
 
 
 def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) -> Tensor:
@@ -290,7 +307,7 @@ def decoder_step(
     s_t, cell_t = lstm_cell(x, s_prev, cell_prev, params.dec.w, params.dec.u, params.dec.b)
     _, context_t = attention(s_t, enc_out, valid_len, params.attn, keys)
 
-    s_used = dropout(s_t, dropout_p, rng, training=dropout_p > 0.0)
+    s_used = dropout(s_t, dropout_p, rng)
     hidden = relu(add(matmul(s_used, params.out.w_d), matmul(context_t, params.out.v_d)))
     logits = matmul(hidden, params.out.w_o)
     y_t = masked_softmax(logits, masked)
@@ -378,7 +395,7 @@ def batch_loss(
     if not sizes or min(sizes) < 1 or sizes != sorted(sizes, reverse=True):
         raise ValueError("targets must be non-empty and sorted by length, longest first")
     enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
-    enc_out = dropout(enc_out, dropout_p, rng, training=dropout_p > 0.0)
+    enc_out = dropout(enc_out, dropout_p, rng)
     s_t, cell_t, context_t = initial_decoder_state(enc_out, lengths, params)
     enc = _trim(enc_out, lengths)
     keys = attention_keys(enc, lengths, params.attn)
@@ -425,42 +442,65 @@ def example_loss(
 
 
 def named_parameters(params: ModelParams) -> dict[str, Tensor]:
-    """Trainable tensors in a fixed, deterministic order."""
+    """The trainable tensors by name, in the order of the fields of
+    `ModelParams` (a group's tensors as `group.field`): the order of
+    `parameter_shapes`, of the draws of `init_params` and of a checkpoint."""
     out: dict[str, Tensor] = {}
-    for prefix, cell in (("enc_fwd", params.enc_fwd), ("enc_bwd", params.enc_bwd), ("dec", params.dec)):
-        out[f"{prefix}.w"] = cell.w
-        out[f"{prefix}.u"] = cell.u
-        out[f"{prefix}.b"] = cell.b
-    out["attn.w_a"] = params.attn.w_a
-    out["attn.u_a"] = params.attn.u_a
-    out["attn.v_a"] = params.attn.v_a
-    out["out.w_d"] = params.out.w_d
-    out["out.v_d"] = params.out.v_d
-    out["out.w_o"] = params.out.w_o
-    out["init_w"] = params.init_w
-    out["init_b"] = params.init_b
-    out["emb"] = params.emb
-    out["bos"] = params.bos
+    for name, kind in _FIELDS.items():
+        value = getattr(params, name)
+        if kind is Tensor:
+            out[name] = value
+        elif kind is not np.ndarray:  # class_weights is fixed, not trained
+            out.update({f"{name}.{f.name}": getattr(value, f.name) for f in fields(kind)})
     return out
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    r = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-r, r, size=shape))
+def params_from_named(named: Mapping[str, Tensor], class_weights: np.ndarray) -> ModelParams:
+    """`ModelParams` holding the tensors of `named_parameters` names, and
+    the fixed loss weights."""
+    groups = {
+        name: named[name] if kind is Tensor else kind(*(named[f"{name}.{f.name}"] for f in fields(kind)))
+        for name, kind in _FIELDS.items()
+        if kind is not np.ndarray
+    }
+    return ModelParams(**groups, class_weights=np.asarray(class_weights, dtype=np.float64))
 
 
-def _init_lstm(rng: np.random.Generator, input_size: int, hidden: int) -> LstmParams:
-    # drawn gate by gate, (w, u, b) each, in the order of a cell stored as
-    # twelve per-gate tensors, then laid side by side
-    blocks = [
-        (
-            _uniform(rng, (input_size, hidden), input_size),
-            _uniform(rng, (hidden, hidden), hidden),
-            _uniform(rng, (hidden,), hidden),
-        )
-        for _gate in "ifog"
-    ]
-    return LstmParams(*(Tensor(np.concatenate([b[j].data for b in blocks], axis=-1)) for j in range(3)))
+def parameter_shapes(
+    embed_dim: int, enc_hidden: int, dec_hidden: int, lib_embed: int, lib_vocab_size: int
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every trainable tensor, by `named_parameters` name and
+    in its order.  The attention space and the readout hidden layer both
+    use the decoder hidden size."""
+    enc2, dec = 2 * enc_hidden, dec_hidden
+    shapes: dict[str, tuple[int, ...]] = {}
+    for cell, n_in, hidden in (
+        ("enc_fwd", embed_dim, enc_hidden),
+        ("enc_bwd", embed_dim, enc_hidden),
+        ("dec", lib_embed + enc2, dec),
+    ):
+        shapes[f"{cell}.w"] = (n_in, 4 * hidden)
+        shapes[f"{cell}.u"] = (hidden, 4 * hidden)
+        shapes[f"{cell}.b"] = (4 * hidden,)
+    return shapes | {
+        "attn.w_a": (dec, dec),
+        "attn.u_a": (enc2, dec),
+        "attn.v_a": (dec,),
+        "out.w_d": (dec, dec),
+        "out.v_d": (enc2, dec),
+        "out.w_o": (dec, lib_vocab_size),
+        "init_w": (enc2, dec),
+        "init_b": (dec,),
+        "emb": (lib_vocab_size, lib_embed),
+        "bos": (lib_embed,),
+    }
+
+
+def _uniform(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    # fan-in: the rows of a matrix, the width of an emb row (so that its
+    # scale does not shrink with the vocabulary), the length of a vector
+    r = 1.0 / np.sqrt(shape[-1] if name == "emb" else shape[0])
+    return rng.uniform(-r, r, size=shape)
 
 
 def init_params(
@@ -472,33 +512,22 @@ def init_params(
     class_weights: np.ndarray,
     rng: np.random.Generator,
 ) -> ModelParams:
-    """Fresh parameters, uniform(-r, r) with r = 1/sqrt(fan-in).
+    """Fresh parameters, uniform(-r, r) with r = 1/sqrt(fan-in), drawn in
+    the order of `parameter_shapes`.
 
-    The attention space and the readout hidden layer both use the decoder
-    hidden size.  Embedding rows use the embedding width as fan-in so
-    their scale does not shrink with vocabulary size.
+    An LSTM cell is drawn gate by gate, (w, u, b) each, in the order of a
+    cell stored as twelve per-gate tensors, then laid side by side.
     """
     if class_weights.shape != (lib_vocab_size - N_RESERVED,):
         raise ValueError("class weights must cover every non-reserved library id")
-    attn_dim = dec_hidden
-    out_hidden = dec_hidden
-    return ModelParams(
-        enc_fwd=_init_lstm(rng, embed_dim, enc_hidden),
-        enc_bwd=_init_lstm(rng, embed_dim, enc_hidden),
-        dec=_init_lstm(rng, lib_embed + 2 * enc_hidden, dec_hidden),
-        attn=AttentionParams(
-            w_a=_uniform(rng, (dec_hidden, attn_dim), dec_hidden),
-            u_a=_uniform(rng, (2 * enc_hidden, attn_dim), 2 * enc_hidden),
-            v_a=_uniform(rng, (attn_dim,), attn_dim),
-        ),
-        out=OutputParams(
-            w_d=_uniform(rng, (dec_hidden, out_hidden), dec_hidden),
-            v_d=_uniform(rng, (2 * enc_hidden, out_hidden), 2 * enc_hidden),
-            w_o=_uniform(rng, (out_hidden, lib_vocab_size), out_hidden),
-        ),
-        init_w=_uniform(rng, (2 * enc_hidden, dec_hidden), 2 * enc_hidden),
-        init_b=_uniform(rng, (dec_hidden,), dec_hidden),
-        emb=_uniform(rng, (lib_vocab_size, lib_embed), lib_embed),
-        bos=_uniform(rng, (lib_embed,), lib_embed),
-        class_weights=np.asarray(class_weights, dtype=np.float64),
-    )
+    shapes = parameter_shapes(embed_dim, enc_hidden, dec_hidden, lib_embed, lib_vocab_size)
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        group, _, part = name.partition(".")
+        if _FIELDS[group] is not LstmParams:
+            arrays[name] = _uniform(rng, name, shape)
+        elif part == "w":  # the cell's u and b are drawn with its w
+            names = [f"{group}.{k}" for k in "wub"]
+            gates = [[_uniform(rng, n, shapes[n][:-1] + (shapes[n][-1] // 4,)) for n in names] for _gate in "ifog"]
+            arrays.update({n: np.concatenate(blocks, axis=-1) for n, blocks in zip(names, zip(*gates))})
+    return params_from_named({name: Tensor(a) for name, a in arrays.items()}, class_weights)

@@ -53,7 +53,6 @@ __all__ = [
     "mul",
     "scale",
     "tanh",
-    "sigmoid",
     "relu",
     "log",
     "concat_rows",
@@ -324,11 +323,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    return _unary(x, y, lambda: y * (1.0 - y))
-
-
 def relu(x: Tensor) -> Tensor:
     return _unary(x, np.maximum(x.data, 0.0), lambda: (x.data > 0).astype(np.float64))
 
@@ -408,42 +402,35 @@ def masked_softmax(logits: Tensor, mask, sequential: bool = False) -> Tensor:
     """Softmax over the last axis of a vector or of each row of a matrix,
     skipping the masked positions.
 
-    The mask has the shape of `logits`: a boolean array that is True where
-    masked, or `logits + mask` semantics with entries 0 or -inf.  Masked
-    positions are skipped in the exp-sum instead of added, so the output
-    is exactly zero there and never NaN.  The mask is a constant: backward
-    only flows into `logits`.  `sequential` sums the exponentials in
-    position order, which attention needs over zero-padded spans; the
-    default pairwise sum costs a tenth as much over a 1000-id row.
+    The mask is a boolean array of the shape of `logits`, True where
+    masked.  Masked positions are skipped in the exp-sum instead of added,
+    so the output is exactly zero there and never NaN.  The mask is a
+    constant: backward only flows into `logits`.  `sequential` sums the
+    exponentials in position order, which attention needs over zero-padded
+    spans; the default pairwise sum costs a tenth as much over a 1000-id
+    row.
     """
-    ld = logits.data
-    md = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    if ld.ndim not in (1, 2) or md.shape != ld.shape:
-        raise ValueError("masked_softmax expects a vector or a matrix and an equal-shape mask")
-    if md.dtype == bool:
-        valid = ~md
-    else:
-        valid = md == 0.0
-        if not np.all(valid | np.isneginf(md)):
-            raise ValueError("mask entries must be 0 or -inf")
-    if not valid.any(axis=-1).all():
+    ld, md = logits.data, np.asarray(mask)
+    if ld.ndim not in (1, 2) or md.shape != ld.shape or md.dtype != bool:
+        raise ValueError("masked_softmax expects a vector or a matrix and an equal-shape boolean mask")
+    if md.all(axis=-1).any():
         raise ValueError("all positions masked")
-    y = _softmax_rows(ld, valid, sequential)
+    y = _softmax_rows(ld, ~md, sequential)
     out = Tensor(y)
     # y is zero at masked positions, so their logit grads stay zero
     _record((out,), lambda tape, g: tape._acc(logits, y * (g - (g * y).sum(axis=-1, keepdims=True))))
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero units with probability p and scale the kept
-    ones by 1/(1-p).  Identity (and no rng draw) outside training."""
+    ones by 1/(1-p).  Identity (and no rng draw) at p = 0, as at inference."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+        raise ValueError("dropout at p > 0 needs an rng")
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
     out = Tensor(x.data * keep)
     _record((out,), lambda tape, g: tape._acc(x, g * keep))

@@ -10,7 +10,10 @@ those of the earlier loop over single examples, which drew per example.
 Checkpoints are a versioned binary container that round-trips
 bit-exactly: magic, JSON metadata padded so that the tensors start 8-byte
 aligned, raw little-endian float64 tensors, and a trailing SHA-256
-checksum.
+checksum.  The tensors are those of `model.parameter_shapes`, in its
+order, then `class_weights` and `word_embed`; the preprocessing tables
+sit in the header in the stored form of `corpus.PreprocTables`, which
+checks them on load.
 """
 
 from __future__ import annotations
@@ -28,7 +31,15 @@ import numpy as np
 
 from .corpus import N_RESERVED, PAD_ID, PreparedDataset, PreprocTables, Vocabulary
 from .embeddings import EmbeddingTable, vocab_matrix
-from .model import ModelParams, batch_loss, init_params, library_weights, named_parameters
+from .model import (
+    ModelParams,
+    batch_loss,
+    init_params,
+    library_weights,
+    named_parameters,
+    parameter_shapes,
+    params_from_named,
+)
 from .tensor import Tape, Tensor, backward, scale
 
 __all__ = [
@@ -289,13 +300,7 @@ def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
         "word_vocab": list(ckpt.word_vocab.regular_tokens()),
         "lib_vocab": list(ckpt.lib_vocab.regular_tokens()),
         "lib_freq": sorted(ckpt.lib_freq.items()),
-        "tables": {
-            "stopwords": sorted(ckpt.tables.stopwords),
-            "domain_vocab": (
-                None if ckpt.tables.domain_vocab is None else sorted(ckpt.tables.domain_vocab)
-            ),
-            "lemma": sorted(ckpt.tables.lemma_table.items()),
-        },
+        "tables": ckpt.tables.to_json(),
         "tensors": [[name, list(arr.shape)] for name, arr in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -306,34 +311,6 @@ def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
     )
     body = CHECKPOINT_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
     return body + hashlib.sha256(body).digest()
-
-
-def _params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
-    from .model import AttentionParams, LstmParams, OutputParams
-
-    def lstm(prefix: str) -> LstmParams:
-        return LstmParams(*(Tensor(arrays[f"{prefix}.{kind}"]) for kind in ("w", "u", "b")))
-
-    return ModelParams(
-        enc_fwd=lstm("enc_fwd"),
-        enc_bwd=lstm("enc_bwd"),
-        dec=lstm("dec"),
-        attn=AttentionParams(
-            w_a=Tensor(arrays["attn.w_a"]),
-            u_a=Tensor(arrays["attn.u_a"]),
-            v_a=Tensor(arrays["attn.v_a"]),
-        ),
-        out=OutputParams(
-            w_d=Tensor(arrays["out.w_d"]),
-            v_d=Tensor(arrays["out.v_d"]),
-            w_o=Tensor(arrays["out.w_o"]),
-        ),
-        init_w=Tensor(arrays["init_w"]),
-        init_b=Tensor(arrays["init_b"]),
-        emb=Tensor(arrays["emb"]),
-        bos=Tensor(arrays["bos"]),
-        class_weights=arrays["class_weights"],
-    )
 
 
 _HEADER_FIELDS = frozenset(
@@ -376,32 +353,10 @@ def _vocabulary(header: dict, name: str) -> Vocabulary:
 
 
 def _tensor_shapes(cfg: TrainConfig, n_words: int, n_libs: int) -> dict[str, tuple[int, ...]]:
-    """The shape every stored tensor must have, by name."""
-    enc2, dec = 2 * cfg.enc_hidden, cfg.dec_hidden
-    shapes: dict[str, tuple[int, ...]] = {}
-    for prefix, n_in, n_hidden in (
-        ("enc_fwd", cfg.embed_dim, cfg.enc_hidden),
-        ("enc_bwd", cfg.embed_dim, cfg.enc_hidden),
-        ("dec", cfg.lib_embed + enc2, dec),
-    ):
-        shapes[f"{prefix}.w"] = (n_in, 4 * n_hidden)
-        shapes[f"{prefix}.u"] = (n_hidden, 4 * n_hidden)
-        shapes[f"{prefix}.b"] = (4 * n_hidden,)
-    shapes.update({
-        "attn.w_a": (dec, dec),
-        "attn.u_a": (enc2, dec),
-        "attn.v_a": (dec,),
-        "out.w_d": (dec, dec),
-        "out.v_d": (enc2, dec),
-        "out.w_o": (dec, n_libs),
-        "init_w": (enc2, dec),
-        "init_b": (dec,),
-        "emb": (n_libs, cfg.lib_embed),
-        "bos": (cfg.lib_embed,),
-        "class_weights": (n_libs - N_RESERVED,),
-        "word_embed": (n_words, cfg.embed_dim),
-    })
-    return shapes
+    """The shape every stored tensor must have, by name, in the order in
+    which a checkpoint stores them."""
+    shapes = parameter_shapes(cfg.embed_dim, cfg.enc_hidden, cfg.dec_hidden, cfg.lib_embed, n_libs)
+    return shapes | {"class_weights": (n_libs - N_RESERVED,), "word_embed": (n_words, cfg.embed_dim)}
 
 
 def _check_tensor_list(listed, cfg: TrainConfig, word_vocab: Vocabulary, lib_vocab: Vocabulary) -> None:
@@ -505,14 +460,7 @@ def checkpoint_from_bytes(data) -> ModelCheckpoint:
             raise CheckpointError(f"tensor {bad[0]!r} holds a value that is not finite")
 
     with _field("tables"):
-        raw = header["tables"]
-        tables = PreprocTables(
-            stopwords=frozenset(_strings(raw["stopwords"])),
-            domain_vocab=(
-                None if raw["domain_vocab"] is None else frozenset(_strings(raw["domain_vocab"]))
-            ),
-            lemma_table={_string(k): _string(v) for k, v in raw["lemma"]},
-        )
+        tables = PreprocTables.from_json(header["tables"])
     with _field("lib_freq"):
         lib_freq = {_string(k): _integer(v) for k, v in header["lib_freq"]}
     # evaluate weighs every truth library by its count, and the loss
@@ -525,10 +473,11 @@ def checkpoint_from_bytes(data) -> ModelCheckpoint:
     final_loss = header["final_loss"]
     if final_loss is not None and (isinstance(final_loss, bool) or not isinstance(final_loss, (int, float))):
         raise CheckpointError(f"checkpoint field 'final_loss' is not a number: {final_loss!r}")
+    word_embed, class_weights = arrays.pop("word_embed"), arrays.pop("class_weights")
     return ModelCheckpoint(
         config=config,
-        params=_params_from_arrays(arrays),
-        word_embed=arrays["word_embed"],
+        params=params_from_named({name: Tensor(a) for name, a in arrays.items()}, class_weights),
+        word_embed=word_embed,
         word_vocab=word_vocab,
         lib_vocab=lib_vocab,
         lib_freq=lib_freq,

@@ -247,10 +247,129 @@ class TestPreparedDirectory:
         with pytest.raises(DatasetError, match=rf"^line 3: .*train\.jsonl: '{key}'"):
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
 
+    @pytest.mark.parametrize("edit", ["unk", "early_eos", "no_eos", "repeat"])
+    def test_target_that_is_not_distinct_libraries_closed_by_eos(self, pipeline, tmp_path, edit):
+        def change(row):
+            ids, n = row["tgt_ids"], row["tgt_len"]
+            assert n >= 3
+            if edit == "no_eos":
+                ids[n - 1], row["tgt_len"] = 0, n - 1
+            elif edit == "repeat":
+                ids[1] = ids[0]
+            else:
+                ids[0] = 1 if edit == "unk" else 2  # UNK, EOS
+            return json.dumps(row)
+
+        prep = self.replace_row(pipeline, tmp_path, change)
+        with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: tgt_ids must be distinct library ids"):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
     def test_length_past_the_ids(self, pipeline, tmp_path):
         prep = self.replace_row(pipeline, tmp_path, lambda row: json.dumps({**row, "src_len": 99}))
         with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: length out of range"):
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+    @staticmethod
+    def train(pipeline, prep, ckpt):
+        return main(
+            [
+                "train",
+                "--preprocessed", str(prep),
+                "--embeddings", str(pipeline["files"]["embeddings"]),
+                "--config", str(pipeline["files"]["config"]),
+                "--checkpoint", str(ckpt),
+            ]
+        )
+
+    def rejects(self, pipeline, tmp_path, name, content, match):
+        prep = self.copy(pipeline, tmp_path)
+        (prep / name).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        with pytest.raises(DatasetError, match=match):
+            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+
+    @pytest.mark.parametrize("text", ["[]", "{}", '{"max_src": "16", "max_tgt": 8}'])
+    def test_malformed_meta(self, pipeline, tmp_path, text):
+        self.rejects(pipeline, tmp_path, "meta.json", text, r"meta\.json: ")
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            [],
+            {"stopwords": "abc", "domain_vocab": None, "lemma": []},
+            {"stopwords": [], "domain_vocab": None, "lemma": [[1, 2]]},
+            {"stopwords": [], "domain_vocab": None, "lemma": ["ab"]},
+        ],
+    )
+    def test_malformed_tables(self, pipeline, tmp_path, tables):
+        self.rejects(pipeline, tmp_path, "tables.json", json.dumps(tables), r"tables\.json: ")
+
+    def test_tables_that_a_checkpoint_cannot_hold_fail_before_training(self, pipeline, tmp_path, capsys):
+        # the stored form of the tables is read by one checked reader, so
+        # train does not write a checkpoint that load_checkpoint refuses
+        prep = self.copy(pipeline, tmp_path)
+        (prep / "tables.json").write_text('{"domain_vocab":null,"lemma":[],"stopwords":[1]}\n', encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        assert self.train(pipeline, prep, ckpt) == 1 and not ckpt.exists()
+        assert "tables.json: 'stopwords' must be a list of strings" in capsys.readouterr().err
+
+    def test_lib_freq_lacking_a_vocabulary_library(self, pipeline, tmp_path, capsys):
+        prep = self.copy(pipeline, tmp_path)
+        first = (prep / "lib_vocab.txt").read_text(encoding="utf-8").split("\n")[0]
+        lines = (prep / "lib_freq.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (prep / "lib_freq.tsv").write_text("".join(l for l in lines if l.split("\t")[0] != first), encoding="utf-8")
+        assert self.train(pipeline, prep, tmp_path / "model.ckpt") == 1
+        assert f"lib_freq.tsv: no count for library {first!r}" in capsys.readouterr().err
+
+    def test_lib_freq_count_below_one(self, pipeline, tmp_path):
+        text = (pipeline["prep"] / "lib_freq.tsv").read_text(encoding="utf-8")
+        self.rejects(pipeline, tmp_path, "lib_freq.tsv", text + "zzz.unused\t0\n", r"^line \d+: .*lib_freq\.tsv")
+
+    @pytest.mark.parametrize("name", ["word_vocab.txt", "lib_vocab.txt"])
+    @pytest.mark.parametrize("token", ["<unk>", None])  # None repeats the first token
+    def test_reserved_or_repeated_token(self, pipeline, tmp_path, name, token):
+        lines = (pipeline["prep"] / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = (token or lines[0].rstrip("\n")) + "\n"
+        self.rejects(pipeline, tmp_path, name, "".join(lines), rf"^line 3: .*{name}: token")
+
+    def test_text_that_is_not_utf8(self, pipeline, tmp_path):
+        lines = (pipeline["prep"] / "train.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"name"', b'"n\xffme"')
+        self.rejects(pipeline, tmp_path, "train.jsonl", b"".join(lines), r"^line 2: .*train\.jsonl: not UTF-8")
+
+
+def test_mutated_prepared_directory_only_raises_dataset_error(pipeline, tmp_path):
+    """Byte edits of any file of a prepared directory, with binary or
+    JSON-like bytes: the directory either loads or fails with DatasetError."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cfg = load_config(pipeline["files"]["config"])
+    files = {name: (pipeline["prep"] / name).read_bytes() for name in sorted(os.listdir(pipeline["prep"]))}
+    raw = st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.text('[]{}",:0123-.en\t\n <>', min_size=1, max_size=4).map(str.encode),
+    )
+    edits = st.lists(st.tuples(st.integers(0, 2**20), raw), min_size=1, max_size=3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(files)), edits, st.integers(-16, 16))
+    def run(name, byte_edits, resize):
+        data = bytearray(files[name])
+        for at, chunk in byte_edits:
+            at %= len(data) + 1
+            data[at : at + len(chunk)] = chunk
+        if resize > 0:
+            data += bytes(resize)
+        elif resize < 0:
+            del data[resize:]
+        for other, content in files.items():
+            (tmp_path / other).write_bytes(bytes(data) if other == name else content)
+        try:
+            _load_prepared(str(tmp_path), cfg)
+        except DatasetError:
+            pass
+
+    run()
 
 
 class TestEvaluateCommand:

@@ -65,6 +65,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
+    def test_line_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(json.dumps(record(name="a")).encode() + b"\n\n" + b'{"name": "\xff"}\n')
+        with pytest.raises(DatasetError, match=r"^line 3: .*data\.jsonl: not UTF-8"):
+            load_dataset(path)
+
+    def test_line_breaks_of_text_mode(self, tmp_path):
+        # \r\n and \r end a line as in a file opened in text mode; the
+        # line numbers count them so
+        path = tmp_path / "data.jsonl"
+        rows = [json.dumps(record(name=f"p{i}")) for i in range(3)]
+        path.write_bytes(f"{rows[0]}\r\n{rows[1]}\r{rows[2]}\n[1]\n".encode())
+        with pytest.raises(DatasetError, match=r"^line 4: .*record is not an object"):
+            load_dataset(path)
+        path.write_bytes(f"{rows[0]}\r\n{rows[1]}\r{rows[2]}\n".encode())
+        assert [r.name for r in load_dataset(path)] == ["p0", "p1", "p2"]
+
     def test_duplicate_project_name_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [record(name="dup"), record(name="dup")])

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import struct
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -7,9 +9,9 @@ import numpy as np
 import pytest
 
 import _synth
-from libsuggest.corpus import PreparedDataset
+from libsuggest.corpus import N_RESERVED, PreparedDataset, Vocabulary
 from libsuggest.decode import greedy_decode
-from libsuggest.model import named_parameters
+from libsuggest.model import init_params, named_parameters, parameter_shapes, params_from_named
 from libsuggest.tensor import Tensor
 from libsuggest.trainer import (
     AdamState,
@@ -283,6 +285,37 @@ class TestCheckpointRoundTrip:
         )
         loaded = checkpoint_from_bytes(checkpoint_bytes(ckpt))
         assert loaded.tables == ckpt.tables
+
+
+@pytest.mark.parametrize("dims", [(200, 128, 128, 64, 1003), (5, 7, 9, 3, 41)])
+def test_one_parameter_layout(dims):
+    """`parameter_shapes`, `named_parameters`, `params_from_named` and a
+    checkpoint's tensor list share one order and one set of shapes."""
+    embed_dim, enc_hidden, dec_hidden, lib_embed, vocab_n = dims
+    params = init_params(*dims, np.full(vocab_n - N_RESERVED, 0.5), np.random.default_rng(3))
+    named = named_parameters(params)
+    assert list(parameter_shapes(*dims).items()) == [(name, t.shape) for name, t in named.items()]
+    rebuilt = params_from_named(named, params.class_weights)
+    assert list(named_parameters(rebuilt).items()) == list(named.items())
+    assert all(t is named[name] for name, t in named_parameters(rebuilt).items())
+
+    ckpt = _synth.random_checkpoint(0)
+    libs = Vocabulary([f"lib{j}" for j in range(vocab_n - N_RESERVED)])
+    ckpt = replace(
+        ckpt,
+        config=replace(
+            ckpt.config, embed_dim=embed_dim, enc_hidden=enc_hidden, dec_hidden=dec_hidden, lib_embed=lib_embed
+        ),
+        params=params,
+        word_embed=np.zeros((len(ckpt.word_vocab), embed_dim)),
+        lib_vocab=libs,
+        lib_freq=dict.fromkeys(libs.regular_tokens(), 1),
+    )
+    blob = checkpoint_bytes(ckpt)
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + length])
+    assert [name for name, _ in header["tensors"]] == [*named, "class_weights", "word_embed"]
+    assert checkpoint_bytes(checkpoint_from_bytes(blob)) == blob
 
 
 def resealed(body: bytes) -> bytes:
