@@ -31,6 +31,7 @@ from .corpus import (
     build_vocabularies,
     encode_example,
     filter_projects,
+    is_string_list,
     json_lines,
     load_dataset,
     load_lemma_table,
@@ -64,23 +65,22 @@ def load_config(path) -> TrainConfig:
     types = typing.get_type_hints(TrainConfig)
     valid = {f.name for f in fields(TrainConfig)}
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            if key not in valid:
-                raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-            try:
-                values[key] = types[key](value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: cannot parse {value!r} as {types[key].__name__}"
-                ) from None
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        if key not in valid:
+            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: cannot parse {value!r} as {types[key].__name__}"
+            ) from None
     return TrainConfig(**values)
 
 
@@ -357,7 +357,7 @@ def _strings(row: dict, key: str, lineno: int) -> list[str]:
     if key not in row:
         raise DatasetError(f"missing key {key!r}", lineno)
     value = row[key]
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not is_string_list(value):
         raise DatasetError(f"{key} must be a list of strings", lineno)
     return value
 

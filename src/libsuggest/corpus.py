@@ -42,6 +42,7 @@ __all__ = [
     "PreparedDataset",
     "text_lines",
     "json_lines",
+    "is_string_list",
     "load_dataset",
     "load_word_list",
     "load_lemma_table",
@@ -165,17 +166,18 @@ class PreprocTables:
         if not isinstance(raw, dict) or set(raw) != {"stopwords", "domain_vocab", "lemma"}:
             raise DatasetError("tables must be an object with keys 'stopwords', 'domain_vocab' and 'lemma'")
         stopwords, domain_vocab, lemma = raw["stopwords"], raw["domain_vocab"], raw["lemma"]
-        if not _is_strings(stopwords):
+        if not is_string_list(stopwords):
             raise DatasetError("'stopwords' must be a list of strings")
-        if domain_vocab is not None and not _is_strings(domain_vocab):
+        if domain_vocab is not None and not is_string_list(domain_vocab):
             raise DatasetError("'domain_vocab' must be null or a list of strings")
-        if not isinstance(lemma, list) or not all(_is_strings(pair) and len(pair) == 2 for pair in lemma):
+        if not isinstance(lemma, list) or not all(is_string_list(pair) and len(pair) == 2 for pair in lemma):
             raise DatasetError("'lemma' must be a list of [surface, base] string pairs")
         domain = None if domain_vocab is None else frozenset(domain_vocab)
         return cls(frozenset(stopwords), domain, dict(lemma))
 
 
-def _is_strings(value) -> bool:
+def is_string_list(value) -> bool:
+    """Whether a value read from JSON is a list of strings."""
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
@@ -197,20 +199,20 @@ class PreparedDataset:
     tables: PreprocTables
 
 
-def text_lines(path) -> Iterator[tuple[int, str]]:
+def text_lines(path, error: type[ValueError] = DatasetError) -> Iterator[tuple[int, str]]:
     """The lines of a UTF-8 text file that are not blank, without their
     line breaks, with their 1-based line numbers.  A line that is not
-    UTF-8 raises DatasetError naming the file and the line."""
+    UTF-8 raises `error(message, line)` naming the file and the line."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    # the line breaks of text mode: \n, \r\n and \r
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DatasetError(f"{path}: not UTF-8 text", lineno) from None
-        if line.strip():
-            yield lineno, line
+        # a binary line ends at \n; splitting it again at a lone \r gives
+        # the line breaks of text mode: \n, \r\n and \r
+        for lineno, raw in enumerate((part for chunk in fh for part in chunk.splitlines()), start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise error(f"{path}: not UTF-8 text", lineno) from None
+            if line.strip():
+                yield lineno, line
 
 
 def json_lines(path) -> Iterator[tuple[int, dict]]:

@@ -229,15 +229,9 @@ class _Search:
         return list(self.seqs[best]), list(self.probs[best])
 
 
-def _one_source(sources) -> bool:
-    """One token list rather than a list of them, told apart by rank as
-    the model functions tell one sequence from a batch."""
-    return not sources or isinstance(sources[0], str)
-
-
 def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
-    """Beam search core: (library ids, per-step probabilities) for one
-    token list, or a list of them for a list of token lists.
+    """Beam search core: (library ids, per-step probabilities) for each
+    token list of `sources`.
 
     Each step runs one `decoder_step` whose rows are each query's live
     hypotheses, then its greedy seed while that runs.  With no tape a row
@@ -251,8 +245,7 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         raise ValueError("beam_width must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    single = _one_source(sources)
-    searches = [_Search(tokens, ckpt) for tokens in ([sources] if single else sources)]
+    searches = [_Search(tokens, ckpt) for tokens in sources]
     params = ckpt.params
     lengths = np.array([q.length for q in searches])
     enc_all = np.zeros((len(searches), lengths.max(), searches[0].enc.shape[-1]))
@@ -295,8 +288,7 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         masked[np.arange(len(rows)), ids] = True
         prev, owner = ids, owners
 
-    answers = [q.answer() for q in searches]
-    return answers[0] if single else answers
+    return [q.answer() for q in searches]
 
 
 def beam_search(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int) -> list[str] | list[list[str]]:
@@ -307,10 +299,10 @@ def beam_search(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int)
     With beam_width 1 this reduces exactly to greedy_decode; with a width
     covering every hypothesis it is exhaustive search.
     """
-    found = _beam(sources, ckpt, beam_width, max_steps)
-    if _one_source(sources):
-        return [ckpt.lib_vocab.token(i) for i in found[0]]
-    return [[ckpt.lib_vocab.token(i) for i in seq] for seq, _ in found]
+    single = not sources or isinstance(sources[0], str)
+    found = _beam([sources] if single else sources, ckpt, beam_width, max_steps)
+    names = [[ckpt.lib_vocab.token(i) for i in seq] for seq, _ in found]
+    return names[0] if single else names
 
 
 def recommend(
@@ -326,7 +318,7 @@ def recommend(
     )
     if not tokens:
         raise NoSignalError("description reduces to zero tokens after preprocessing")
-    seq, probs = _beam(tokens, ckpt, beam_width, max_steps=k + 5)
+    [(seq, probs)] = _beam([tokens], ckpt, beam_width, max_steps=k + 5)
     items = tuple(
         (ckpt.lib_vocab.token(i), p) for i, p in list(zip(seq, probs))[:k]
     )

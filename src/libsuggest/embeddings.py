@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import UNK_ID, Vocabulary
+from .corpus import UNK_ID, Vocabulary, text_lines
 
 __all__ = [
     "EmbeddingFormatError",
@@ -69,45 +69,44 @@ def _mean_vector(vectors: dict[str, np.ndarray], dimension: int) -> np.ndarray:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Parse a textual embedding file: header `<count> <dim>`, then one
-    `<word> <v1> ... <vdim>` line per word.  Duplicate words keep the last
-    entry and bump the duplicate counter."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise EmbeddingFormatError("empty embedding file")
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError("header must be '<count> <dimension>'", 1)
-        try:
-            count, dimension = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EmbeddingFormatError("header must hold two integers", 1) from None
-        if count < 1 or dimension < 1:
-            raise EmbeddingFormatError("count and dimension must be >= 1", 1)
+    """Parse a textual embedding file: header `<count> <dim>` on line 1,
+    then one `<word> <v1> ... <vdim>` line per word; blank lines are
+    skipped.  Duplicate words keep the last entry and bump the duplicate
+    counter."""
+    lines = text_lines(path, EmbeddingFormatError)
+    lineno, header = next(lines, (0, ""))
+    if lineno != 1:
+        raise EmbeddingFormatError("empty embedding file")
+    parts = header.split()
+    if len(parts) != 2:
+        raise EmbeddingFormatError("header must be '<count> <dimension>'", 1)
+    try:
+        count, dimension = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EmbeddingFormatError("header must hold two integers", 1) from None
+    if count < 1 or dimension < 1:
+        raise EmbeddingFormatError("count and dimension must be >= 1", 1)
 
-        vectors: dict[str, np.ndarray] = {}
-        duplicates = 0
-        data_lines = 0
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            data_lines += 1
-            fields = raw.split()
-            if len(fields) != dimension + 1:
-                raise EmbeddingFormatError(
-                    f"expected {dimension} components, found {len(fields) - 1}", lineno
-                )
-            word = fields[0]
-            try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingFormatError("non-numeric vector component", lineno) from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingFormatError("non-finite vector component", lineno)
-            if word in vectors:
-                duplicates += 1
-            vectors[word] = vec
+    vectors: dict[str, np.ndarray] = {}
+    duplicates = 0
+    data_lines = 0
+    for lineno, raw in lines:
+        data_lines += 1
+        fields = raw.split()
+        if len(fields) != dimension + 1:
+            raise EmbeddingFormatError(
+                f"expected {dimension} components, found {len(fields) - 1}", lineno
+            )
+        word = fields[0]
+        try:
+            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+        except ValueError:
+            raise EmbeddingFormatError("non-numeric vector component", lineno) from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError("non-finite vector component", lineno)
+        if word in vectors:
+            duplicates += 1
+        vectors[word] = vec
     if data_lines != count:
         raise EmbeddingFormatError(
             f"header declares {count} entries but file holds {data_lines}"

@@ -2,12 +2,13 @@
 tokens, additive attention, an LSTM decoder whose softmax is masked
 against repeats, and the popularity-weighted sequence loss.
 
-`encode`, `attention`, `initial_decoder_state`, `decoder_step` and
-`sequence_loss` take one sequence or a batch, by the rank of what they
-are given.  One sequence is an embedded source [T x dim] with an int
-length, vector decoder states, an int previous id and a set of masked
-ids.  A batch of B sequences is [B x T x dim] with B lengths, [B x .]
-states, [B] previous ids and a [B x V] boolean repeat mask.
+Every function here runs a batch of B sequences: embedded sources
+[B x T x dim] with B lengths, [B x .] states, [B] previous ids and a
+[B x V] boolean repeat mask.  `encode`, `initial_decoder_state`,
+`attention_keys` and `decoder_step` also take one sequence, told by an
+int length: an embedded source [T x dim], vector states, an int previous
+id and a set of masked ids.  They lift it to a batch of one, which is
+not a tape op, and return its row 0 (`_batch_of_one`).
 
 `decoder_step` is the one decoder step.  Training runs a mini-batch
 through `batch_loss`: one encoder op, then one `decoder_step` per target
@@ -15,8 +16,9 @@ position over the rows whose targets are still running, which lie at the
 front because the rows are sorted by target length, longest first
 (`example_loss` is the batch of one).  Decoding runs it with no tape,
 where each row of a batch, such as the hypotheses of several queries
-over their zero-padded sources, is bit-identical to the one-sequence
-step (`tensor._product`, and attention's sums over positions in order).
+over their zero-padded sources, is bit-identical to the batch of one
+holding that row (`tensor._product`, and attention's sums over positions
+in order).
 
 The parameter layout is defined once.  The fields of `ModelParams` give
 the order of the trainable tensors and `parameter_shapes` their shapes;
@@ -27,6 +29,8 @@ the same order (`trainer.checkpoint_bytes`).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import typing
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
@@ -36,6 +40,7 @@ import numpy as np
 from .corpus import EOS_ID, N_RESERVED, PAD_ID, UNK_ID, Vocabulary
 from .tensor import (
     Tensor,
+    _active_tape,
     add,
     bilstm,
     concat_rows,
@@ -145,10 +150,50 @@ class ModelParams:
 _FIELDS = typing.get_type_hints(ModelParams)  # field name -> Tensor, a group of tensors or np.ndarray
 
 
+def _batch_of_one(batch_fn):
+    """`batch_fn` that also runs one sequence, told by an int `valid_len`,
+    as a batch of one: tensors and arrays gain a leading axis, ints (the
+    length, a previous id) become one-element arrays and a set of masked
+    ids a [1 x V] boolean row; each result comes back as its row 0.  The
+    lift is not a tape op, so under a tape it raises."""
+    signature = inspect.signature(batch_fn)
+    at = list(signature.parameters).index("valid_len")
+
+    def lift(value, vocab_n):
+        if isinstance(value, Tensor):
+            return Tensor(value.data[None])
+        if isinstance(value, np.ndarray):
+            return value[None]
+        if isinstance(value, (int, np.integer)):
+            return np.array([value])
+        if isinstance(value, (set, frozenset)):
+            row = np.zeros((1, vocab_n), dtype=bool)
+            for i in value:
+                if not 0 <= i < vocab_n:
+                    raise ValueError(f"masked id {i} out of vocabulary range")
+                row[0, i] = True
+            return row
+        return value
+
+    @functools.wraps(batch_fn)
+    def call(*args, **kwargs):
+        if not isinstance(args[at] if len(args) > at else kwargs.get("valid_len"), (int, np.integer)):
+            return batch_fn(*args, **kwargs)
+        if _active_tape() is not None:
+            raise ValueError(f"{batch_fn.__name__} takes a batch under a tape, not one sequence")
+        named = signature.bind(*args, **kwargs).arguments
+        vocab_n = named["params"].lib_vocab_size if "params" in named else 0
+        out = batch_fn(**{name: lift(value, vocab_n) for name, value in named.items()})
+        return Tensor(out.data[0]) if isinstance(out, Tensor) else tuple(Tensor(t.data[0]) for t in out)
+
+    return call
+
+
+@_batch_of_one
 def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Bi-directional encoding of an embedded [T x dim] input with an int
-    `valid_len`, or of a [B x T x dim] batch with one length per row.  A
-    plain array input is a constant, whose gradient is not computed.
+    """Bi-directional encoding of an embedded [B x T x dim] batch with one
+    length per row.  A plain array input is a constant, whose gradient is
+    not computed.
 
     Position t of the result concatenates the left-to-right state at t
     with the right-to-left state at t; the right-to-left pass starts at
@@ -164,12 +209,8 @@ def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) 
 
 def _check_lengths(enc_out: Tensor, valid_len) -> np.ndarray:
     lengths = np.asarray(valid_len)
-    total = enc_out.shape[-2] if enc_out.ndim >= 2 else 0
-    if lengths.ndim == 0:  # plain comparisons: decoding checks this at every step
-        in_range = 1 <= valid_len <= total
-    else:
-        in_range = ((lengths >= 1) & (lengths <= total)).all()
-    if lengths.shape != enc_out.shape[:-2] or not in_range:
+    total = enc_out.shape[1] if enc_out.ndim == 3 else 0
+    if lengths.shape != enc_out.shape[:1] or not ((lengths >= 1) & (lengths <= total)).all():
         raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
     return lengths
 
@@ -180,19 +221,18 @@ def _trim(enc_out: Tensor, lengths: np.ndarray) -> Tensor:
     span = int(lengths.max())
     if span == enc_out.shape[-2]:
         return enc_out
-    return take(enc_out, (*(slice(0, n) for n in lengths.shape), slice(0, span)))
+    return take(enc_out, (slice(0, len(lengths)), slice(0, span)))
 
 
 def attention(
     s_t: Tensor, enc_out: Tensor, valid_len, p: AttentionParams, keys: Tensor | None = None
 ) -> tuple[Tensor, Tensor]:
-    """Score encoder states against the decoder state and average them.
+    """Score encoder states against the decoder states and average them.
 
-    One sequence: s_t [H], enc_out [T x 2H] and an int `valid_len`.  A
-    batch: s_t [B x H], enc_out [B x T x 2H] and one length per row.
-    Returns the attention weights over all T positions (exact zeros past
-    each row's length: its scores there are -inf) and the context vector
-    over the valid positions.  `keys`, when given, is
+    s_t is [B x H], enc_out [B x T x 2H] with one length per row.  Returns
+    the attention weights over all T positions (exact zeros past each
+    row's length: its scores there are -inf) and the context vectors over
+    the valid positions.  `keys`, when given, is
     `attention_keys(enc_out, valid_len, p)`, computed once for every step
     of a batch instead of once per step.
     """
@@ -207,41 +247,33 @@ def attention(
     span, total = valid.shape[-2], enc_out.shape[-2]
     # numpy's own loops and an in-order softmax sum: a row's bits depend on
     # neither the other rows nor the zero padding past its length
-    b = "b" if lengths.ndim else ""
-    scores = einsum(f"{b}sa,a->{b}s", tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
-    alpha = masked_softmax(scores, np.arange(span) >= lengths[..., None], sequential=True)
-    context = einsum(f"{b}s,{b}sh->{b}h", alpha, valid)
+    scores = einsum("bsa,a->bs", tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
+    alpha = masked_softmax(scores, np.arange(span) >= lengths[:, None], sequential=True)
+    context = einsum("bs,bsh->bh", alpha, valid)
     if span < total:
-        alpha = concat_rows(alpha, Tensor(np.zeros(lengths.shape + (total - span,))))
+        alpha = concat_rows(alpha, Tensor(np.zeros((len(lengths), total - span))))
     return alpha, context
 
 
+@_batch_of_one
 def initial_decoder_state(
     enc_out: Tensor, valid_len, params: ModelParams
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Decoder start: learned tanh map of the final forward and backward
-    encoder states; zero cell state and zero initial context.  One row per
-    sequence for a batched `enc_out`."""
+    """Decoder start, one row per sequence: learned tanh map of the final
+    forward and backward encoder states; zero cell state and zero initial
+    context."""
     lengths = _check_lengths(enc_out, valid_len)
-    enc_hidden = enc_out.shape[-1] // 2
-    batch = (np.arange(lengths.size),) if lengths.ndim else ()
-    lead = tuple(slice(0, n) for n in lengths.shape)
-    final_fwd = take(enc_out, (*batch, lengths - 1, slice(0, enc_hidden)))
-    final_bwd = take(enc_out, (*lead, 0, slice(enc_hidden, 2 * enc_hidden)))
+    enc_hidden, rows = enc_out.shape[-1] // 2, len(lengths)
+    final_fwd = take(enc_out, (np.arange(rows), lengths - 1, slice(0, enc_hidden)))
+    final_bwd = take(enc_out, (slice(0, rows), 0, slice(enc_hidden, 2 * enc_hidden)))
     s0 = tanh(add(matmul(concat_rows(final_fwd, final_bwd), params.init_w), params.init_b))
-    cell0 = Tensor(np.zeros(lengths.shape + params.init_b.shape))
-    context0 = Tensor(np.zeros(lengths.shape + (2 * enc_hidden,)))
+    cell0 = Tensor(np.zeros((rows,) + params.init_b.shape))
+    context0 = Tensor(np.zeros((rows, 2 * enc_hidden)))
     return s0, cell0, context0
 
 
 def _previous_embedding(prev_id, lead: tuple[int, ...], params: ModelParams) -> Tensor:
     vocab_n = params.lib_vocab_size
-    if not lead:
-        if prev_id == BOS:
-            return params.bos
-        if not 0 <= prev_id < vocab_n:
-            raise ValueError(f"previous id {prev_id} out of vocabulary range")
-        return take(params.emb, prev_id)
     prev = np.asarray(prev_id)
     if prev.shape != lead:
         raise ValueError(f"previous ids of shape {prev.shape} do not fit states of {lead} rows")
@@ -254,22 +286,15 @@ def _previous_embedding(prev_id, lead: tuple[int, ...], params: ModelParams) -> 
 
 
 def _repeat_mask(mask_ids, lead: tuple[int, ...], vocab_n: int) -> np.ndarray:
-    if isinstance(mask_ids, np.ndarray):
-        if mask_ids.shape != lead + (vocab_n,) or mask_ids.dtype != bool:
-            raise ValueError(f"repeat mask of shape {mask_ids.shape} != {lead + (vocab_n,)} booleans")
-        if mask_ids.all(axis=-1).any():
-            raise ValueError("repeat mask covers the whole library vocabulary")
-        return mask_ids
-    if len(mask_ids) >= vocab_n:
+    masked = np.asarray(mask_ids)
+    if masked.shape != lead + (vocab_n,) or masked.dtype != bool:
+        raise ValueError(f"repeat mask of shape {masked.shape} != {lead + (vocab_n,)} booleans")
+    if masked.all(axis=-1).any():
         raise ValueError("repeat mask covers the whole library vocabulary")
-    masked = np.zeros(vocab_n, dtype=bool)
-    for i in mask_ids:
-        if not 0 <= i < vocab_n:
-            raise ValueError(f"masked id {i} out of vocabulary range")
-        masked[i] = True
     return masked
 
 
+@_batch_of_one
 def decoder_step(
     prev_id,
     context_prev: Tensor,
@@ -291,13 +316,12 @@ def decoder_step(
     zeroes every id in the repeat mask.  Callers put only previously
     emitted libraries in the mask, never EOS or PAD.
 
-    One sequence: an int `prev_id`, vector states, enc_out [T x 2H], an
-    int `valid_len` and a set of masked ids.  A batch of B sequences:
-    [B] previous ids (BOS for every row or for none), [B x .] states,
-    enc_out [B x T x 2H], [B] lengths and a [B x V] boolean mask that is
-    True at the masked ids; the caller updates that mask in place between
-    steps.  `keys` is passed on to `attention`.  With no tape, row b of
-    each result equals the one-sequence step on row b's inputs bit for bit.
+    The B rows take [B] previous ids (BOS for every row or for none),
+    [B x .] states, enc_out [B x T x 2H], [B] lengths and a [B x V]
+    boolean mask that is True at the masked ids; the caller updates that
+    mask in place between steps.  `keys` is passed on to `attention`.
+    With no tape, row b of each result equals the batch of one holding
+    row b's inputs bit for bit, and so the one-sequence step.
     """
     lead = s_prev.shape[:-1]
     prev_emb = _previous_embedding(prev_id, lead, params)
@@ -314,9 +338,10 @@ def decoder_step(
     return s_t, cell_t, context_t, logits, y_t
 
 
+@_batch_of_one
 def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
     """The encoder side of the attention scores, `enc_out @ u_a` over the
-    positions up to the longest length, for one sequence or a batch.
+    positions up to the longest length.
 
     It does not depend on the decoder state, so `attention` and
     `decoder_step` take it precomputed: once per source instead of once
@@ -341,11 +366,10 @@ def library_weights(freq: Mapping[str, int], lib_vocab: Vocabulary) -> np.ndarra
 def sequence_loss(step_probs: Sequence[Tensor], targets: Sequence, class_weights: np.ndarray) -> Tensor:
     """Weighted negative log-likelihood summed over target positions.
 
-    Step t holds a probability vector and its target id, or a [n_t x V]
-    matrix with one target id per row.  Every target (EOS included, at
-    weight 1) contributes -w * log y_t[target].  A zero target
-    probability signals a masking bug (the target itself was masked) and
-    raises.
+    Step t holds a [n_t x V] probability matrix with one target id per
+    row.  Every target (EOS included, at weight 1) contributes
+    -w * log y_t[target].  A zero target probability signals a masking
+    bug (the target itself was masked) and raises.
     """
     if len(step_probs) != len(targets):
         raise ValueError("one probability vector per target position required")
@@ -354,11 +378,11 @@ def sequence_loss(step_probs: Sequence[Tensor], targets: Sequence, class_weights
     total: Tensor | None = None
     for y_t, target in zip(step_probs, targets):
         target = np.asarray(target)
-        if target.shape != y_t.shape[:-1]:
+        if y_t.ndim != 2 or target.shape != y_t.shape[:1]:
             raise ValueError(f"targets of shape {target.shape} do not fit probabilities {y_t.shape}")
         if ((target == PAD_ID) | (target == UNK_ID)).any():
             raise ValueError("PAD/UNK cannot be loss targets")
-        picked = take(y_t, (np.arange(target.size), target) if target.ndim else int(target))
+        picked = take(y_t, (np.arange(target.size), target))
         if (picked.data <= 0.0).any():
             raise ValueError(f"target {target} has zero probability (masked target?)")
         weights = np.where(target == EOS_ID, 1.0, class_weights[np.maximum(target - N_RESERVED, 0)])

@@ -6,23 +6,23 @@ the thread's active tape (see `Tape`); with no active tape they are plain
 numpy computations.
 
 At these sizes the cost is the number of Python-level ops, so the ops take
-a batch as leading axes and the LSTM is fused.  `matmul`, `add`, `take`,
-`masked_softmax` and the cells accept one example (a vector, or a [T x .]
-matrix for a sequence) or a batch of them as [B x .] and [B x T x .]
-arrays.  A cell stores its four gates [i | f | o | g] side by side as
-`w[in x 4H]`, `u[H x 4H]` and `b[4H]`.  `lstm_cell` is one decoder step as
-one op.  `bilstm` is a whole bidirectional encoder pass as one op: each
-direction projects its input in one product `x @ w + b`, then runs the
-recurrence over [B x 4H] rows, and its backward is hand-written
-backpropagation through time (`dW = X^T dG`, `dU = H_prev^T dG`,
-`db = sum dG`, plus `dx`).
+a batch and the LSTM is fused.  `matmul`, `add` and `take` treat leading
+axes as rows; `concat_rows`, `masked_softmax` and `lstm_cell` take [B x .]
+matrices, one row per sequence, and `bilstm` takes [B x T x .] sequences.
+One sequence is a batch of one.  A cell stores its four gates
+[i | f | o | g] side by side as `w[in x 4H]`, `u[H x 4H]` and `b[4H]`.
+`lstm_cell` is one decoder step as one op.  `bilstm` is a whole
+bidirectional encoder pass as one op: each direction projects its input in
+one product `x @ w + b`, then runs the recurrence over [B x 4H] rows, and
+its backward is hand-written backpropagation through time
+(`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`, plus `dx`).
 
 With no tape, `matmul` and `lstm_cell` multiply as stacked rows
 (`_product`) and a softmax sums whole rows, so a row of a batch, such as
-a beam hypothesis, gets the bits of the one-example call.  `einsum`
-(numpy's own loops) and a `sequential` softmax (an in-order sum) keep
-them also when zeros pad the axis summed over, with or without a tape:
-attention sums over source positions with them.
+a beam hypothesis, gets the bits of the batch of one.  `einsum` (numpy's
+own loops) and a `sequential` softmax (an in-order sum) keep them also
+when zeros pad the axis summed over, with or without a tape: attention
+sums over source positions with them.
 
 Gradients accumulate in place once the tape owns the array it holds for a
 tensor, so repeated uses of a weight add into one buffer; `take` scatters
@@ -50,7 +50,6 @@ __all__ = [
     "matmul",
     "einsum",
     "add",
-    "mul",
     "scale",
     "tanh",
     "relu",
@@ -277,20 +276,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ValueError(f"mul shape mismatch: {ad.shape} * {bd.shape}")
-    out = Tensor(ad * bd)
-
-    def rule(tape, g):
-        tape._acc(a, g * bd)
-        tape._acc(b, g * ad)
-
-    _record((out,), rule)
-    return out
-
-
 def scale(x: Tensor, factor) -> Tensor:
     """Multiply by a plain (non-differentiated) scalar, or elementwise by a
     constant array of x's shape."""
@@ -332,14 +317,9 @@ def log(x: Tensor) -> Tensor:
 
 
 def concat_rows(*parts: Tensor) -> Tensor:
-    """Concatenate along the last axis (vectors end to end, matrices by column)."""
-    if not parts:
-        raise ValueError("concat_rows needs at least one operand")
-    ndim = parts[0].ndim
-    if ndim not in (1, 2) or any(p.ndim != ndim for p in parts):
-        raise ValueError("concat_rows operands must all be 1-D or all 2-D")
-    if ndim == 2 and len({p.shape[0] for p in parts}) != 1:
-        raise ValueError("concat_rows matrices must share their row count")
+    """Concatenate [B x .] matrices along their columns."""
+    if not parts or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ValueError("concat_rows takes one or more matrices with a shared row count")
     out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     widths = [p.shape[-1] for p in parts]
 
@@ -386,11 +366,11 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def _softmax_rows(logits: np.ndarray, valid: np.ndarray, sequential: bool) -> np.ndarray:
-    """Softmax over the `valid` positions of a vector or of each matrix row,
-    exact zeros (exp(-inf)) elsewhere.  The sums run over whole rows, zeros
-    included, so a matrix row gets the bits of the same vector alone; a
-    `sequential` sum adds one position after another (np.cumsum), so that
-    masked positions appended to a row leave its bits unchanged too."""
+    """Softmax over the `valid` positions of each matrix row, exact zeros
+    (exp(-inf)) elsewhere.  The sums run over whole rows, zeros included,
+    so a row gets the bits of the same row alone; a `sequential` sum adds
+    one position after another (np.cumsum), so that masked positions
+    appended to a row leave its bits unchanged too."""
     y = np.where(valid, logits, -np.inf)
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
@@ -399,10 +379,10 @@ def _softmax_rows(logits: np.ndarray, valid: np.ndarray, sequential: bool) -> np
 
 
 def masked_softmax(logits: Tensor, mask, sequential: bool = False) -> Tensor:
-    """Softmax over the last axis of a vector or of each row of a matrix,
-    skipping the masked positions.
+    """Softmax over each row of a [B x N] matrix, skipping the masked
+    positions.
 
-    The mask is a boolean array of the shape of `logits`, True where
+    The mask is a boolean matrix of the shape of `logits`, True where
     masked.  Masked positions are skipped in the exp-sum instead of added,
     so the output is exactly zero there and never NaN.  The mask is a
     constant: backward only flows into `logits`.  `sequential` sums the
@@ -411,8 +391,8 @@ def masked_softmax(logits: Tensor, mask, sequential: bool = False) -> Tensor:
     row.
     """
     ld, md = logits.data, np.asarray(mask)
-    if ld.ndim not in (1, 2) or md.shape != ld.shape or md.dtype != bool:
-        raise ValueError("masked_softmax expects a vector or a matrix and an equal-shape boolean mask")
+    if ld.ndim != 2 or md.shape != ld.shape or md.dtype != bool:
+        raise ValueError("masked_softmax expects a matrix and an equal-shape boolean mask")
     if md.all(axis=-1).any():
         raise ValueError("all positions masked")
     y = _softmax_rows(ld, ~md, sequential)
@@ -438,10 +418,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tens
 
 
 def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
-    """The cell update from fused pre-activations `z[..., 4H]`, gate
+    """The cell update from fused pre-activations `z[B x 4H]`, gate
     columns [i | f | o | g]; returns (h, c, what the backward needs).
-    Elementwise only, so each row of a [B x 4H] batch gets the bits a
-    single vector would."""
+    Elementwise only, so each row gets the bits of the batch of one."""
     hidden = z.shape[-1] // 4
     ifo = _sigmoid(z[..., : 3 * hidden])
     g = np.tanh(z[..., 3 * hidden :])
@@ -451,7 +430,7 @@ def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
 
 
 def _lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, saved):
-    """Gradients of one cell update, for a vector or [B x H] rows: (dz, dc_prev)."""
+    """Gradients of one cell update over [B x H] rows: (dz, dc_prev)."""
     ifo, g, c_prev, tanh_c = saved
     hidden = g.shape[-1]
     i, f, o = ifo[..., :hidden], ifo[..., hidden : 2 * hidden], ifo[..., 2 * hidden :]
@@ -479,10 +458,10 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
 
     `z = x @ w + h @ u + b` holds the pre-activations of the gates
     [i | f | o | g]; c' = f*c + i*g and h' = o*tanh(c').  x, h and c are
-    vectors, or [B x .] matrices with one row per sequence.
+    [B x .] matrices with one row per sequence.
     """
-    hidden = _check_cell(w, u, b, x.shape[-1] if x.ndim in (1, 2) else -1)
-    if h.shape != x.shape[:-1] + (hidden,) or c.shape != h.shape:
+    hidden = _check_cell(w, u, b, x.shape[-1] if x.ndim == 2 else -1)
+    if h.shape != (x.shape[0], hidden) or c.shape != h.shape:
         raise ValueError(f"LSTM state shapes {h.shape}, {c.shape} do not fit hidden size {hidden}")
     xd, hd = x.data, h.data
     h_new, c_new, saved = _lstm_gates(_product(xd, w.data) + _product(hd, u.data) + b.data, c.data)
@@ -495,10 +474,9 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
         tape._acc(x, dz @ w.data.T)
         tape._acc(h, dz @ u.data.T)
         tape._acc(c, dc_prev)
-        x_rows, h_rows, dz_rows = np.atleast_2d(xd, hd, dz)
-        tape._acc(w, x_rows.T @ dz_rows)
-        tape._acc(u, h_rows.T @ dz_rows)
-        tape._acc(b, dz_rows.sum(axis=0))
+        tape._acc(w, xd.T @ dz)
+        tape._acc(u, hd.T @ dz)
+        tape._acc(b, dz.sum(axis=0))
 
     _record((h_out, c_out), rule)
     return h_out, c_out
@@ -508,11 +486,11 @@ Cell = tuple[Tensor, Tensor, Tensor]  # fused (w, u, b)
 
 
 def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
-    """Bidirectional LSTM as one op over x [T x in] with an int `valid_len`,
-    or over a batch x [B x T x in] with one length per row.  A plain array
-    x is a constant: backward skips its gradient, the `dG @ w^T` products.
+    """Bidirectional LSTM as one op over a batch x [B x T x in] with one
+    length per row in `valid_len`.  A plain array x is a constant: backward
+    skips its gradient, the `dG @ w^T` products.
 
-    Position t of the [.. x T x 2H] result is the left-to-right state at t
+    Position t of the [B x T x 2H] result is the left-to-right state at t
     next to the right-to-left state at t.  Both directions start from zero
     state and cell; the right-to-left one starts at each row's own last
     token.  Positions from a row's length on get exactly zero output and
@@ -521,19 +499,17 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     """
     lengths = np.asarray(valid_len)
     x_data = (x if isinstance(x, Tensor) else Tensor(x)).data
-    if x_data.ndim not in (2, 3) or lengths.shape != x_data.shape[:-2]:
+    if x_data.ndim != 3 or lengths.shape != x_data.shape[:1]:
         raise ValueError(f"valid_len {valid_len} does not fit input of shape {x_data.shape}")
     if not ((lengths >= 1) & (lengths <= x_data.shape[-2])).all():
         raise ValueError(f"valid_len {valid_len} out of range for input of shape {x_data.shape}")
     hidden = _check_cell(*fwd, x_data.shape[-1])
     if _check_cell(*bwd, x_data.shape[-1]) != hidden:
         raise ValueError("encoder directions must share a hidden size")
-    lens = lengths.reshape(-1)
-    rows, span, n_in = len(lens), int(lens.max()), x_data.shape[-1]
-    xd = x_data.reshape(rows, -1, n_in)[:, :span]
-    x_flat = xd.reshape(-1, n_in)
+    rows, span, n_in = len(lengths), int(lengths.max()), x_data.shape[-1]
+    x_flat = x_data[:, :span].reshape(-1, n_in)
     # a position past a row's length keeps that row's state at zero
-    inside = np.arange(span) < lens[:, None]
+    inside = np.arange(span) < lengths[:, None]
     ragged = ~inside.all(axis=0)
     runs = []
     for (w, u, b), steps in ((fwd, range(span)), (bwd, range(span - 1, -1, -1))):
@@ -553,11 +529,10 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     out_data = np.zeros((rows, x_data.shape[-2], 2 * hidden), dtype=np.result_type(runs[0][0], runs[1][0]))
     out_data[:, :span, :hidden] = runs[0][0]
     out_data[:, :span, hidden:] = runs[1][0]
-    out = Tensor(out_data.reshape(x_data.shape[:-1] + (2 * hidden,)))
+    out = Tensor(out_data)
 
     def rule(tape, g):
-        g = g.reshape(rows, -1, 2 * hidden)
-        dx = np.zeros((rows, x_data.shape[-2], n_in)) if isinstance(x, Tensor) else None
+        dx = np.zeros(x_data.shape) if isinstance(x, Tensor) else None
         for (w, u, b), (_, previous, saved), steps, cols in (
             (fwd, runs[0], range(span - 1, -1, -1), slice(0, hidden)),
             (bwd, runs[1], range(span), slice(hidden, 2 * hidden)),
@@ -577,7 +552,7 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
             if dx is not None:
                 dx[:, :span] += (dg_flat @ w.data.T).reshape(rows, span, n_in)
         if dx is not None:
-            tape._acc(x, dx.reshape(x_data.shape))
+            tape._acc(x, dx)
 
     _record((out,), rule)
     return out

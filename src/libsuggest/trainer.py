@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import N_RESERVED, PAD_ID, PreparedDataset, PreprocTables, Vocabulary
+from .corpus import N_RESERVED, PAD_ID, PreparedDataset, PreprocTables, Vocabulary, is_string_list
 from .embeddings import EmbeddingTable, vocab_matrix
 from .model import (
     ModelParams,
@@ -349,7 +349,9 @@ def _config_from_header(raw) -> TrainConfig:
 
 def _vocabulary(header: dict, name: str) -> Vocabulary:
     with _field(name):
-        return Vocabulary(_strings(header[name]))
+        if not is_string_list(header[name]):
+            raise TypeError("not a list of strings")
+        return Vocabulary(header[name])
 
 
 def _tensor_shapes(cfg: TrainConfig, n_words: int, n_libs: int) -> dict[str, tuple[int, ...]]:
@@ -491,12 +493,6 @@ def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{value!r} is not a string")
     return value
-
-
-def _strings(values) -> list[str]:
-    if not isinstance(values, list):
-        raise TypeError(f"{values!r} is not a list")
-    return [_string(v) for v in values]
 
 
 def _integer(value) -> int:

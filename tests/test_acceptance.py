@@ -144,7 +144,7 @@ def test_3_beam_search_oracle():
     for seed in range(50):
         ckpt = _synth.random_checkpoint(seed, n_libs=5)
         tokens = ["t0", "t3", "t5"]
-        beam_ids, _ = _beam(tokens, ckpt, 200, 3)
+        [(beam_ids, _)] = _beam([tokens], ckpt, 200, 3)
         oracle = _exhaustive_best(ckpt, tokens, 3)
         if tuple(beam_ids) != oracle:
             mismatches.append((seed, beam_ids, oracle))

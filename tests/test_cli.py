@@ -55,6 +55,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
+    def test_text_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed = 1\n\xff\n")
+        with pytest.raises(DatasetError, match=r"^line 2: .*c\.cfg: not UTF-8"):
+            load_config(path)
+
     def test_dropout_one_rejected_at_validation(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("dropout_p = 1.0\n", encoding="utf-8")
@@ -368,6 +374,54 @@ def test_mutated_prepared_directory_only_raises_dataset_error(pipeline, tmp_path
             _load_prepared(str(tmp_path), cfg)
         except DatasetError:
             pass
+
+    run()
+
+
+@pytest.mark.parametrize("loader", ["dataset", "word_list", "lemma_table", "embeddings", "config", "test_set"])
+def test_mutated_input_files_only_raise_their_typed_errors(pipeline, tmp_path, loader):
+    """Byte edits of one input file, with binary or text-like bytes: its
+    loader either returns or fails with its typed error, never with a bare
+    decoding error (a UnicodeDecodeError is a ValueError too)."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from libsuggest.corpus import load_dataset, load_lemma_table, load_word_list
+    from libsuggest.embeddings import EmbeddingFormatError, load_embeddings
+    from libsuggest.trainer import load_checkpoint
+
+    files, ckpt = pipeline["files"], load_checkpoint(pipeline["ckpt"])
+    source, load, error = {
+        "dataset": (files["dataset"], load_dataset, DatasetError),
+        "word_list": (files["stopwords"], load_word_list, DatasetError),
+        "lemma_table": (files["lemma"], load_lemma_table, DatasetError),
+        "embeddings": (files["embeddings"], load_embeddings, EmbeddingFormatError),
+        "config": (files["config"], load_config, ValueError),
+        "test_set": (pipeline["prep"] / "test.jsonl", lambda path: _load_test_set(path, ckpt), DatasetError),
+    }[loader]
+    original, path = source.read_bytes(), tmp_path / source.name
+    raw = st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.text('[]{}",:=#0123-.en\t\n <>', min_size=1, max_size=4).map(str.encode),
+    )
+    edits = st.lists(st.tuples(st.integers(0, 2**20), raw), min_size=1, max_size=3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edits, st.integers(-16, 16))
+    def run(byte_edits, resize):
+        data = bytearray(original)
+        for at, chunk in byte_edits:
+            at %= len(data) + 1
+            data[at : at + len(chunk)] = chunk
+        if resize > 0:
+            data += bytes(resize)
+        elif resize < 0:
+            del data[resize:]
+        path.write_bytes(bytes(data))
+        try:
+            load(path)
+        except error as exc:
+            assert not isinstance(exc, UnicodeError), exc
 
     run()
 

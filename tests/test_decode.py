@@ -126,7 +126,7 @@ class TestBeamSearch:
     def test_saturating_width_matches_exhaustive_enumeration(self):
         for seed in range(20):
             ckpt = _synth.random_checkpoint(seed)
-            ids, probs = _beam(TOKENS, ckpt, 200, 3)
+            ids, probs = _beam([TOKENS], ckpt, 200, 3)[0]
             _, oracle_seq = exhaustive_best(ckpt, TOKENS, 3)
             assert tuple(ids) == oracle_seq
 
@@ -135,20 +135,20 @@ class TestBeamSearch:
         # scores comparable across widths
         for seed in range(60):
             ckpt = _synth.random_checkpoint(seed)
-            _, greedy_probs = _beam(TOKENS, ckpt, 1, 6)
+            _, greedy_probs = _beam([TOKENS], ckpt, 1, 6)[0]
             greedy_score = sum(math.log(p) for p in greedy_probs)
             for width in (2, 3, 5):
-                _, probs = _beam(TOKENS, ckpt, width, 6)
+                _, probs = _beam([TOKENS], ckpt, width, 6)[0]
                 score = sum(math.log(p) for p in probs)
                 assert score >= greedy_score - 1e-12
 
     def test_score_never_exceeds_saturating_width(self):
         for seed in range(60):
             ckpt = _synth.random_checkpoint(seed)
-            _, sat_probs = _beam(TOKENS, ckpt, 200, 6)
+            _, sat_probs = _beam([TOKENS], ckpt, 200, 6)[0]
             sat_score = sum(math.log(p) for p in sat_probs)
             for width in (1, 2, 3, 5):
-                _, probs = _beam(TOKENS, ckpt, width, 6)
+                _, probs = _beam([TOKENS], ckpt, width, 6)[0]
                 score = sum(math.log(p) for p in probs)
                 assert score <= sat_score + 1e-12
 
@@ -172,7 +172,7 @@ class TestBatchedBeamMatchesReference:
 
     def check(self, ckpt, tokens, max_steps):
         for width in self.WIDTHS:
-            assert _beam(tokens, ckpt, width, max_steps) == reference_beam(tokens, ckpt, width, max_steps), (
+            assert _beam([tokens], ckpt, width, max_steps)[0] == reference_beam(tokens, ckpt, width, max_steps), (
                 width,
                 max_steps,
             )
@@ -196,7 +196,7 @@ class TestBatchedBeamMatchesReference:
             ckpt = tie_checkpoint(seed)
             for max_steps in (3, 6):
                 self.check(ckpt, TOKENS, max_steps)
-            ids, _ = _beam(TOKENS, ckpt, 200, 3)
+            ids, _ = _beam([TOKENS], ckpt, 200, 3)[0]
             assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
             for first, twin in ((3, 4), (5, 6)):
                 if twin in ids:
@@ -209,7 +209,7 @@ class TestBatchedBeamMatchesReference:
             ckpt = _synth.random_checkpoint(seed)
             ckpt.params.out.w_o.data[:] = 0.0
             for width in (1, 3, 200):
-                ids, probs = _beam(TOKENS, ckpt, width, 3)
+                ids, probs = _beam([TOKENS], ckpt, width, 3)[0]
                 assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
                 assert (ids, probs) == reference_beam(TOKENS, ckpt, width, 3)
             assert beam_search(TOKENS, ckpt, 1, 6) == greedy_decode(TOKENS, ckpt, 6)
@@ -234,7 +234,7 @@ class TestManyQueries:
         rng = np.random.default_rng(width)
         for seed in range(12):
             ckpt = _synth.random_checkpoint(seed, n_libs=40 if seed % 2 else 5)
-            alone = [_beam(tokens, ckpt, width, 6) for tokens in self.SOURCES]
+            alone = [_beam([tokens], ckpt, width, 6)[0] for tokens in self.SOURCES]
             assert _beam(self.SOURCES, ckpt, width, 6) == alone
             order = rng.permutation(len(self.SOURCES))
             assert _beam([self.SOURCES[i] for i in order], ckpt, width, 6) == [alone[i] for i in order]
@@ -271,7 +271,7 @@ class TestManyQueries:
         assert seed_score >= math.log(y0.data[N_RESERVED:].max())
         for width in (2, 3, 5):
             for max_steps in (6, 12):
-                assert _beam(TOKENS, ckpt, width, max_steps) == reference_beam(TOKENS, ckpt, width, max_steps)
+                assert _beam([TOKENS], ckpt, width, max_steps)[0] == reference_beam(TOKENS, ckpt, width, max_steps)
 
     def test_seed_completion_stops_the_beam_at_its_own_step(self, monkeypatch):
         # unscaled: greedy completes at step 10 with a score above the best
@@ -280,10 +280,10 @@ class TestManyQueries:
         # The only such case in a scan of seeds 0-99 with 5, 8, 12 and 40
         # libraries that counted the steps of both
         ckpt = _synth.random_checkpoint(59, n_libs=40)
-        assert _beam(TOKENS, ckpt, 2, 12) == reference_beam(TOKENS, ckpt, 2, 12)
+        assert _beam([TOKENS], ckpt, 2, 12)[0] == reference_beam(TOKENS, ckpt, 2, 12)
         calls = []
         monkeypatch.setattr(decode, "decoder_step", lambda *a, **kw: calls.append(None) or decoder_step(*a, **kw))
-        _beam(TOKENS, ckpt, 2, 12)
+        _beam([TOKENS], ckpt, 2, 12)
         assert len(calls) == 11
 
 

@@ -39,6 +39,17 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="empty"):
             load_embeddings(path)
 
+    def test_header_after_a_blank_first_line_is_an_empty_file(self, tmp_path):
+        path = write(tmp_path / "e.txt", "\n1 2\ncat 1 0\n")
+        with pytest.raises(EmbeddingFormatError, match="empty"):
+            load_embeddings(path)
+
+    def test_text_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"1 2\nw 0.5 \xff\n")
+        with pytest.raises(EmbeddingFormatError, match=r"^line 2: .*e\.txt: not UTF-8"):
+            load_embeddings(path)
+
     def test_count_mismatch(self, tmp_path):
         path = write(tmp_path / "e.txt", "3 2\ncat 1 0\n")
         with pytest.raises(EmbeddingFormatError, match="declares 3"):

@@ -42,14 +42,14 @@ def tiny_params(seed, n_regular=6, embed_dim=8, hidden=4, lib_embed=8):
 class TestLstmStep:
     def test_zero_params_zero_cell(self):
         p = zero_lstm(3, 2)
-        h, c = lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p.w, p.u, p.b)
-        np.testing.assert_array_equal(h.data, np.zeros(2))
-        np.testing.assert_array_equal(c.data, np.zeros(2))
+        h, c = lstm_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), p.w, p.u, p.b)
+        np.testing.assert_array_equal(h.data, np.zeros((1, 2)))
+        np.testing.assert_array_equal(c.data, np.zeros((1, 2)))
 
     def test_zero_params_nonzero_cell(self):
         p = zero_lstm(3, 2)
-        v = np.array([0.4, -1.2])
-        h, c = lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(v), p.w, p.u, p.b)
+        v = np.array([[0.4, -1.2]])
+        h, c = lstm_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(v), p.w, p.u, p.b)
         np.testing.assert_allclose(c.data, 0.5 * v, atol=1e-15)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
@@ -57,9 +57,9 @@ class TestLstmStep:
         rng = np.random.default_rng(9)
         params, _ = tiny_params(9)
         cell = params.dec
-        x = Tensor(rng.normal(size=(cell.input_size,)))
-        h0 = Tensor(rng.normal(size=(cell.hidden_size,)))
-        c0 = Tensor(rng.normal(size=(cell.hidden_size,)))
+        x = Tensor(rng.normal(size=(1, cell.input_size)))
+        h0 = Tensor(rng.normal(size=(1, cell.hidden_size)))
+        c0 = Tensor(rng.normal(size=(1, cell.hidden_size)))
 
         def f():
             h, c = lstm_cell(x, h0, c0, cell.w, cell.u, cell.b)
@@ -134,42 +134,42 @@ class TestEncode:
 class TestAttention:
     def test_single_valid_state_gets_full_weight(self):
         params, rng = tiny_params(5)
-        enc_out = Tensor(rng.normal(size=(4, 8)))
-        s = Tensor(rng.normal(size=(4,)))
-        alpha, context = attention(s, enc_out, 1, params.attn)
-        np.testing.assert_array_equal(alpha.data, [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(context.data, enc_out.data[0])
+        enc_out = Tensor(rng.normal(size=(1, 4, 8)))
+        s = Tensor(rng.normal(size=(1, 4)))
+        alpha, context = attention(s, enc_out, np.array([1]), params.attn)
+        np.testing.assert_array_equal(alpha.data, [[1.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(context.data, enc_out.data[:, 0])
 
     def test_identical_rows_give_uniform_weights(self):
         params, rng = tiny_params(6)
         one = rng.normal(size=8)
-        enc_out = Tensor(np.tile(one, (3, 1)))
-        s = Tensor(rng.normal(size=(4,)))
-        alpha, _ = attention(s, enc_out, 3, params.attn)
-        np.testing.assert_allclose(alpha.data, np.full(3, 1 / 3), atol=1e-12)
+        enc_out = Tensor(np.tile(one, (1, 3, 1)))
+        s = Tensor(rng.normal(size=(1, 4)))
+        alpha, _ = attention(s, enc_out, np.array([3]), params.attn)
+        np.testing.assert_allclose(alpha.data, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_weights_nonnegative_sum_one_zero_on_pad(self):
         params, rng = tiny_params(7)
         for _ in range(25):
             total = int(rng.integers(2, 7))
             valid = int(rng.integers(1, total + 1))
-            enc_out = Tensor(rng.normal(size=(total, 8)))
-            s = Tensor(rng.normal(size=(4,)))
-            alpha, _ = attention(s, enc_out, valid, params.attn)
-            a = alpha.data
+            enc_out = Tensor(rng.normal(size=(1, total, 8)))
+            s = Tensor(rng.normal(size=(1, 4)))
+            alpha, _ = attention(s, enc_out, np.array([valid]), params.attn)
+            a = alpha.data[0]
             assert (a >= 0).all()
             assert abs(a[:valid].sum() - 1.0) <= 1e-9
             assert (a[valid:] == 0.0).all()
 
     def test_score_path_gradients_pass_fd_check(self):
         params, rng = tiny_params(8)
-        enc_out = Tensor(rng.normal(size=(3, 8)))
-        s = Tensor(rng.normal(size=(4,)))
+        enc_out = Tensor(rng.normal(size=(1, 3, 8)))
+        s = Tensor(rng.normal(size=(1, 4)))
 
         def f():
             from libsuggest.tensor import sum_all
 
-            _, context = attention(s, enc_out, 3, params.attn)
+            _, context = attention(s, enc_out, np.array([3]), params.attn)
             return sum_all(context)
 
         err = finite_difference_check(
@@ -187,11 +187,11 @@ class TestAttention:
         readout = Tensor(rng.normal(size=(3, 13)))
 
         def f():
-            from libsuggest.tensor import concat_rows, mul, sum_all
+            from libsuggest.tensor import concat_rows, einsum, sum_all
 
             keys = attention_keys(enc_out, lengths, params.attn)
             alpha, context = attention(s, enc_out, lengths, params.attn, keys)
-            return sum_all(mul(concat_rows(alpha, context), readout))
+            return sum_all(einsum("bk,bk->bk", concat_rows(alpha, context), readout))
 
         attn = [params.attn.w_a, params.attn.u_a, params.attn.v_a]
         assert finite_difference_check(f, [*attn, s, enc_out], max_coords_per_tensor=1000) < 1e-4
@@ -203,9 +203,9 @@ class TestAttention:
         s = rng.normal(size=(4, 4))
         alpha, context = attention(Tensor(s), Tensor(enc_out), lengths, params.attn)
         for b, n in enumerate(lengths):
-            a_b, c_b = attention(Tensor(s[b]), Tensor(enc_out[b]), int(n), params.attn)
-            np.testing.assert_allclose(alpha.data[b], a_b.data, rtol=1e-13, atol=1e-16)
-            np.testing.assert_allclose(context.data[b], c_b.data, rtol=1e-13, atol=1e-16)
+            a_b, c_b = attention(Tensor(s[b : b + 1]), Tensor(enc_out[b : b + 1]), lengths[b : b + 1], params.attn)
+            np.testing.assert_allclose(alpha.data[b], a_b.data[0], rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(context.data[b], c_b.data[0], rtol=1e-13, atol=1e-16)
             assert (alpha.data[b, n:] == 0.0).all()
 
 
@@ -373,6 +373,62 @@ class TestDecoderStepBatch:
             step([BOS], np.zeros((2, 8), dtype=bool))
 
 
+class TestBatchOfOne:
+    """An int length marks one sequence: `encode`, `initial_decoder_state`,
+    `attention_keys` and `decoder_step` run it as a batch of one and return
+    row 0, with no tape only."""
+
+    @staticmethod
+    def one_sequence(seed):
+        params, rng = tiny_params(seed)
+        x = Tensor(rng.normal(size=(4, 8)))
+        enc_out = encode(x, 3, params.enc_fwd, params.enc_bwd)
+        return params, x, enc_out, initial_decoder_state(enc_out, 3, params)
+
+    def test_unbatched_calls_rejected_under_a_tape(self):
+        from libsuggest.tensor import Tape
+
+        params, x, enc_out, (s, cell, ctx) = self.one_sequence(16)
+        calls = {
+            "encode": lambda: encode(x, 3, params.enc_fwd, params.enc_bwd),
+            "initial_decoder_state": lambda: initial_decoder_state(enc_out, 3, params),
+            "attention_keys": lambda: attention_keys(enc_out, 3, params.attn),
+            "decoder_step": lambda: decoder_step(BOS, ctx, s, cell, enc_out, 3, set(), params),
+        }
+        for name, call in calls.items():
+            with Tape():
+                with pytest.raises(ValueError, match=f"{name} takes a batch under a tape"):
+                    call()
+            call()
+
+    def test_masked_id_outside_the_vocabulary_rejected(self):
+        params, _, enc_out, (s, cell, ctx) = self.one_sequence(18)
+        for bad in (-1, params.lib_vocab_size):
+            with pytest.raises(ValueError, match=f"masked id {bad} out of vocabulary range"):
+                decoder_step(BOS, ctx, s, cell, enc_out, 3, {N_RESERVED, bad}, params)
+
+    def test_results_are_row_0_of_the_batch_of_one(self):
+        params, x, enc_out, state = self.one_sequence(17)
+        length, lift = np.array([3]), lambda t: Tensor(t.data[None])
+        keys = attention_keys(enc_out, 3, params.attn)
+        pairs = [
+            (enc_out, encode(lift(x), length, params.enc_fwd, params.enc_bwd)),
+            (keys, attention_keys(lift(enc_out), length, params.attn)),
+            *zip(state, initial_decoder_state(lift(enc_out), length, params)),
+        ]
+        s, cell, ctx = state
+        for prev, mask in ((BOS, set()), (N_RESERVED + 1, {N_RESERVED + 1, N_RESERVED + 3})):
+            row = np.zeros((1, params.lib_vocab_size), dtype=bool)
+            row[0, list(mask)] = True
+            one = decoder_step(prev, ctx, s, cell, enc_out, 3, mask, params, keys=keys)
+            batch = decoder_step(
+                np.array([prev]), lift(ctx), lift(s), lift(cell), lift(enc_out), length, row, params, keys=lift(keys)
+            )
+            pairs += zip(one, batch)
+        for single, batched in pairs:
+            assert single.shape == batched.shape[1:] and np.array_equal(single.data, batched.data[0])
+
+
 class TestLibraryWeights:
     def test_two_libraries_direct(self):
         vocab = Vocabulary(["a", "b"])
@@ -401,9 +457,9 @@ class TestLibraryWeights:
 
 class TestSequenceLoss:
     def test_single_target_half_probability(self):
-        y = Tensor([0.25, 0.25, 0.5])
+        y = Tensor([[0.25, 0.25, 0.5]])
         w = np.array([1.0] * 3)
-        loss = sequence_loss([y], [2], w)
+        loss = sequence_loss([y], [[2]], w)
         assert math.isclose(loss.item(), -math.log(0.5), rel_tol=1e-12)
 
     def test_perfect_prediction_zero_loss(self):
@@ -412,38 +468,38 @@ class TestSequenceLoss:
         y_eos = np.zeros(6)
         y_eos[EOS_ID] = 1.0
         w = np.full(3, 0.5)
-        loss = sequence_loss([Tensor(y_lib), Tensor(y_eos)], [4, EOS_ID], w)
+        loss = sequence_loss([Tensor(y_lib[None]), Tensor(y_eos[None])], [[4], [EOS_ID]], w)
         assert loss.item() == 0.0
 
     def test_doubling_weights_doubles_library_terms(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(6))
-        y = Tensor(probs)
+        y = Tensor(probs[None])
         w = np.array([0.3, 0.5, 0.7])
-        single = sequence_loss([y], [4], w).item()
-        double = sequence_loss([y], [4], 2 * w).item()
+        single = sequence_loss([y], [[4]], w).item()
+        double = sequence_loss([y], [[4]], 2 * w).item()
         assert math.isclose(double, 2 * single, rel_tol=1e-12)
 
     def test_eos_uses_weight_one(self):
         probs = np.full(6, 1 / 6)
-        loss = sequence_loss([Tensor(probs)], [EOS_ID], np.full(3, 123.0)).item()
+        loss = sequence_loss([Tensor(probs[None])], [[EOS_ID]], np.full(3, 123.0)).item()
         assert math.isclose(loss, -math.log(1 / 6), rel_tol=1e-12)
 
     def test_zero_probability_target_raises(self):
         y = np.zeros(6)
         y[3] = 1.0
         with pytest.raises(ValueError, match="zero probability"):
-            sequence_loss([Tensor(y)], [4], np.full(3, 0.5))
+            sequence_loss([Tensor(y[None])], [[4]], np.full(3, 0.5))
 
     def test_pad_target_rejected(self):
         with pytest.raises(ValueError, match="PAD/UNK"):
-            sequence_loss([Tensor(np.full(6, 1 / 6))], [PAD_ID], np.full(3, 0.5))
+            sequence_loss([Tensor(np.full((1, 6), 1 / 6))], [[PAD_ID]], np.full(3, 0.5))
 
     def test_loss_nonnegative_equality_iff_perfect(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             probs = rng.dirichlet(np.ones(6) * rng.uniform(0.5, 3))
-            loss = sequence_loss([Tensor(probs)], [5], np.full(3, 0.9)).item()
+            loss = sequence_loss([Tensor(probs[None])], [[5]], np.full(3, 0.9)).item()
             assert loss >= 0.0
             assert (loss == 0.0) == (probs[5] == 1.0)
 
@@ -506,24 +562,25 @@ def odd_params(seed):
 
 
 class TestBatchLoss:
-    """`batch_loss` against a reference built from the one-sequence
-    functions, example by example."""
+    """`batch_loss` against a reference built from batches of one,
+    example by example."""
 
     def reference(self, params, x, lengths, targets):
         from libsuggest.tensor import add
 
         total = None
         for row, n, target in zip(x, lengths, targets):
-            enc_out = encode(Tensor(row), int(n), params.enc_fwd, params.enc_bwd)
-            s, cell, ctx = initial_decoder_state(enc_out, int(n), params)
-            probs, mask, prev = [], set(), BOS
+            length = np.array([n])
+            enc_out = encode(Tensor(row[None]), length, params.enc_fwd, params.enc_bwd)
+            s, cell, ctx = initial_decoder_state(enc_out, length, params)
+            probs, mask, prev = [], np.zeros((1, params.lib_vocab_size), dtype=bool), BOS
             for t in target:
-                s, cell, ctx, _, y = decoder_step(prev, ctx, s, cell, enc_out, int(n), mask, params)
+                s, cell, ctx, _, y = decoder_step(np.array([prev]), ctx, s, cell, enc_out, length, mask.copy(), params)
                 probs.append(y)
                 if t != EOS_ID:
-                    mask.add(t)
+                    mask[0, t] = True
                 prev = t
-            loss = sequence_loss(probs, target, params.class_weights)
+            loss = sequence_loss(probs, [[t] for t in target], params.class_weights)
             total = loss if total is None else add(total, loss)
         return total
 

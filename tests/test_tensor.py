@@ -18,7 +18,6 @@ from libsuggest.tensor import (
     lstm_cell,
     masked_softmax,
     matmul,
-    mul,
     relu,
     scale,
     sum_all,
@@ -121,9 +120,11 @@ class TestElementwise:
         assert np.isfinite(out).all()
         assert out[0] == 0.0 and out[1] == 1.0
 
-    def test_concat_vectors(self):
-        out = concat_rows(Tensor([1.0, 2.0]), Tensor([3.0]))
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+    def test_concat_rejects_vectors(self):
+        with pytest.raises(ValueError, match="matrices"):
+            concat_rows(Tensor([1.0, 2.0]), Tensor([3.0]))
+        with pytest.raises(ValueError, match="matrices"):
+            concat_rows(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1))))
 
     def test_concat_matrices_along_last_axis(self):
         a = Tensor([[1.0], [2.0]])
@@ -134,10 +135,6 @@ class TestElementwise:
         m = Tensor(np.zeros((2, 3)))
         bias = Tensor([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(add(m, bias).data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-
-    def test_mul_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mul(Tensor([1.0]), Tensor([1.0, 2.0]))
 
     def test_slicing_ops(self):
         m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -150,37 +147,39 @@ class TestElementwise:
 
 class TestMaskedSoftmax:
     def test_unmasked_direct_values(self):
-        logits = Tensor([math.log(2.0), math.log(1.0), math.log(1.0)])
-        out = masked_softmax(logits, np.zeros(3, dtype=bool))
-        np.testing.assert_allclose(out.data, [0.5, 0.25, 0.25], atol=1e-15)
+        logits = Tensor([[math.log(2.0), math.log(1.0), math.log(1.0)]])
+        out = masked_softmax(logits, np.zeros((1, 3), dtype=bool))
+        np.testing.assert_allclose(out.data, [[0.5, 0.25, 0.25]], atol=1e-15)
 
     def test_masked_position_exactly_zero_and_renormalized(self):
-        logits = Tensor([math.log(2.0), 0.0, 0.0])
-        out = masked_softmax(logits, np.array([True, False, False]))
-        assert out.data[0] == 0.0
-        np.testing.assert_allclose(out.data, [0.0, 0.5, 0.5], atol=1e-15)
+        logits = Tensor([[math.log(2.0), 0.0, 0.0]])
+        out = masked_softmax(logits, np.array([[True, False, False]]))
+        assert out.data[0, 0] == 0.0
+        np.testing.assert_allclose(out.data, [[0.0, 0.5, 0.5]], atol=1e-15)
 
     def test_uniform_logits_give_uniform_output(self):
-        out = masked_softmax(Tensor(np.full(5, 3.7)), np.zeros(5, dtype=bool))
-        np.testing.assert_allclose(out.data, np.full(5, 0.2), atol=1e-15)
+        out = masked_softmax(Tensor(np.full((1, 5), 3.7)), np.zeros((1, 5), dtype=bool))
+        np.testing.assert_allclose(out.data, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_all_masked_raises(self):
         with pytest.raises(ValueError, match="masked"):
-            masked_softmax(Tensor([1.0, 2.0]), np.array([True, True]))
+            masked_softmax(Tensor([[1.0, 2.0]]), np.array([[True, True]]))
 
     def test_mask_entries_validated(self):
         # a mask holds booleans; the 0/-inf float form is gone
         with pytest.raises(ValueError, match="boolean mask"):
-            masked_softmax(Tensor([1.0, 2.0]), np.array([0.0, -np.inf]))
+            masked_softmax(Tensor([[1.0, 2.0]]), np.array([[0.0, -np.inf]]))
+        with pytest.raises(ValueError, match="matrix"):
+            masked_softmax(Tensor([1.0, 2.0]), np.array([False, False]))
 
     def test_sums_to_one_with_random_masks(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(2, 9))
-            logits = Tensor(rng.normal(size=n) * 5)
-            masked = rng.random(n) < 0.4
+            logits = Tensor(rng.normal(size=(1, n)) * 5)
+            masked = rng.random((1, n)) < 0.4
             if masked.all():
-                masked[0] = False
+                masked[0, 0] = False
             out = masked_softmax(logits, masked).data
             assert abs(out.sum() - 1.0) <= 1e-9
             assert (out >= 0).all()
@@ -189,9 +188,9 @@ class TestMaskedSoftmax:
     def test_sequential_sum_ignores_masked_positions_appended(self):
         rng = np.random.default_rng(12)
         for n in (1, 7, 8, 9, 31, 32):
-            logits = rng.normal(size=n) * 3
-            alone = masked_softmax(Tensor(logits), np.zeros(n, dtype=bool), sequential=True).data
-            padded = np.concatenate([logits, rng.normal(size=40 - n)])
+            logits = rng.normal(size=(1, n)) * 3
+            alone = masked_softmax(Tensor(logits), np.zeros((1, n), dtype=bool), sequential=True).data[0]
+            padded = np.concatenate([logits[0], rng.normal(size=40 - n)])
             mask = np.arange(40) >= n
             rows = masked_softmax(Tensor(np.stack([padded] * 3)), np.stack([mask] * 3), sequential=True).data
             assert np.array_equal(rows[1, :n], alone) and (rows[1, n:] == 0.0).all(), n
@@ -279,14 +278,14 @@ class TestFiniteDifferenceCheck:
         rng = np.random.default_rng(2)
         q = rng.normal(size=(4, 4))
         x = Tensor(rng.normal(size=4))
-        f = lambda: sum_all(mul(matmul(x, Tensor(q)), x))
+        f = lambda: sum_all(einsum("i,i->i", matmul(x, Tensor(q)), x))
         err = finite_difference_check(f, [x])
         assert err < 1e-7
 
     def test_constant_function_zero_error(self):
         x = Tensor([1.0, 2.0])
         c = Tensor(5.0)
-        err = finite_difference_check(lambda: sum_all(mul(c, c)), [x])
+        err = finite_difference_check(lambda: sum_all(add(c, c)), [x])
         assert err == 0.0
 
     def test_nondeterministic_f_detected(self):
@@ -303,7 +302,7 @@ class TestFiniteDifferenceCheck:
     def test_resolves_gradients_below_denominator_floor(self):
         # |loss| ~ 4 and |grad| ~ 2e-9: float64 probes give 2.8e-4 here
         x = Tensor(np.random.default_rng(0).normal(size=5))
-        f = lambda: add(Tensor(4.0), scale(sum_all(mul(x, x)), 1e-9))
+        f = lambda: add(Tensor(4.0), scale(sum_all(einsum("i,i->i", x, x)), 1e-9))
         assert finite_difference_check(f, [x]) < 1e-4
 
     def test_parameters_left_as_found(self):
@@ -325,7 +324,7 @@ class TestFiniteDifferenceCheck:
             calls.append(None)
             if len(calls) > 3:
                 raise RuntimeError("probe failed")
-            return sum_all(mul(x, x))
+            return sum_all(einsum("i,i->i", x, x))
 
         with pytest.raises(RuntimeError, match="probe failed"):
             finite_difference_check(f, [x])
@@ -342,32 +341,32 @@ def _random_op_case(rng):
     if kind == 1:
         a = Tensor(rng.normal(size=(rng.integers(1, 6),)))
         b = Tensor(rng.normal(size=a.shape))
-        return [a, b], lambda: sum_all(mul(tanh(a), tanh(b)))
+        return [a, b], lambda: sum_all(einsum("i,i->i", tanh(a), tanh(b)))
     if kind == 2:
         m = Tensor(rng.normal(size=(rng.integers(1, 6), rng.integers(1, 6))))
         bias = Tensor(rng.normal(size=(m.shape[1],)))
         return [m, bias], lambda: sum_all(relu(add(m, bias)))
     if kind == 3:
-        parts = [Tensor(rng.normal(size=(rng.integers(1, 4),))) for _ in range(3)]
+        parts = [Tensor(rng.normal(size=(1, rng.integers(1, 4)))) for _ in range(3)]
         return parts, lambda: sum_all(tanh(concat_rows(*parts)))
     if kind == 4:
         m = Tensor(rng.normal(size=(3, 4)))
         return [m], lambda: sum_all(tanh(take(m, (2, slice(1, 4)))))
     if kind == 5:
         m = Tensor(rng.normal(size=(5, 3)))
-        return [m], lambda: sum_all(mul(take(m, slice(1, 4)), take(m, slice(1, 4))))
+        return [m], lambda: sum_all(einsum("ij,ij->ij", take(m, slice(1, 4)), take(m, slice(1, 4))))
     if kind == 6:
         v = Tensor(rng.normal(size=(5,)))
         return [v], lambda: add(take(tanh(v), 2), sum_all(take(v, slice(1, 4))))
     if kind == 7:
-        v = Tensor(rng.normal(size=(4,)) * 2)
-        n = v.shape[0]
-        mask = np.zeros(n, dtype=bool)
-        mask[int(rng.integers(0, n))] = True
+        v = Tensor(rng.normal(size=(1, 4)) * 2)
+        n = v.shape[1]
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, int(rng.integers(0, n))] = True
         picked = int(rng.integers(0, n))
-        if mask[picked]:
+        if mask[0, picked]:
             picked = (picked + 1) % n
-        return [v], lambda: log(take(masked_softmax(v, mask), picked))
+        return [v], lambda: log(take(masked_softmax(v, mask), (0, picked)))
     if kind == 8:
         v = Tensor(rng.uniform(0.5, 2.0, size=(4,)))
         return [v], lambda: sum_all(log(v))
@@ -412,7 +411,7 @@ class TestTake:
         w = Tensor([4.0, 5.0, 6.0])
         with Tape() as tape:
             s = add(v, w)
-            loss = add(sum_all(mul(s, s)), take(v, 0))
+            loss = add(sum_all(einsum("i,i->i", s, s)), take(v, 0))
         backward(tape, loss)
         np.testing.assert_array_equal(tape.gradient(w), 2.0 * (v.data + w.data))
         np.testing.assert_array_equal(tape.gradient(v), 2.0 * (v.data + w.data) + [1.0, 0.0, 0.0])
@@ -453,11 +452,11 @@ class TestDeferredLeafGradients:
         np.testing.assert_allclose(tape.gradient(w), expected, rtol=1e-14)
 
     def test_non_leaf_matrix_is_not_deferred(self):
-        # the product's gradient must reach w2 before mul's backward reads it
+        # the product's gradient must reach w2 before einsum's backward reads it
         rng = np.random.default_rng(2)
         w = Tensor(rng.normal(size=(3, 4)))
         v = Tensor(rng.normal(size=3))
-        f = lambda: sum_all(tanh(matmul(v, mul(w, w))))
+        f = lambda: sum_all(tanh(matmul(v, einsum("ij,ij->ij", w, w))))
         with Tape() as tape:
             loss = f()
         backward(tape, loss)
@@ -504,7 +503,7 @@ class TestBatchedOps:
             y = masked_softmax(matmul(rows, w), np.zeros((3, 6), dtype=bool))
             picked = log(take(y, (np.arange(3), np.array([5, 0, 2]))))
             lifted = sum_all(tanh(matmul(values, w)))
-            return add(add(sum_all(mul(tanh(matmul(rows, w)), readout)), sum_all(picked)), lifted)
+            return add(add(sum_all(einsum("bn,bn->bn", tanh(matmul(rows, w)), readout)), sum_all(picked)), lifted)
 
         params = [keys, query, v, values, w, emb]
         assert finite_difference_check(f, params, max_coords_per_tensor=1000) < 1e-4
@@ -520,7 +519,7 @@ class TestBatchedOps:
         mask[:, 0] = False
         y = masked_softmax(Tensor(logits), mask).data
         for r in range(3):
-            expected = masked_softmax(Tensor(logits[r]), mask[r]).data
+            expected = masked_softmax(Tensor(logits[r : r + 1]), mask[r : r + 1]).data[0]
             np.testing.assert_allclose(y[r], expected, rtol=1e-14, atol=0)
             assert (y[r][mask[r]] == 0.0).all()
         with pytest.raises(ValueError, match="all positions"):
@@ -547,11 +546,11 @@ class TestFusedLstm:
     @pytest.mark.parametrize("total, valid_len", [(5, 5), (5, 3), (4, 1)])
     def test_bilstm_passes_fd_audit_with_input_gradient(self, total, valid_len):
         rng = np.random.default_rng(total + valid_len)
-        x = Tensor(rng.normal(size=(total, 5)))
+        x = Tensor(rng.normal(size=(1, total, 5)))
         fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
         # a random readout gives every output coordinate its own weight
-        readout = Tensor(rng.normal(size=(total, 6)))
-        f = lambda: sum_all(mul(tanh(bilstm(x, valid_len, fwd, bwd)), readout))
+        readout = Tensor(rng.normal(size=(1, total, 6)))
+        f = lambda: sum_all(einsum("bth,bth->bth", tanh(bilstm(x, np.array([valid_len]), fwd, bwd)), readout))
         # every coordinate, at acceptance 1's tolerance: truncation error
         # reaches 6e-6 here, a backward rule off by 0.1% shows 1e-3
         err = finite_difference_check(f, [*fwd, *bwd, x], max_coords_per_tensor=1000)
@@ -559,19 +558,19 @@ class TestFusedLstm:
         with Tape() as tape:
             loss = f()
         backward(tape, loss)
-        assert not tape.gradient(x)[valid_len:].any()
+        assert not tape.gradient(x)[0, valid_len:].any()
 
     def test_bilstm_matches_its_definition_step_by_step(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(6, 5)))
+        x = Tensor(rng.normal(size=(1, 6, 5)))
         fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
-        out = bilstm(x, 4, fwd, bwd).data
+        out = bilstm(x, np.array([4]), fwd, bwd).data[0]
 
         def run(cell, order):
             w, u, b = (t.data for t in cell)
             h, c, states = np.zeros(3), np.zeros(3), {}
             for t in order:
-                z = x.data[t] @ w + h @ u + b
+                z = x.data[0, t] @ w + h @ u + b
                 i, f, o = (1.0 / (1.0 + np.exp(-z[k * 3 : (k + 1) * 3])) for k in range(3))
                 c = f * c + i * np.tanh(z[9:])
                 h = o * np.tanh(c)
@@ -585,25 +584,25 @@ class TestFusedLstm:
 
     def test_bilstm_forward_keeps_longdouble(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(4, 5)))
+        x = Tensor(rng.normal(size=(1, 4, 5)))
         fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
-        plain = bilstm(x, 3, fwd, bwd).data
+        plain = bilstm(x, np.array([3]), fwd, bwd).data
         for t in (*fwd, *bwd):
             t.data = t.data.astype(np.longdouble)
-        wide = bilstm(x, 3, fwd, bwd).data
+        wide = bilstm(x, np.array([3]), fwd, bwd).data
         assert wide.dtype == np.longdouble
         np.testing.assert_allclose(wide.astype(np.float64), plain, rtol=1e-13)
 
     def test_lstm_cell_passes_fd_audit(self):
         rng = np.random.default_rng(6)
-        x, h, c = (Tensor(rng.normal(size=n)) for n in (5, 3, 3))
+        x, h, c = (Tensor(rng.normal(size=(1, n))) for n in (5, 3, 3))
         cell = _cell(rng, 5, 3)
-        readout = Tensor(rng.normal(size=3))
+        readout = Tensor(rng.normal(size=(1, 3)))
 
         def f():
             h1, c1 = lstm_cell(x, h, c, *cell)
             h2, _ = lstm_cell(x, h1, c1, *cell)  # the last cell state gets no gradient
-            return sum_all(mul(add(h2, c1), readout))
+            return sum_all(einsum("bh,bh->bh", add(h2, c1), readout))
 
         assert finite_difference_check(f, [*cell, x, h, c], max_coords_per_tensor=1000) < 1e-4
 
@@ -613,7 +612,7 @@ class TestFusedLstm:
         x = Tensor(rng.normal(size=(3, 5, 4)))
         fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
         readout = Tensor(rng.normal(size=(3, 5, 6)))
-        f = lambda: sum_all(mul(tanh(bilstm(x, np.array(lengths), fwd, bwd)), readout))
+        f = lambda: sum_all(einsum("bth,bth->bth", tanh(bilstm(x, np.array(lengths), fwd, bwd)), readout))
         err = finite_difference_check(f, [*fwd, *bwd, x], max_coords_per_tensor=1000)
         assert err < 1e-4
 
@@ -624,7 +623,8 @@ class TestFusedLstm:
         lengths = np.array([6, 1, 4, 6])
         out = bilstm(Tensor(x), lengths, fwd, bwd).data
         for b, n in enumerate(lengths):
-            np.testing.assert_allclose(out[b], bilstm(Tensor(x[b]), int(n), fwd, bwd).data, rtol=1e-13, atol=1e-16)
+            one = bilstm(Tensor(x[b : b + 1]), lengths[b : b + 1], fwd, bwd).data[0]
+            np.testing.assert_allclose(out[b], one, rtol=1e-13, atol=1e-16)
 
     def test_padded_positions_get_exactly_zero_output_and_gradient(self):
         rng = np.random.default_rng(9)
@@ -635,7 +635,7 @@ class TestFusedLstm:
         x = Tensor(data)
         with Tape() as tape:
             out = bilstm(x, lengths, fwd, bwd)
-            loss = sum_all(mul(tanh(out), readout))
+            loss = sum_all(einsum("bth,bth->bth", tanh(out), readout))
         backward(tape, loss)
         junk = data.copy()
         junk[1, 1:], junk[2, 3:] = 1e6, np.nan
@@ -658,19 +658,24 @@ class TestFusedLstm:
 
     def test_shapes_validated(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(4, 5)))
+        x = Tensor(rng.normal(size=(1, 4, 5)))
         with pytest.raises(ValueError, match="do not fit"):
-            bilstm(x, 4, _cell(rng, 5, 3), _cell(rng, 4, 3))
+            bilstm(x, np.array([4]), _cell(rng, 5, 3), _cell(rng, 4, 3))
         with pytest.raises(ValueError, match="share"):
-            bilstm(x, 4, _cell(rng, 5, 3), _cell(rng, 5, 2))
+            bilstm(x, np.array([4]), _cell(rng, 5, 3), _cell(rng, 5, 2))
         with pytest.raises(ValueError, match="valid_len"):
-            bilstm(x, 5, _cell(rng, 5, 3), _cell(rng, 5, 3))
+            bilstm(x, np.array([5]), _cell(rng, 5, 3), _cell(rng, 5, 3))
         with pytest.raises(ValueError, match="valid_len"):
             bilstm(Tensor(np.ones((2, 4, 5))), 4, _cell(rng, 5, 3), _cell(rng, 5, 3))
         with pytest.raises(ValueError, match="valid_len"):
             bilstm(Tensor(np.ones((2, 4, 5))), np.array([4, 0]), _cell(rng, 5, 3), _cell(rng, 5, 3))
+        # one sequence is a batch of one: a [T x in] input is not taken
+        with pytest.raises(ValueError, match="valid_len"):
+            bilstm(Tensor(np.ones((4, 5))), 4, _cell(rng, 5, 3), _cell(rng, 5, 3))
         with pytest.raises(ValueError, match="state"):
-            lstm_cell(Tensor(np.ones(5)), Tensor(np.ones(2)), Tensor(np.ones(3)), *_cell(rng, 5, 3))
+            lstm_cell(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3))), *_cell(rng, 5, 3))
+        with pytest.raises(ValueError, match="do not fit"):
+            lstm_cell(Tensor(np.ones(5)), Tensor(np.ones(3)), Tensor(np.ones(3)), *_cell(rng, 5, 3))
 
 
 class TestRowProducts:
@@ -689,8 +694,8 @@ class TestRowProducts:
         h_out, c_out = lstm_cell(Tensor(x), Tensor(h), Tensor(c), *cell)
         for r in range(rows):
             assert np.array_equal(out[r], matmul(Tensor(a[r]), w).data)
-            h_r, c_r = lstm_cell(Tensor(x[r]), Tensor(h[r]), Tensor(c[r]), *cell)
-            assert np.array_equal(h_out.data[r], h_r.data) and np.array_equal(c_out.data[r], c_r.data)
+            h_r, c_r = lstm_cell(Tensor(x[r : r + 1]), Tensor(h[r : r + 1]), Tensor(c[r : r + 1]), *cell)
+            assert np.array_equal(h_out.data[r], h_r.data[0]) and np.array_equal(c_out.data[r], c_r.data[0])
 
     def test_products_under_a_tape_are_gemms(self):
         rng = np.random.default_rng(0)
