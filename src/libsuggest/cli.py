@@ -3,6 +3,23 @@
 Every command is deterministic given the same files and flags, and no
 command leaves partial outputs behind on failure (outputs are staged and
 renamed into place).
+
+`preprocess` writes a prepared directory of seven files:
+
+- `meta.json`: the preprocessing flags and the record counts;
+- `word_vocab.txt` and `lib_vocab.txt`: one regular token per line, in
+  id order after the reserved ids;
+- `lib_freq.tsv`: `library<TAB>count` for every library of the training
+  split, the counts behind the loss weights;
+- `tables.json`: the description-processing tables;
+- `train.jsonl` and `test.jsonl`: one example per line, the object
+  `{"name", "tokens", "libraries"}`: the processed description tokens
+  and the libraries, most used first.
+
+The rows hold text only.  `train` encodes them under its own config, so
+one prepared directory trains under any `max_src` and `max_tgt`; rows
+that also hold the id fields of earlier versions load, and those fields
+are ignored.
 """
 
 from __future__ import annotations
@@ -18,15 +35,12 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .corpus import (
-    EOS_ID,
-    N_RESERVED,
     RESERVED_TOKENS,
     DatasetError,
     EncodedExample,
     PreparedDataset,
     PreprocTables,
     ProjectRecord,
-    TokenSequence,
     Vocabulary,
     build_vocabularies,
     encode_example,
@@ -60,7 +74,9 @@ _JSON_KW = dict(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 def load_config(path) -> TrainConfig:
     """Parse a flat `key = value` config file into a TrainConfig.
 
-    Unknown keys and uncastable values are errors; '#' starts a comment.
+    Unknown keys, uncastable values and values that TrainConfig rejects
+    are errors; '#' starts a comment.  Every error is a DatasetError that
+    names the file, and the line when one line is at fault.
     """
     types = typing.get_type_hints(TrainConfig)
     valid = {f.name for f in fields(TrainConfig)}
@@ -72,48 +88,39 @@ def load_config(path) -> TrainConfig:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+            raise DatasetError(f"{path}: expected 'key = value'", lineno)
         if key not in valid:
-            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+            raise DatasetError(f"{path}: unknown config key {key!r}", lineno)
         try:
             values[key] = types[key](value)
         except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: cannot parse {value!r} as {types[key].__name__}"
-            ) from None
-    return TrainConfig(**values)
+            raise DatasetError(f"{path}: cannot parse {value!r} as {types[key].__name__}", lineno) from None
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _dump_jsonl(entries) -> str:
     return "".join(json.dumps(entry, **_JSON_KW) + "\n" for entry in entries)
 
 
-def _encode_records(records, word_vocab, lib_vocab, max_src, max_tgt):
-    """Encode records, dropping the untrainable ones; returns examples and
-    (empty-source, empty-target) drop counts."""
-    examples, no_source, no_target = [], 0, 0
+def _usable(records, is_target):
+    """The records with a token and a library that `is_target` accepts;
+    returns them and the (empty-source, empty-target) drop counts."""
+    kept, no_source, no_target = [], 0, 0
     for rec in records:
-        src, tgt = encode_example(rec, word_vocab, lib_vocab, max_src, max_tgt)
-        if src.length == 0:
+        if not rec.description.split():
             no_source += 1
-            continue
-        if tgt.length <= 1:  # EOS only: no library to learn
+        elif not any(map(is_target, rec.libraries)):
             no_target += 1
-            continue
-        examples.append((rec, src, tgt))
-    return examples, no_source, no_target
+        else:
+            kept.append(rec)
+    return kept, no_source, no_target
 
 
-def _example_row(rec: ProjectRecord, src: TokenSequence, tgt: TokenSequence) -> dict:
-    return {
-        "name": rec.name,
-        "tokens": rec.description.split(),
-        "libraries": list(rec.libraries),
-        "src_ids": list(src.ids),
-        "src_len": src.length,
-        "tgt_ids": list(tgt.ids),
-        "tgt_len": tgt.length,
-    }
+def _example_row(rec: ProjectRecord) -> dict:
+    return {"name": rec.name, "tokens": rec.description.split(), "libraries": list(rec.libraries)}
 
 
 def cmd_preprocess(args) -> int:
@@ -122,7 +129,6 @@ def cmd_preprocess(args) -> int:
     domain_vocab = load_word_list(args.domain_vocab) if args.domain_vocab else None
     lemma_table = load_lemma_table(args.lemma_table) if args.lemma_table else {}
     tables = PreprocTables(stopwords, domain_vocab, lemma_table)
-    cfg = load_config(args.config) if args.config else TrainConfig()
 
     filtered = filter_projects(records, args.min_stars, args.min_libs, args.min_desc_words)
     if not filtered:
@@ -163,21 +169,12 @@ def cmd_preprocess(args) -> int:
         for rec in test_recs
     ]
 
-    train_examples, train_no_src, train_no_tgt = _encode_records(
-        train_sorted, word_vocab, lib_vocab, cfg.max_src, cfg.max_tgt
-    )
+    # a training example needs a token and a library to learn; a test case
+    # a token and a library known from the training split
+    train_examples, train_no_src, train_no_tgt = _usable(train_sorted, lib_vocab.__contains__)
     if not train_examples:
-        raise DatasetError("empty corpus: every training record dropped during encoding")
-    test_examples, test_no_src, test_no_truth = [], 0, 0
-    for rec in test_known:
-        if not rec.description.split():
-            test_no_src += 1
-            continue
-        if not rec.libraries:
-            test_no_truth += 1
-            continue
-        src, tgt = encode_example(rec, word_vocab, lib_vocab, cfg.max_src, cfg.max_tgt)
-        test_examples.append((rec, src, tgt))
+        raise DatasetError("empty corpus: every training record lacks tokens or a vocabulary library")
+    test_examples, test_no_src, test_no_truth = _usable(test_known, lib_freq.__contains__)
 
     meta = {
         "counts": {
@@ -193,8 +190,6 @@ def cmd_preprocess(args) -> int:
             "test_dropped_unknown_truth": test_no_truth,
         },
         "lib_vocab_size": len(lib_vocab.regular_tokens()),
-        "max_src": cfg.max_src,
-        "max_tgt": cfg.max_tgt,
         "min_desc_words": args.min_desc_words,
         "min_lib_usage": args.min_lib_usage,
         "min_libs": args.min_libs,
@@ -209,8 +204,8 @@ def cmd_preprocess(args) -> int:
         "lib_vocab.txt": "".join(tok + "\n" for tok in lib_vocab.regular_tokens()),
         "lib_freq.tsv": "".join(f"{lib}\t{n}\n" for lib, n in sorted(lib_freq.items())),
         "tables.json": json.dumps(tables.to_json(), **_JSON_KW) + "\n",
-        "train.jsonl": _dump_jsonl(_example_row(r, s, t) for r, s, t in train_examples),
-        "test.jsonl": _dump_jsonl(_example_row(r, s, t) for r, s, t in test_examples),
+        "train.jsonl": _dump_jsonl(map(_example_row, train_examples)),
+        "test.jsonl": _dump_jsonl(map(_example_row, test_examples)),
     }
     _write_directory(args.out, files)
 
@@ -261,22 +256,46 @@ def _vocabulary_file(path) -> Vocabulary:
     return Vocabulary(list(tokens))
 
 
+def _example_rows(path, tables: PreprocTables | None = None):
+    """The (name, tokens, libraries) of each row of a JSON-lines file of
+    examples; a row that does not fit raises DatasetError naming the file
+    and the line.  Keys other than these three are ignored.
+
+    Without `tables` the file is a prepared `train.jsonl`: a row needs a
+    string name, a non-empty list of tokens without whitespace and a list
+    of distinct libraries.  With them it is a test set: the name may be
+    left out, and a row without `tokens` is a raw record whose
+    `description` is processed with the tables.
+    """
+    for lineno, row in json_lines(path):
+        name = row.get("name", None if tables is None else "")
+        if not isinstance(name, str):
+            raise DatasetError(f"{path}: 'name' must be a string", lineno)
+        tokens, libraries = row.get("tokens"), row.get("libraries")
+        if tables is not None and "tokens" not in row:
+            if not isinstance(row.get("description"), str):
+                raise DatasetError(f"{path}: a row without 'tokens' needs a string 'description'", lineno)
+            tokens = process_description(
+                name, row["description"], tables.stopwords, tables.domain_vocab, tables.lemma_table
+            )
+        for key, value in (("tokens", tokens), ("libraries", libraries)):
+            if not is_string_list(value):
+                raise DatasetError(f"{path}: {key!r} must be a list of strings", lineno)
+        if tables is None:
+            # train encodes the tokens joined by spaces, as `encode_example` reads a description
+            if not tokens or any(tok.split() != [tok] for tok in tokens):
+                raise DatasetError(f"{path}: 'tokens' must be one or more words without spaces", lineno)
+            if len(set(libraries)) < len(libraries):
+                raise DatasetError(f"{path}: 'libraries' must be distinct", lineno)
+        yield name, tokens, libraries
+
+
 def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
+    """The prepared directory, its rows encoded under `cfg`."""
+
     def path(name):
         return os.path.join(directory, name)
 
-    def check_meta(meta):
-        if not isinstance(meta, dict):
-            raise DatasetError("meta is not an object")
-        for key in ("max_src", "max_tgt"):
-            if type(meta.get(key)) is not int:
-                raise DatasetError(f"{key!r} must be an integer")
-            if meta[key] != getattr(cfg, key):
-                raise DatasetError(
-                    f"preprocessed data used {key}={meta[key]}, config says {getattr(cfg, key)}"
-                )
-
-    _json_file(path("meta.json"), check_meta)
     word_vocab = _vocabulary_file(path("word_vocab.txt"))
     lib_vocab = _vocabulary_file(path("lib_vocab.txt"))
     lib_freq: dict[str, int] = {}
@@ -293,31 +312,10 @@ def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
             raise DatasetError(f"{path('lib_freq.tsv')}: no count for library {lib!r} of lib_vocab.txt")
     tables = _json_file(path("tables.json"), PreprocTables.from_json)
     examples = []
-    train_path = path("train.jsonl")
-    for lineno, row in json_lines(train_path):
-        if not isinstance(row.get("name"), str):
-            raise DatasetError(f"{train_path}: 'name' must be a string", lineno)
-        for key in ("src_len", "tgt_len"):
-            if type(row.get(key)) is not int:
-                raise DatasetError(f"{train_path}: {key!r} must be an integer", lineno)
-        for key, vocab in (("src_ids", word_vocab), ("tgt_ids", lib_vocab)):
-            if not isinstance(row.get(key), list):
-                raise DatasetError(f"{train_path}: {key!r} must be a list of ids", lineno)
-            if not all(type(i) is int and 0 <= i < len(vocab) for i in row[key]):
-                raise DatasetError(
-                    f"{train_path}: {key} holds an id outside its {len(vocab)}-entry vocabulary", lineno
-                )
-        try:
-            source = TokenSequence(tuple(row["src_ids"]), row["src_len"])
-            target = TokenSequence(tuple(row["tgt_ids"]), row["tgt_len"])
-        except ValueError as exc:
-            raise DatasetError(f"{train_path}: {exc}", lineno) from None
-        # the loss needs distinct libraries closed by EOS: no UNK, no early EOS, no repeat
-        libs = target.ids[: target.length - 1]
-        closed = target.length >= 1 and target.ids[target.length - 1] == EOS_ID
-        if not closed or min(libs, default=N_RESERVED) < N_RESERVED or len(set(libs)) < len(libs):
-            raise DatasetError(f"{train_path}: tgt_ids must be distinct library ids closed by EOS", lineno)
-        examples.append(EncodedExample(row["name"], source, target))
+    for name, tokens, libraries in _example_rows(path("train.jsonl")):
+        record = ProjectRecord(name, " ".join(tokens), tuple(libraries))
+        source, target = encode_example(record, word_vocab, lib_vocab, cfg.max_src, cfg.max_tgt)
+        examples.append(EncodedExample(name, source, target))
     return PreparedDataset(examples, word_vocab, lib_vocab, lib_freq, tables)
 
 
@@ -336,30 +334,7 @@ def cmd_train(args) -> int:
 def _load_test_set(path, ckpt):
     """Test cases from a preprocessed test.jsonl (tokens ready) or a raw
     dataset file (processed here with the checkpoint's tables)."""
-    cases = []
-    for lineno, row in json_lines(path):
-        libraries = _strings(row, "libraries", lineno)
-        if "tokens" in row:
-            cases.append((_strings(row, "tokens", lineno), libraries))
-            continue
-        name, description = row.get("name", ""), row.get("description")
-        if not isinstance(name, str) or not isinstance(description, str):
-            raise DatasetError("a record without tokens needs a string description and name", lineno)
-        tables = ckpt.tables
-        tokens = process_description(
-            name, description, tables.stopwords, tables.domain_vocab, tables.lemma_table
-        )
-        cases.append((tokens, libraries))
-    return cases
-
-
-def _strings(row: dict, key: str, lineno: int) -> list[str]:
-    if key not in row:
-        raise DatasetError(f"missing key {key!r}", lineno)
-    value = row[key]
-    if not is_string_list(value):
-        raise DatasetError(f"{key} must be a list of strings", lineno)
-    return value
+    return [(tokens, libraries) for _, tokens, libraries in _example_rows(path, ckpt.tables)]
 
 
 def cmd_evaluate(args) -> int:
@@ -391,7 +366,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="filter, process, split, and encode a dataset")
+    p = sub.add_parser(
+        "preprocess",
+        help="filter, process and split a dataset into a prepared directory of vocabularies and text rows",
+    )
     p.add_argument("--dataset", required=True, help="JSON-lines project records")
     p.add_argument("--stopwords", help="stopword file, one word per line")
     p.add_argument("--domain-vocab", help="domain vocabulary file; omit to keep all words")
@@ -402,12 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-lib-usage", type=int, default=2)
     p.add_argument("--split-ratio", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="train config file (supplies max_src/max_tgt)")
     p.add_argument("--out", required=True, help="output directory (must not exist)")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train a model on a preprocessed directory")
-    p.add_argument("--preprocessed", required=True)
+    p = sub.add_parser(
+        "train", help="train a model on a prepared directory, its rows encoded under the config"
+    )
+    p.add_argument("--preprocessed", required=True, help="directory written by preprocess")
     p.add_argument("--embeddings", required=True, help="textual word-embedding file")
     p.add_argument("--config", help="flat key = value training config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")

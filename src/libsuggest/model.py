@@ -215,15 +215,6 @@ def _check_lengths(enc_out: Tensor, valid_len) -> np.ndarray:
     return lengths
 
 
-def _trim(enc_out: Tensor, lengths: np.ndarray) -> Tensor:
-    """The encoder positions up to the longest length (all of them when
-    that is T)."""
-    span = int(lengths.max())
-    if span == enc_out.shape[-2]:
-        return enc_out
-    return take(enc_out, (slice(0, len(lengths)), slice(0, span)))
-
-
 def attention(
     s_t: Tensor, enc_out: Tensor, valid_len, p: AttentionParams, keys: Tensor | None = None
 ) -> tuple[Tensor, Tensor]:
@@ -239,19 +230,15 @@ def attention(
     lengths = _check_lengths(enc_out, valid_len)
     if s_t.shape[:-1] != lengths.shape:
         raise ValueError(f"decoder state {s_t.shape} does not fit encoder output {enc_out.shape}")
-    valid = _trim(enc_out, lengths)
     if keys is None:
-        keys = matmul(valid, p.u_a)
-    elif keys.shape[:-1] != valid.shape[:-1]:
-        raise ValueError(f"attention keys {keys.shape} do not fit encoder output {valid.shape}")
-    span, total = valid.shape[-2], enc_out.shape[-2]
+        keys = matmul(enc_out, p.u_a)
+    elif keys.shape[:-1] != enc_out.shape[:-1]:
+        raise ValueError(f"attention keys {keys.shape} do not fit encoder output {enc_out.shape}")
     # numpy's own loops and an in-order softmax sum: a row's bits depend on
     # neither the other rows nor the zero padding past its length
     scores = einsum("bsa,a->bs", tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
-    alpha = masked_softmax(scores, np.arange(span) >= lengths[:, None], sequential=True)
-    context = einsum("bs,bsh->bh", alpha, valid)
-    if span < total:
-        alpha = concat_rows(alpha, Tensor(np.zeros((len(lengths), total - span))))
+    alpha = masked_softmax(scores, np.arange(enc_out.shape[-2]) >= lengths[:, None], sequential=True)
+    context = einsum("bs,bsh->bh", alpha, enc_out)
     return alpha, context
 
 
@@ -340,15 +327,16 @@ def decoder_step(
 
 @_batch_of_one
 def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
-    """The encoder side of the attention scores, `enc_out @ u_a` over the
-    positions up to the longest length.
+    """The encoder side of the attention scores, `enc_out @ u_a` over all
+    T positions.
 
     It does not depend on the decoder state, so `attention` and
     `decoder_step` take it precomputed: once per source instead of once
     per step, which decoding needs most, as its products with no tape run
     as stacked rows at several times a GEMM's cost (`tensor._product`).
     """
-    return matmul(_trim(enc_out, _check_lengths(enc_out, valid_len)), p.u_a)
+    _check_lengths(enc_out, valid_len)
+    return matmul(enc_out, p.u_a)
 
 
 def library_weights(freq: Mapping[str, int], lib_vocab: Vocabulary) -> np.ndarray:
@@ -421,8 +409,7 @@ def batch_loss(
     enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
     enc_out = dropout(enc_out, dropout_p, rng)
     s_t, cell_t, context_t = initial_decoder_state(enc_out, lengths, params)
-    enc = _trim(enc_out, lengths)
-    keys = attention_keys(enc, lengths, params.attn)
+    enc, keys = enc_out, attention_keys(enc_out, lengths, params.attn)
 
     ids = np.full((len(targets), sizes[0]), EOS_ID)
     for row, target in zip(ids, targets):

@@ -289,7 +289,6 @@ def test_6_end_to_end_determinism(tmp_path, capsys):
                 "--dataset", str(paths["dataset"]),
                 "--stopwords", str(paths["stopwords"]),
                 "--lemma-table", str(paths["lemma"]),
-                "--config", str(config),
                 "--seed", "3",
                 "--out", str(prep),
             ]

@@ -9,7 +9,7 @@ import pytest
 import _synth
 from libsuggest.cli import _load_prepared, _load_test_set, load_config, main
 from libsuggest.corpus import DatasetError
-from libsuggest.trainer import TrainConfig
+from libsuggest.trainer import TrainConfig, load_checkpoint
 
 
 def read_tree(directory):
@@ -31,7 +31,6 @@ def run_preprocess(paths, out_dir, extra=()):
             "--dataset", str(paths["dataset"]),
             "--stopwords", str(paths["stopwords"]),
             "--lemma-table", str(paths["lemma"]),
-            "--config", str(paths["config"]),
             "--min-libs", "2",
             "--seed", "0",
             "--out", str(out_dir),
@@ -59,6 +58,27 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_bytes(b"seed = 1\n\xff\n")
         with pytest.raises(DatasetError, match=r"^line 2: .*c\.cfg: not UTF-8"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed 1", "expected 'key = value'"),
+            ("warp_speed = 9", "unknown config key 'warp_speed'"),
+            ("seed = one", "cannot parse 'one' as int"),
+        ],
+        ids=["no_equals_sign", "unknown_key", "uncastable_value"],
+    )
+    def test_line_errors_name_the_file_and_the_line(self, tmp_path, text, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# comment\n{text}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^line 2: .*c\.cfg: {message}"):
+            load_config(path)
+
+    def test_invalid_value_names_the_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("max_src = 0\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^\S*c\.cfg: sequence limits must be >= 1$"):
             load_config(path)
 
     def test_dropout_one_rejected_at_validation(self, tmp_path, capsys):
@@ -111,12 +131,24 @@ class TestPreprocess:
         }
         meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
         assert meta["counts"]["train_records"] == 12
-        rows = [json.loads(l) for l in (out_dir / "train.jsonl").read_text().splitlines()]
-        cfg = load_config(corpus_files["config"])
-        for row in rows:
-            assert len(row["src_ids"]) == cfg.max_src
-            assert len(row["tgt_ids"]) == cfg.max_tgt
-            assert row["tgt_ids"][row["tgt_len"] - 1] == 2  # EOS closes the prefix
+        assert "max_src" not in meta and "max_tgt" not in meta  # the rows hold no ids
+        words = set((out_dir / "word_vocab.txt").read_text(encoding="utf-8").split())
+        libs = set((out_dir / "lib_vocab.txt").read_text(encoding="utf-8").split())
+        freq = dict(
+            (lib, int(n)) for lib, n in
+            (line.split("\t") for line in (out_dir / "lib_freq.tsv").read_text(encoding="utf-8").splitlines())
+        )
+        counts = meta["counts"]
+        for name, n_rows in (("train.jsonl", counts["train_examples"]), ("test.jsonl", counts["test_cases"])):
+            rows = [json.loads(l) for l in (out_dir / name).read_text(encoding="utf-8").splitlines()]
+            assert len(rows) == n_rows
+            for row in rows:
+                assert set(row) == {"name", "tokens", "libraries"}
+                assert row["tokens"] and row["libraries"]
+                # most used first, ties by name, as the targets are learned
+                assert row["libraries"] == sorted(row["libraries"], key=lambda lib: (-freq[lib], lib))
+                if name == "train.jsonl":
+                    assert set(row["tokens"]) <= words and set(row["libraries"]) & libs
 
 
 @pytest.fixture(scope="module")
@@ -204,25 +236,24 @@ class TestPreparedDirectory:
         with pytest.raises(DatasetError, match=r"^line 2: .*lib_freq\.tsv"):
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
 
-    @pytest.mark.parametrize("key", ["src_ids", "tgt_ids"])
-    def test_id_outside_the_vocabulary(self, pipeline, tmp_path, key):
-        prep = self.copy(pipeline, tmp_path)
-        lines = (prep / "train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        row = json.loads(lines[2])
-        row[key][0] = 99999
-        lines[2] = json.dumps(row) + "\n"
-        (prep / "train.jsonl").write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(DatasetError, match=rf"^line 3: .*train\.jsonl: {key}"):
-            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
-
+    @staticmethod
+    def replace_row(pipeline, tmp_path, edit, name="train.jsonl"):
+        prep = TestPreparedDirectory.copy(pipeline, tmp_path)
+        lines = (prep / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = edit(json.loads(lines[2])) + "\n"
+        (prep / name).write_text("".join(lines), encoding="utf-8")
+        return prep
 
     @staticmethod
-    def replace_row(pipeline, tmp_path, edit):
-        prep = TestPreparedDirectory.copy(pipeline, tmp_path)
-        lines = (prep / "train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[2] = edit(json.loads(lines[2])) + "\n"
-        (prep / "train.jsonl").write_text("".join(lines), encoding="utf-8")
-        return prep
+    def set_field(key, value):
+        def edit(row):  # None drops the key
+            if value is None:
+                del row[key]
+            else:
+                row[key] = value
+            return json.dumps(row)
+
+        return edit
 
     def test_invalid_json_line(self, pipeline, tmp_path):
         prep = self.replace_row(pipeline, tmp_path, lambda row: json.dumps(row)[:-1])
@@ -237,52 +268,87 @@ class TestPreparedDirectory:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("name", None), ("name", 5), ("src_ids", None), ("src_ids", 5), ("src_len", None),
-            ("src_len", "3"), ("tgt_ids", None), ("tgt_ids", "abc"), ("tgt_len", None), ("tgt_len", 2.0),
+            ("name", None), ("name", 5), ("tokens", None), ("tokens", 5), ("tokens", [1]),
+            ("libraries", None), ("libraries", "abc"), ("libraries", [1]),
         ],
+        ids=str,
     )
     def test_missing_or_mistyped_field(self, pipeline, tmp_path, key, value):
-        def edit(row):  # None drops the key
-            if value is None:
-                del row[key]
-            else:
-                row[key] = value
-            return json.dumps(row)
-
-        prep = self.replace_row(pipeline, tmp_path, edit)
+        prep = self.replace_row(pipeline, tmp_path, self.set_field(key, value))
         with pytest.raises(DatasetError, match=rf"^line 3: .*train\.jsonl: '{key}'"):
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
 
-    @pytest.mark.parametrize("edit", ["unk", "early_eos", "no_eos", "repeat"])
-    def test_target_that_is_not_distinct_libraries_closed_by_eos(self, pipeline, tmp_path, edit):
-        def change(row):
-            ids, n = row["tgt_ids"], row["tgt_len"]
-            assert n >= 3
-            if edit == "no_eos":
-                ids[n - 1], row["tgt_len"] = 0, n - 1
-            elif edit == "repeat":
-                ids[1] = ids[0]
-            else:
-                ids[0] = 1 if edit == "unk" else 2  # UNK, EOS
-            return json.dumps(row)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("name", 5), ("tokens", None), ("tokens", 5), ("tokens", [1]),
+            ("libraries", None), ("libraries", "abc"), ("libraries", [1]),
+        ],
+        ids=str,
+    )
+    def test_test_set_row_with_a_missing_or_mistyped_field(self, pipeline, tmp_path, key, value):
+        # a row without tokens is a raw record, which needs a description
+        prep = self.replace_row(pipeline, tmp_path, self.set_field(key, value), name="test.jsonl")
+        expected = "'description'" if key == "tokens" and value is None else f"'{key}'"
+        with pytest.raises(DatasetError, match=rf"^line 3: .*test\.jsonl: .*{expected}"):
+            _load_test_set(prep / "test.jsonl", _synth.random_checkpoint(0))
 
-        prep = self.replace_row(pipeline, tmp_path, change)
-        with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: tgt_ids must be distinct library ids"):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"tokens": []}, "'tokens' must be one or more words"),
+            ({"tokens": ["w000 w001"]}, "'tokens' must be one or more words without spaces"),
+            ({"libraries": ["lib00", "lib01", "lib00"]}, "'libraries' must be distinct"),
+        ],
+        ids=["empty_tokens", "spaced_token", "repeated_library"],
+    )
+    def test_train_row_that_cannot_be_encoded(self, pipeline, tmp_path, edit, message):
+        prep = self.replace_row(pipeline, tmp_path, lambda row: json.dumps({**row, **edit}))
+        with pytest.raises(DatasetError, match=rf"^line 3: .*train\.jsonl: {message}"):
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
 
-    def test_length_past_the_ids(self, pipeline, tmp_path):
-        prep = self.replace_row(pipeline, tmp_path, lambda row: json.dumps({**row, "src_len": 99}))
-        with pytest.raises(DatasetError, match=r"^line 3: .*train\.jsonl: length out of range"):
-            _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
+    def test_rows_with_the_id_fields_of_earlier_versions_train_the_same_checkpoint(self, pipeline, tmp_path):
+        # earlier versions stored each row's ids next to its text, and the
+        # limits they were encoded under in meta.json; those fields are ignored
+        prep = self.copy(pipeline, tmp_path)
+        cfg = load_config(pipeline["files"]["config"])
+        data = _load_prepared(str(prep), cfg)
+        rows = [json.loads(l) for l in (prep / "train.jsonl").read_text(encoding="utf-8").splitlines()]
+        for row, example in zip(rows, data.examples, strict=True):
+            src, tgt = example.source, example.target
+            row.update(src_ids=list(src.ids), src_len=src.length, tgt_ids=list(tgt.ids), tgt_len=tgt.length)
+        (prep / "train.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        meta = json.loads((prep / "meta.json").read_text(encoding="utf-8"))
+        (prep / "meta.json").write_text(json.dumps({**meta, "max_src": cfg.max_src, "max_tgt": cfg.max_tgt}))
+        ckpt = tmp_path / "model.ckpt"
+        assert self.train(pipeline, prep, ckpt) == 0
+        assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
+
+    def test_one_directory_trains_under_other_sequence_limits(self, pipeline, tmp_path):
+        cfg = load_config(pipeline["files"]["config"])
+        lines = pipeline["files"]["config"].read_text(encoding="utf-8").splitlines(keepends=True)
+        short = tmp_path / "short.cfg"
+        short.write_text(
+            "".join(l for l in lines if not l.startswith(("max_src", "max_tgt", "max_epochs")))
+            + f"max_src = {cfg.max_src // 4}\nmax_tgt = {cfg.max_tgt // 2}\nmax_epochs = 2\n",
+            encoding="utf-8",
+        )
+        data = _load_prepared(str(pipeline["prep"]), load_config(short))
+        assert {len(ex.source.ids) for ex in data.examples} == {cfg.max_src // 4}
+        assert {len(ex.target.ids) for ex in data.examples} == {cfg.max_tgt // 2}
+        assert max(ex.source.length for ex in data.examples) == cfg.max_src // 4  # some sources cut
+        ckpt = tmp_path / "short.ckpt"
+        assert self.train(pipeline, pipeline["prep"], ckpt, config=short) == 0
+        assert load_checkpoint(ckpt).config == load_config(short)
 
     @staticmethod
-    def train(pipeline, prep, ckpt):
+    def train(pipeline, prep, ckpt, config=None):
         return main(
             [
                 "train",
                 "--preprocessed", str(prep),
                 "--embeddings", str(pipeline["files"]["embeddings"]),
-                "--config", str(pipeline["files"]["config"]),
+                "--config", str(config or pipeline["files"]["config"]),
                 "--checkpoint", str(ckpt),
             ]
         )
@@ -292,10 +358,6 @@ class TestPreparedDirectory:
         (prep / name).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
         with pytest.raises(DatasetError, match=match):
             _load_prepared(str(prep), load_config(pipeline["files"]["config"]))
-
-    @pytest.mark.parametrize("text", ["[]", "{}", '{"max_src": "16", "max_tgt": 8}'])
-    def test_malformed_meta(self, pipeline, tmp_path, text):
-        self.rejects(pipeline, tmp_path, "meta.json", text, r"meta\.json: ")
 
     @pytest.mark.parametrize(
         "tables",
@@ -396,7 +458,7 @@ def test_mutated_input_files_only_raise_their_typed_errors(pipeline, tmp_path, l
         "word_list": (files["stopwords"], load_word_list, DatasetError),
         "lemma_table": (files["lemma"], load_lemma_table, DatasetError),
         "embeddings": (files["embeddings"], load_embeddings, EmbeddingFormatError),
-        "config": (files["config"], load_config, ValueError),
+        "config": (files["config"], load_config, DatasetError),
         "test_set": (pipeline["prep"] / "test.jsonl", lambda path: _load_test_set(path, ckpt), DatasetError),
     }[loader]
     original, path = source.read_bytes(), tmp_path / source.name
