@@ -54,11 +54,10 @@ from .corpus import (
     sort_libraries,
     text_lines,
 )
-from .decode import NoSignalError, recommend
-from .embeddings import EmbeddingFormatError, load_embeddings
+from .decode import recommend
+from .embeddings import load_embeddings
 from .metrics import evaluate
 from .trainer import (
-    CheckpointError,
     TrainConfig,
     TrainingError,
     load_checkpoint,
@@ -415,15 +414,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DatasetError,
-        EmbeddingFormatError,
-        CheckpointError,
-        TrainingError,
-        NoSignalError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

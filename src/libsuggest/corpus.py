@@ -233,34 +233,34 @@ def load_dataset(path) -> list[ProjectRecord]:
     """Parse a UTF-8 JSON-lines dataset file into records, in file order.
 
     Each line is a flat object with keys `name`, `description`, `libraries`
-    and optional `stars`.  Any malformed line aborts with a line-numbered
-    DatasetError; duplicate project names and duplicate libraries within a
-    record are rejected resp. dropped.
+    and optional `stars`.  Any malformed line aborts with a DatasetError
+    naming the file and the line; duplicate project names and duplicate
+    libraries within a record are rejected resp. dropped.
     """
     records: list[ProjectRecord] = []
     seen_names: set[str] = set()
     for lineno, obj in json_lines(path):
         for key in ("name", "description", "libraries"):
             if key not in obj:
-                raise DatasetError(f"missing key {key!r}", lineno)
+                raise DatasetError(f"{path}: missing key {key!r}", lineno)
         name = obj["name"]
         description = obj["description"]
         libraries = obj["libraries"]
         if not isinstance(name, str) or not name.strip():
-            raise DatasetError("name must be a non-empty string", lineno)
+            raise DatasetError(f"{path}: name must be a non-empty string", lineno)
         if not isinstance(description, str) or not description.strip():
-            raise DatasetError("description must be a non-empty string", lineno)
+            raise DatasetError(f"{path}: description must be a non-empty string", lineno)
         if not isinstance(libraries, list) or not all(
             isinstance(lib, str) and lib for lib in libraries
         ):
-            raise DatasetError("libraries must be a list of non-empty strings", lineno)
+            raise DatasetError(f"{path}: libraries must be a list of non-empty strings", lineno)
         stars = obj.get("stars")
         if stars is not None and (isinstance(stars, bool) or not isinstance(stars, int)):
-            raise DatasetError("stars must be an integer", lineno)
+            raise DatasetError(f"{path}: stars must be an integer", lineno)
         if stars is not None and stars < 0:
-            raise DatasetError("stars must be nonnegative", lineno)
+            raise DatasetError(f"{path}: stars must be nonnegative", lineno)
         if name in seen_names:
-            raise DatasetError(f"duplicate project name {name!r}", lineno)
+            raise DatasetError(f"{path}: duplicate project name {name!r}", lineno)
         seen_names.add(name)
         deduped = tuple(dict.fromkeys(libraries))
         records.append(ProjectRecord(name, description, deduped, stars))
@@ -278,7 +278,7 @@ def load_lemma_table(path) -> dict[str, str]:
     for lineno, line in text_lines(path):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise DatasetError("expected 'surface<TAB>base'", lineno)
+            raise DatasetError(f"{path}: expected 'surface<TAB>base'", lineno)
         table[parts[0]] = parts[1]
     return table
 

@@ -8,19 +8,20 @@ applies dropout.
 Both run training's `model.decoder_step` with no tape, with the encoder
 side of attention computed once per query.  Greedy decoding steps one
 sequence.  Beam search takes one query or a list of them and runs them
-together: each step is one call whose rows are every query's live
-hypotheses, then its greedy rollout (the seed of its pool) until that
-completes, over encoder outputs and keys zero-padded to the longest
-source.  Each query selects from its own rows of the [rows x V]
-probabilities: np.partition on np.log scores finds the width-th best, and
-only the candidates within a relative margin of 1e-9 of it are scored
-again as `score + math.log(p)` and sorted by (-score, sequence).  The
-margin covers the last-bit difference between np.log and math.log, so
-ties and near-ties resolve as a sort of every candidate would.  With no
-tape each row of the step is bit-identical to the one-sequence step,
-whatever the other rows and the padding, so the answers and their
-reported probabilities equal those of a decode of one query, one
-hypothesis at a time.
+together.  The group starts as one batch: each source is encoded alone,
+and the encoder outputs, zero-padded to the longest source, go through one
+`attention_keys` and one `initial_decoder_state` call.  Each step is then
+one call whose rows are every query's live hypotheses, then its greedy
+rollout (the seed of its pool) until that completes.  Each query selects
+from its own rows of the [rows x V] probabilities: np.partition on np.log
+scores finds the width-th best, and only the candidates within a relative
+margin of 1e-9 of it are scored again as `score + math.log(p)` and sorted
+by (-score, sequence).  The margin covers the last-bit difference between
+np.log and math.log, so ties and near-ties resolve as a sort of every
+candidate would.  With no tape each row of the start and of a step is
+bit-identical to the one-sequence call, whatever the other rows and the
+padding, so the answers and their reported probabilities equal those of a
+decode of one query, one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -117,13 +118,13 @@ def greedy_decode(tokens, ckpt: ModelCheckpoint, max_steps: int) -> list[str]:
 _SELECT_MARGIN = 1e-9
 
 
-def _select(y: np.ndarray, candidate: np.ndarray, scores: list[float], seqs: list, width: int):
-    """The `width` best extensions of the live hypotheses, best first, as
-    (score, sequence, probability, row) tuples.
+def _select(y: np.ndarray, candidate: np.ndarray, live: list, width: int):
+    """The `width` best extensions of the `live` hypotheses, best first, as
+    ((score, sequence, probabilities), row) pairs.
 
     The rule is the one of a plain sort of every candidate by (-score,
-    sequence), where score is `scores[row] + math.log(p)`.  The [B x V]
-    matrix of those scores computed with np.log only picks which
+    sequence), where score is the row's score plus `math.log(p)`.  The
+    [B x V] matrix of those scores computed with np.log only picks which
     candidates to score exactly: every one within the margin of the
     width-th best approximate score, which keeps every candidate that the
     exact width-th best score admits, ties included.
@@ -131,7 +132,7 @@ def _select(y: np.ndarray, candidate: np.ndarray, scores: list[float], seqs: lis
     rows, ids = np.nonzero(candidate)
     if len(rows) > width:
         with np.errstate(divide="ignore"):
-            approx = np.log(y) + np.array(scores)[:, None]
+            approx = np.log(y) + np.array([h[0] for h in live])[:, None]
         approx[~candidate] = -np.inf
         flat = approx.ravel()
         kth = np.partition(flat, flat.size - width)[flat.size - width]
@@ -139,10 +140,10 @@ def _select(y: np.ndarray, candidate: np.ndarray, scores: list[float], seqs: lis
             rows, ids = np.nonzero(approx >= kth - _SELECT_MARGIN * abs(kth))
     chosen = []
     for r, j in zip(rows.tolist(), ids.tolist()):
+        score, seq, probs = live[r]
         p = float(y[r, j])
-        score = scores[r] + (math.log(p) if p > 0.0 else -math.inf)
-        chosen.append((score, seqs[r] + (j,), p, r))
-    chosen.sort(key=lambda c: (-c[0], c[1]))
+        chosen.append(((score + (math.log(p) if p > 0.0 else -math.inf), seq + (j,), probs + (p,)), r))
+    chosen.sort(key=lambda c: (-c[0][0], c[0][1]))
     return chosen[:width]
 
 
@@ -150,67 +151,59 @@ class _Search:
     """One query's beam search and the greedy rollout that seeds its pool,
     advanced a step at a time from their rows of a shared decoder step.
 
-    The hypotheses are scored by the sum of log-probabilities of their
-    emissions.  EOS candidates compete inside the beam and retire the
-    hypothesis into a completed pool that is never discarded; the answer
-    is the best completed hypothesis, falling back to the best live one
-    when nothing completed within max_steps.  The greedy rollout's
-    completion counts as pooled from the start, so the returned score
-    never falls below greedy's regardless of width.
+    Every hypothesis is a (score, sequence, probabilities) record: the live
+    ones, one per row of the step; the seed while it runs (None once it
+    completes); and the completed ones in the pool.  A score is the sum of
+    the log-probabilities of the emissions.  EOS candidates compete inside
+    the beam and retire the hypothesis into the pool, which is never
+    discarded; the answer is the best completed hypothesis, falling back to
+    the best live one when nothing completed within max_steps.  The greedy
+    rollout's completion counts as pooled from the start, so the returned
+    score never falls below greedy's regardless of width.
     """
 
-    def __init__(self, tokens, ckpt: ModelCheckpoint):
-        enc_out, self.length, s_t, cell_t, context_t = _start_state(tokens, ckpt)
-        self.enc = enc_out.data
-        self.keys = attention_keys(enc_out, self.length, ckpt.params.attn).data
-        self.start = (s_t.data, cell_t.data, context_t.data)
-        # the live hypotheses, one per row of the step
-        self.seqs: list[tuple[int, ...]] = [()]
-        self.probs: list[tuple[float, ...]] = [()]
-        self.scores = [0.0]
+    def __init__(self):
+        self.live: list[tuple[float, tuple[int, ...], tuple[float, ...]]] = [(0.0, (), ())]
+        self.seed: tuple[float, tuple[int, ...], tuple[float, ...]] | None = (0.0, (), ())
         self.pool: list[tuple[float, tuple[int, ...], tuple[float, ...]]] = []
         # (pool size, best live score) after each step the beam went on from
         self.steps: list[tuple[int, float]] = []
         self.beam_live = True
-        self.seed: list[int] = []
-        self.seed_probs: list[float] = []
-        self.seed_live = True
 
     def step_beam(self, y: np.ndarray, masked: np.ndarray, width: int) -> list[tuple[int, int]]:
         """Extend the live hypotheses from their rows of the step; returns
         (row, emitted id) for each hypothesis that stays live."""
         candidate = ~masked
         candidate[:, [PAD_ID, UNK_ID]] = False
-        kept, seqs, probs, scores = [], [], [], []
-        for score, seq, p, r in _select(y, candidate, self.scores, self.seqs, width):
+        kept, live = [], []
+        for (score, seq, probs), r in _select(y, candidate, self.live, width):
             if seq[-1] == EOS_ID:
-                self.pool.append((score, seq[:-1], self.probs[r] + (p,)))
+                self.pool.append((score, seq[:-1], probs))
             else:
                 kept.append((r, seq[-1]))
-                seqs.append(seq)
-                probs.append(self.probs[r] + (p,))
-                scores.append(score)
+                live.append((score, seq, probs))
         if not kept:
             self.beam_live = False
             return []
-        self.seqs, self.probs, self.scores = seqs, probs, scores
-        self.steps.append((len(self.pool), max(scores)))
+        self.live = live
+        best_live = max(h[0] for h in live)
+        self.steps.append((len(self.pool), best_live))
         # emissions only lower a score, so no live path can beat the pool best
-        if self.pool and max(p[0] for p in self.pool) >= max(scores):
+        if self.pool and max(h[0] for h in self.pool) >= best_live:
             self.beam_live = False
         return kept
 
     def step_seed(self, y: np.ndarray) -> int | None:
         """Follow greedy's argmax on the seed's row; returns the emitted id,
         or None once the rollout completes."""
-        choice = _best_candidate(y, set(self.seed))
+        score, seq, probs = self.seed
+        choice = _best_candidate(y, set(seq))
+        p = float(y[choice])
+        score += math.log(p) if p > 0.0 else -math.inf
         if choice != EOS_ID:
-            self.seed.append(choice)
-            self.seed_probs.append(float(y[choice]))
+            self.seed = (score, seq + (choice,), probs + (p,))
             return choice
-        self.seed_live = False
-        steps = self.seed_probs + [float(y[EOS_ID])]
-        score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
+        self.seed = None
         # pooled from the start, the completion stops the beam at the first
         # step whose best live score it reaches, with the pool of that step
         for size, best_live in self.steps:
@@ -218,46 +211,48 @@ class _Search:
                 del self.pool[size:]
                 self.beam_live = False
                 break
-        self.pool.append((score, tuple(self.seed), tuple(steps)))
+        self.pool.append((score, seq, probs + (p,)))
         return None
 
     def answer(self) -> tuple[list[int], list[float]]:
-        if self.pool:
-            _, seq, probs = min(self.pool, key=lambda p: (-p[0], p[1]))
-            return list(seq), list(probs)
-        best = min(range(len(self.seqs)), key=lambda r: (-self.scores[r], self.seqs[r]))
-        return list(self.seqs[best]), list(self.probs[best])
+        _, seq, probs = min(self.pool or self.live, key=lambda h: (-h[0], h[1]))
+        return list(seq), list(probs)
 
 
 def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     """Beam search core: (library ids, per-step probabilities) for each
     token list of `sources`.
 
-    Each step runs one `decoder_step` whose rows are each query's live
-    hypotheses, then its greedy seed while that runs.  With no tape a row
-    is bit-identical to the one-sequence step (`tensor._product`, and
-    attention's sums over positions in order), whatever the other rows
-    and the zero padding of its source, and `_select` ranks by `math.log`
-    scores, ties to the lexicographically smaller sequence: each answer is
-    that of a per-hypothesis search of its query alone.
+    The group starts as one batch: each source is encoded alone, and one
+    `attention_keys` and one `initial_decoder_state` call run over the
+    encoder outputs zero-padded to [Q x T x 2H].  Each step runs one
+    `decoder_step` whose rows are each query's live hypotheses, then its
+    greedy seed while that runs.  With no tape a row is bit-identical to
+    the one-sequence call (`tensor._product`, and attention's sums over
+    positions in order), whatever the other rows and the zero padding of
+    its source, and `_select` ranks by `math.log` scores, ties to the
+    lexicographically smaller sequence: each answer is that of a
+    per-hypothesis search of its query alone.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    searches = [_Search(tokens, ckpt) for tokens in sources]
     params = ckpt.params
-    lengths = np.array([q.length for q in searches])
-    enc_all = np.zeros((len(searches), lengths.max(), searches[0].enc.shape[-1]))
-    keys_all = np.zeros(enc_all.shape[:2] + searches[0].keys.shape[-1:])
-    for i, q in enumerate(searches):
-        enc_all[i, : q.length], keys_all[i, : q.length] = q.enc, q.keys
+    embedded = [_embed_source(tokens, ckpt) for tokens in sources]
+    lengths = np.array([n for _, n in embedded])
+    enc_all = np.zeros((len(embedded), lengths.max(), 2 * params.enc_fwd.hidden_size))
+    for i, (x, n) in enumerate(embedded):
+        enc_all[i, :n] = encode(x, n, params.enc_fwd, params.enc_bwd).data
+    enc_out = Tensor(enc_all)
+    keys_all = attention_keys(enc_out, lengths, params.attn).data
+    searches = [_Search() for _ in sources]
 
     # row r of the step belongs to query owner[r]; each starts with one
     # hypothesis row and one seed row, both at BOS
     owner = np.repeat(np.arange(len(searches)), 2)
     prev = np.full(len(owner), BOS)
-    s, cell, context = (np.repeat(np.stack(parts), 2, axis=0) for parts in zip(*(q.start for q in searches)))
+    s, cell, context = (np.repeat(t.data, 2, axis=0) for t in initial_decoder_state(enc_out, lengths, params))
     masked = np.zeros((len(owner), params.lib_vocab_size), dtype=bool)
     gathered = None
     for _ in range(max_steps):
@@ -272,7 +267,7 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         kept: list[tuple[int, int, int]] = []  # (row, emitted id, query) of the next step
         row = 0
         for i, q in enumerate(searches):
-            n_beam, n_seed = (len(q.seqs) if q.beam_live else 0), int(q.seed_live)
+            n_beam, n_seed = (len(q.live) if q.beam_live else 0), int(q.seed is not None)
             beam = q.step_beam(y.data[row : row + n_beam], masked[row : row + n_beam], beam_width) if n_beam else []
             lib = q.step_seed(y.data[row + n_beam]) if n_seed else None
             if q.beam_live:  # the seed's completion may have stopped it

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import UNK_ID, Vocabulary, text_lines
+from .corpus import UNK_ID, DatasetError, Vocabulary, text_lines
 
 __all__ = [
     "EmbeddingFormatError",
@@ -17,12 +17,8 @@ __all__ = [
 ]
 
 
-class EmbeddingFormatError(ValueError):
-    """Malformed embedding file; `line` is 1-based when the error is line-bound."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.line = line
+class EmbeddingFormatError(DatasetError):
+    """Malformed embedding file."""
 
 
 @dataclass
@@ -72,20 +68,21 @@ def load_embeddings(path) -> EmbeddingTable:
     """Parse a textual embedding file: header `<count> <dim>` on line 1,
     then one `<word> <v1> ... <vdim>` line per word; blank lines are
     skipped.  Duplicate words keep the last entry and bump the duplicate
-    counter."""
+    counter.  Every error names the file, and the line when one is at
+    fault."""
     lines = text_lines(path, EmbeddingFormatError)
     lineno, header = next(lines, (0, ""))
     if lineno != 1:
-        raise EmbeddingFormatError("empty embedding file")
+        raise EmbeddingFormatError(f"{path}: empty embedding file")
     parts = header.split()
     if len(parts) != 2:
-        raise EmbeddingFormatError("header must be '<count> <dimension>'", 1)
+        raise EmbeddingFormatError(f"{path}: header must be '<count> <dimension>'", 1)
     try:
         count, dimension = int(parts[0]), int(parts[1])
     except ValueError:
-        raise EmbeddingFormatError("header must hold two integers", 1) from None
+        raise EmbeddingFormatError(f"{path}: header must hold two integers", 1) from None
     if count < 1 or dimension < 1:
-        raise EmbeddingFormatError("count and dimension must be >= 1", 1)
+        raise EmbeddingFormatError(f"{path}: count and dimension must be >= 1", 1)
 
     vectors: dict[str, np.ndarray] = {}
     duplicates = 0
@@ -95,21 +92,21 @@ def load_embeddings(path) -> EmbeddingTable:
         fields = raw.split()
         if len(fields) != dimension + 1:
             raise EmbeddingFormatError(
-                f"expected {dimension} components, found {len(fields) - 1}", lineno
+                f"{path}: expected {dimension} components, found {len(fields) - 1}", lineno
             )
         word = fields[0]
         try:
             vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
         except ValueError:
-            raise EmbeddingFormatError("non-numeric vector component", lineno) from None
+            raise EmbeddingFormatError(f"{path}: non-numeric vector component", lineno) from None
         if not np.isfinite(vec).all():
-            raise EmbeddingFormatError("non-finite vector component", lineno)
+            raise EmbeddingFormatError(f"{path}: non-finite vector component", lineno)
         if word in vectors:
             duplicates += 1
         vectors[word] = vec
     if data_lines != count:
         raise EmbeddingFormatError(
-            f"header declares {count} entries but file holds {data_lines}"
+            f"{path}: header declares {count} entries but file holds {data_lines}"
         )
     return EmbeddingTable(dimension=dimension, vectors=vectors, duplicates=duplicates)
 

@@ -124,7 +124,6 @@ class Tape:
         # (outputs, rule): rule(tape, *output gradients), None where an
         # output got no gradient
         self._records: list[tuple[tuple[Tensor, ...], Callable]] = []
-        self._produced: set[int] = set()
         self._grads: dict[int, np.ndarray] = {}
         self._owned: set[int] = set()  # gradients no other name refers to
 
@@ -176,7 +175,6 @@ class Tape:
 def _record(outs: tuple[Tensor, ...], rule: Callable) -> None:
     tape = _active_tape()
     if tape is not None:
-        tape._produced.update(id(o) for o in outs)
         tape._records.append((outs, rule))
 
 
@@ -191,8 +189,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.ndim != 0:
         raise ValueError("loss must be a scalar tensor")
-    if id(loss) not in tape._produced:
-        raise ValueError("loss was not produced on this tape")
     tape._grads = {id(loss): np.ones((), dtype=np.float64)}
     tape._owned = set()
     grads = tape._grads
@@ -200,6 +196,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
         gs = [grads.pop(id(o), None) for o in outs]
         if any(g is not None for g in gs):
             rule(tape, *gs)
+    # the record that produced the loss claims its seed gradient; a loss
+    # from elsewhere leaves it, and then no rule ran
+    if id(loss) in grads:
+        raise ValueError("loss was not produced on this tape")
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

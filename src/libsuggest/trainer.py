@@ -197,10 +197,10 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     averaged over the batch, backward, global-norm clipping, Adam.  Runs
     are bit-reproducible for a given (seed, dataset, config).
 
-    The embedded sources are padded once into one [N x max_src x dim]
-    array.  A mini-batch is sorted by target length, longest first (a
-    stable sort, so ties keep their shuffled order), cut to its longest
-    source and run as one `model.batch_loss` call on one tape.
+    The source ids are padded once into one [N x max_src] array.  A
+    mini-batch is sorted by target length, longest first (a stable sort,
+    so ties keep their shuffled order), cut to its longest source, embedded
+    and run as one `model.batch_loss` call on one tape.
     """
     if not data.examples:
         raise ValueError("cannot train on an empty dataset")
@@ -233,7 +233,6 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     source_ids = np.full((n, max(len(ex.source.ids) for ex in data.examples)), PAD_ID)
     for row, ex in zip(source_ids, data.examples):
         row[: len(ex.source.ids)] = ex.source.ids
-    sources = word_embed[source_ids]
     lengths = np.array([ex.source.length for ex in data.examples])
     targets = [list(ex.target.ids[: ex.target.length]) for ex in data.examples]
     target_lengths = np.array([len(t) for t in targets])
@@ -246,7 +245,7 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             batch = batch[np.argsort(-target_lengths[batch], kind="stable")]
-            x = sources[batch, : lengths[batch].max()]
+            x = word_embed[source_ids[batch, : lengths[batch].max()]]
             with Tape() as tape:
                 total = batch_loss(
                     x, lengths[batch], [targets[i] for i in batch], params, cfg.dropout_p, rng

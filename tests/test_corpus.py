@@ -94,6 +94,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"description": "x y z", "libraries": ["a"]}, "missing key 'name'"),
+            (record(name=" "), "name must be"),
+            (record(desc=""), "description must be"),
+            (record(libs=["a", ""]), "libraries must be"),
+            (record(stars="3"), "stars must be an integer"),
+            (record(stars=-1), "stars must be nonnegative"),
+            (record(name="p0"), "duplicate project name 'p0'"),
+        ],
+    )
+    def test_field_errors_name_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [record(name="p0"), record(name="p1"), bad])
+        with pytest.raises(DatasetError, match=rf"^line 3: {re.escape(str(path))}: {message}"):
+            load_dataset(path)
+
     def test_duplicate_libraries_within_record_deduped(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [record(libs=["a", "b", "a"])])
@@ -376,4 +394,10 @@ class TestTableFiles:
         lt = tmp_path / "lemma.tsv"
         lt.write_text("justoneword\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="line 1"):
+            load_lemma_table(lt)
+
+    def test_malformed_lemma_line_names_file(self, tmp_path):
+        lt = tmp_path / "lemma.tsv"
+        lt.write_text("files\tfile\n\nsurface\tbase\textra\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^line 3: {re.escape(str(lt))}: expected 'surface<TAB>base'$"):
             load_lemma_table(lt)

@@ -7,7 +7,7 @@ import _synth
 from libsuggest import decode
 from libsuggest.corpus import EOS_ID, N_RESERVED
 from libsuggest.decode import NoSignalError, _beam, beam_search, greedy_decode, recommend
-from libsuggest.model import BOS, decoder_step
+from libsuggest.model import BOS, attention_keys, decoder_step
 from libsuggest.decode import _greedy_rollout, _start_state
 
 TOKENS = ["t0", "t3", "t5"]
@@ -245,6 +245,29 @@ class TestManyQueries:
             assert beam_search(self.SOURCES, ckpt, width, 6) == names
             if seed < 3:
                 assert alone == [reference_beam(tokens, ckpt, width, 6) for tokens in self.SOURCES]
+
+    def test_the_group_starts_as_one_batch(self, monkeypatch):
+        # the start of the first step: each query's two rows (its beam and
+        # its greedy seed) hold the one-sequence start, bit for bit, over
+        # encoder outputs and keys zero-padded past its length
+        calls = []
+        monkeypatch.setattr(decode, "decoder_step", lambda *a, **kw: calls.append((a, kw)) or decoder_step(*a, **kw))
+        for seed in range(4):
+            ckpt = _synth.random_checkpoint(seed, n_libs=40 if seed % 2 else 5)
+            calls.clear()
+            _beam(self.SOURCES, ckpt, 3, 6)
+            (prev, context, s, cell, enc, lengths, masked, _), kw = calls[0]
+            assert (prev == BOS).all() and not masked.any()
+            for i, tokens in enumerate(self.SOURCES):
+                enc_out, n, s0, cell0, context0 = _start_state(tokens, ckpt)
+                keys = attention_keys(enc_out, n, ckpt.params.attn)
+                for row in (2 * i, 2 * i + 1):
+                    assert lengths[row] == n
+                    for got, want in ((s, s0), (cell, cell0), (context, context0)):
+                        assert np.array_equal(got.data[row], want.data)
+                    assert np.array_equal(enc.data[row, :n], enc_out.data)
+                    assert np.array_equal(kw["keys"].data[row, :n], keys.data)
+                    assert not enc.data[row, n:].any() and not kw["keys"].data[row, n:].any()
 
     def test_late_seed_completion_stops_the_beam_where_pooling_it_first_would(self):
         """The greedy seed completes at step 5, with the score of the best

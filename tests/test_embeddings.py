@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from libsuggest.corpus import PAD_ID, UNK_ID, TokenSequence, Vocabulary
+from libsuggest.corpus import PAD_ID, UNK_ID, DatasetError, TokenSequence, Vocabulary
 from libsuggest.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -49,6 +51,28 @@ class TestLoadEmbeddings:
         path.write_bytes(b"1 2\nw 0.5 \xff\n")
         with pytest.raises(EmbeddingFormatError, match=r"^line 2: .*e\.txt: not UTF-8"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "text, prefix, message",
+        [
+            ("", "", "empty embedding file"),
+            ("2\ncat 1\n", "line 1: ", "header must be"),
+            ("x 2\ncat 1 0\n", "line 1: ", "header must hold two integers"),
+            ("1 0\ncat\n", "line 1: ", "count and dimension must be >= 1"),
+            ("2 2\ncat 1 0\ndog 1\n", "line 3: ", "expected 2 components, found 1"),
+            ("1 2\ncat 1 zebra\n", "line 2: ", "non-numeric vector component"),
+            ("1 2\n\ncat inf 0\n", "line 3: ", "non-finite vector component"),
+            ("3 2\ncat 1 0\n", "", "header declares 3 entries but file holds 1"),
+        ],
+    )
+    def test_every_error_names_the_file(self, tmp_path, text, prefix, message):
+        path = write(tmp_path / "e.txt", text)
+        with pytest.raises(EmbeddingFormatError, match=rf"^{prefix}{re.escape(str(path))}: {message}"):
+            load_embeddings(path)
+
+    def test_format_error_is_a_dataset_error(self, tmp_path):
+        with pytest.raises(DatasetError):
+            load_embeddings(write(tmp_path / "e.txt", "1 2\ncat 1\n"))
 
     def test_count_mismatch(self, tmp_path):
         path = write(tmp_path / "e.txt", "3 2\ncat 1 0\n")

@@ -226,6 +226,27 @@ class TestBackward:
         with pytest.raises(ValueError, match="on this tape"):
             backward(tape, stray)
 
+    def test_loss_computed_with_no_tape_is_rejected(self):
+        p = Tensor([1.0, 2.0])
+        with Tape() as tape:
+            sum_all(tanh(p))
+        loss = sum_all(tanh(p))
+        with pytest.raises(ValueError, match="loss was not produced on this tape"):
+            backward(tape, loss)
+        assert tape.gradient(p) is None
+
+    def test_loss_computed_on_another_tape_is_rejected(self):
+        p = Tensor([1.0, 2.0])
+        with Tape() as other:
+            loss = sum_all(tanh(p))
+        with Tape() as tape:
+            add(loss, sum_all(p))
+        with pytest.raises(ValueError, match="loss was not produced on this tape"):
+            backward(tape, loss)
+        assert tape.gradient(p) is None
+        backward(other, loss)
+        np.testing.assert_allclose(other.gradient(p), 1.0 - np.tanh([1.0, 2.0]) ** 2)
+
     def test_backward_deterministic(self):
         rng = np.random.default_rng(0)
         p = Tensor(rng.normal(size=(3, 3)))
