@@ -73,9 +73,10 @@ _JSON_KW = dict(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 def load_config(path) -> TrainConfig:
     """Parse a flat `key = value` config file into a TrainConfig.
 
-    Unknown keys, uncastable values and values that TrainConfig rejects
-    are errors; '#' starts a comment.  Every error is a DatasetError that
-    names the file, and the line when one line is at fault.
+    Unknown or repeated keys, uncastable values and values that
+    TrainConfig rejects are errors; '#' starts a comment.  Every error is
+    a DatasetError that names the file, and the line when one line is at
+    fault.
     """
     types = typing.get_type_hints(TrainConfig)
     valid = {f.name for f in fields(TrainConfig)}
@@ -90,6 +91,8 @@ def load_config(path) -> TrainConfig:
             raise DatasetError(f"{path}: expected 'key = value'", lineno)
         if key not in valid:
             raise DatasetError(f"{path}: unknown config key {key!r}", lineno)
+        if key in values:
+            raise DatasetError(f"{path}: config key {key!r} is set twice", lineno)
         try:
             values[key] = types[key](value)
         except ValueError:
@@ -118,11 +121,9 @@ def _usable(records, is_target):
     return kept, no_source, no_target
 
 
-def _example_row(rec: ProjectRecord) -> dict:
-    return {"name": rec.name, "tokens": rec.description.split(), "libraries": list(rec.libraries)}
-
-
 def cmd_preprocess(args) -> int:
+    if not 0.0 < args.split_ratio <= 1.0:
+        raise DatasetError(f"--split-ratio must lie in (0, 1], not {args.split_ratio!r}")
     records = load_dataset(args.dataset)
     stopwords = load_word_list(args.stopwords) if args.stopwords else frozenset()
     domain_vocab = load_word_list(args.domain_vocab) if args.domain_vocab else None
@@ -154,26 +155,18 @@ def cmd_preprocess(args) -> int:
     if not lib_vocab.regular_tokens():
         raise DatasetError("empty library vocabulary: lower --min-lib-usage or add data")
 
-    train_sorted = [
-        replace(rec, libraries=tuple(sort_libraries(rec.libraries, lib_freq)))
-        for rec in train_recs
-    ]
-    test_known = [
-        replace(
-            rec,
-            libraries=tuple(
-                sort_libraries([lib for lib in rec.libraries if lib in lib_freq], lib_freq)
-            ),
-        )
-        for rec in test_recs
-    ]
-
     # a training example needs a token and a library to learn; a test case
     # a token and a library known from the training split
-    train_examples, train_no_src, train_no_tgt = _usable(train_sorted, lib_vocab.__contains__)
+    train_examples, train_no_src, train_no_tgt = _usable(train_recs, lib_vocab.__contains__)
     if not train_examples:
         raise DatasetError("empty corpus: every training record lacks tokens or a vocabulary library")
-    test_examples, test_no_src, test_no_truth = _usable(test_known, lib_freq.__contains__)
+    test_examples, test_no_src, test_no_truth = _usable(test_recs, lib_freq.__contains__)
+
+    def row(rec: ProjectRecord) -> dict:
+        """A row of either split: the libraries known from the training
+        split (every library of a training record), most used first."""
+        known = sort_libraries([lib for lib in rec.libraries if lib in lib_freq], lib_freq)
+        return {"name": rec.name, "tokens": rec.description.split(), "libraries": known}
 
     meta = {
         "counts": {
@@ -203,8 +196,8 @@ def cmd_preprocess(args) -> int:
         "lib_vocab.txt": "".join(tok + "\n" for tok in lib_vocab.regular_tokens()),
         "lib_freq.tsv": "".join(f"{lib}\t{n}\n" for lib, n in sorted(lib_freq.items())),
         "tables.json": json.dumps(tables.to_json(), **_JSON_KW) + "\n",
-        "train.jsonl": _dump_jsonl(map(_example_row, train_examples)),
-        "test.jsonl": _dump_jsonl(map(_example_row, test_examples)),
+        "train.jsonl": _dump_jsonl(map(row, train_examples)),
+        "test.jsonl": _dump_jsonl(map(row, test_examples)),
     }
     _write_directory(args.out, files)
 

@@ -3,6 +3,7 @@ recall@k, plus the end-to-end evaluation report over a test set."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -72,16 +73,17 @@ def psr_at_k(
     Per case, each ground-truth library i carries weight s_i = f_i^(-beta);
     the case score is the hit weight over the total truth weight, and the
     reported value is the macro (per-case) mean.  beta = 0 degrades to
-    plain per-case recall.
+    plain per-case recall.  beta must be finite and >= 0, and a case whose
+    truth weights all underflow to 0 is an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, not {beta!r}")
     if not cases:
         raise ValueError("no cases to evaluate")
     total = 0.0
-    for c in cases:
+    for index, c in enumerate(cases):
         weights = {}
         # in a fixed order: set order follows the hash seed, and so would
         # the last bits of the weight sum
@@ -91,6 +93,8 @@ def psr_at_k(
                 raise ValueError(f"ground-truth library {lib!r} has no positive frequency")
             weights[lib] = float(f) ** (-beta)
         hit = sum(weights[lib] for lib in c.recommended[:k] if lib in c.ground_truth)
+        if not any(weights.values()):
+            raise ValueError(f"case {index}: every truth weight underflows to 0 at beta = {beta!r}")
         total += hit / sum(weights.values())
     return total / len(cases)
 
@@ -152,13 +156,15 @@ def evaluate(
     `beam_search` call per group, whose decoder steps run the hypotheses
     and greedy seeds of all its cases as rows.  Each case's answer is the
     one it gets decoded alone, so the report does not depend on the
-    grouping.
+    grouping.  `ks` and `beta` are checked before any decoding.
     """
     if not test_set:
         raise ValueError("empty test set")
     ks = tuple(ks)
     if not ks or min(ks) < 1:
         raise ValueError("ks must be a non-empty list of positive ints")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, not {beta!r}")
 
     max_steps = max(ks) + 5
     pending: list[tuple[int, list[str], frozenset[str]]] = []

@@ -13,7 +13,7 @@ not a tape op, and return its row 0 (`_batch_of_one`).
 `decoder_step` is the one decoder step.  Training runs a mini-batch
 through `batch_loss`: one encoder op, then one `decoder_step` per target
 position over the rows whose targets are still running, which lie at the
-front because the rows are sorted by target length, longest first
+front because `batch_loss` sorts its rows by target length, longest first
 (`example_loss` is the batch of one).  Decoding runs it with no tape,
 where each row of a batch, such as the hypotheses of several queries
 over their zero-padded sources, is bit-identical to the batch of one
@@ -192,8 +192,8 @@ def _batch_of_one(batch_fn):
 @_batch_of_one
 def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) -> Tensor:
     """Bi-directional encoding of an embedded [B x T x dim] batch with one
-    length per row.  A plain array input is a constant, whose gradient is
-    not computed.
+    length per row.  The input, a Tensor or a plain array, is a constant:
+    its gradient is not computed.
 
     Position t of the result concatenates the left-to-right state at t
     with the right-to-left state at t; the right-to-left pass starts at
@@ -380,32 +380,35 @@ def sequence_loss(step_probs: Sequence[Tensor], targets: Sequence, class_weights
 
 
 def batch_loss(
-    x: Tensor | np.ndarray,
+    x: np.ndarray,
     valid_len: Sequence[int],
     targets: Sequence[Sequence[int]],
     params: ModelParams,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Teacher-forced loss summed over a batch of B examples.
+    """Teacher-forced loss summed over a batch of B examples in any order.
 
-    x is the embedded sources [B x T x dim] with B lengths (a plain array
-    when, as in training, the source gets no gradient).  The rows must
-    come sorted by target length, longest first, so that the sequences
-    still running at step t are the first n_t rows: step t runs one
-    `decoder_step` over those rows only, and the states, encoder outputs
-    and attention keys shrink to the first rows whenever a target ends.
-    Each row's repeat mask grows with its ground-truth prefix, mirroring
-    what inference does with its own emissions.  Dropout (when active)
-    draws once over the [B x T x 2H] encoder output, then once per step
-    over the [n_t x H] decoder state before the readout.
+    x is the embedded sources [B x T x dim] with B lengths, a constant
+    array: the source gets no gradient.  The rows are first sorted by
+    target length, longest first, by a stable sort (ties keep their given
+    order), so that the sequences still running at step t are the first
+    n_t rows: step t runs one `decoder_step` over those rows only, and the
+    states, encoder outputs and attention keys shrink to the first rows
+    whenever a target ends.  Each row's repeat mask grows with its
+    ground-truth prefix, mirroring what inference does with its own
+    emissions.  Dropout (when active) draws once over the sorted
+    [B x T x 2H] encoder output, then once per step over the [n_t x H]
+    decoder state before the readout.
     """
     lengths = np.asarray(valid_len)
-    sizes = [len(t) for t in targets]
     if x.ndim != 3 or lengths.shape != (len(targets),) or x.shape[0] != len(targets):
         raise ValueError(f"{len(targets)} target lists do not fit input {x.shape} with lengths {lengths.shape}")
-    if not sizes or min(sizes) < 1 or sizes != sorted(sizes, reverse=True):
-        raise ValueError("targets must be non-empty and sorted by length, longest first")
+    if not targets or min(map(len, targets)) < 1:
+        raise ValueError("targets must be non-empty")
+    order = np.argsort([-len(t) for t in targets], kind="stable")
+    x, lengths, targets = x[order], lengths[order], [targets[i] for i in order]
+    sizes = [len(t) for t in targets]
     enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
     enc_out = dropout(enc_out, dropout_p, rng)
     s_t, cell_t, context_t = initial_decoder_state(enc_out, lengths, params)

@@ -15,7 +15,8 @@ One sequence is a batch of one.  A cell stores its four gates
 bidirectional encoder pass as one op: each direction projects its input in
 one product `x @ w + b`, then runs the recurrence over [B x 4H] rows, and
 its backward is hand-written backpropagation through time
-(`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`, plus `dx`).
+(`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`).  Its input, the
+frozen word embeddings, is a constant and gets no gradient.
 
 With no tape, `matmul` and `lstm_cell` multiply as stacked rows
 (`_product`) and a softmax sums whole rows, so a row of a batch, such as
@@ -487,14 +488,14 @@ Cell = tuple[Tensor, Tensor, Tensor]  # fused (w, u, b)
 
 def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     """Bidirectional LSTM as one op over a batch x [B x T x in] with one
-    length per row in `valid_len`.  A plain array x is a constant: backward
-    skips its gradient, the `dG @ w^T` products.
+    length per row in `valid_len`.  x is a constant, a Tensor as much as a
+    plain array: backward computes the weight gradients only.
 
     Position t of the [B x T x 2H] result is the left-to-right state at t
     next to the right-to-left state at t.  Both directions start from zero
     state and cell; the right-to-left one starts at each row's own last
-    token.  Positions from a row's length on get exactly zero output and
-    gradient, and what x holds there does not reach the output.  The
+    token.  Positions from a row's length on get exactly zero output, and
+    what x holds there reaches neither the output nor a gradient.  The
     recurrence runs over the batch's longest row, as [B x 4H] products.
     """
     lengths = np.asarray(valid_len)
@@ -507,39 +508,37 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     if _check_cell(*bwd, x_data.shape[-1]) != hidden:
         raise ValueError("encoder directions must share a hidden size")
     rows, span, n_in = len(lengths), int(lengths.max()), x_data.shape[-1]
-    x_flat = x_data[:, :span].reshape(-1, n_in)
-    # a position past a row's length keeps that row's state at zero
+    # a position past a row's length keeps that row's state at zero, and
+    # its input is read as zeros, so that what x holds there (NaN, say)
+    # reaches no weight gradient
     inside = np.arange(span) < lengths[:, None]
     ragged = ~inside.all(axis=0)
+    x_flat = np.where(inside[..., None], x_data[:, :span], 0.0).reshape(-1, n_in)
+    out_data = np.zeros(
+        (rows, x_data.shape[-2], 2 * hidden), dtype=np.result_type(x_data, *(p.data for p in (*fwd, *bwd)))
+    )
+    directions = ((fwd, range(span), slice(0, hidden)), (bwd, range(span - 1, -1, -1), slice(hidden, 2 * hidden)))
     runs = []
-    for (w, u, b), steps in ((fwd, range(span)), (bwd, range(span - 1, -1, -1))):
+    for (w, u, b), steps, cols in directions:
         gates_in = (x_flat @ w.data + b.data).reshape(rows, span, 4 * hidden)
         h = np.zeros((rows, hidden), dtype=gates_in.dtype)
         c = h
-        states = np.empty((rows, span, hidden), dtype=gates_in.dtype)
-        previous = np.empty_like(states)
+        previous = np.empty((rows, span, hidden), dtype=gates_in.dtype)
         saved = [None] * span
         for t in steps:
             previous[:, t] = h
             h, c, saved[t] = _lstm_gates(gates_in[:, t] + h @ u.data, c)
             if ragged[t]:
                 h, c = np.where(inside[:, t, None], h, 0.0), np.where(inside[:, t, None], c, 0.0)
-            states[:, t] = h
-        runs.append((states, previous, saved))
-    out_data = np.zeros((rows, x_data.shape[-2], 2 * hidden), dtype=np.result_type(runs[0][0], runs[1][0]))
-    out_data[:, :span, :hidden] = runs[0][0]
-    out_data[:, :span, hidden:] = runs[1][0]
+            out_data[:, t, cols] = h
+        runs.append((previous, saved))
     out = Tensor(out_data)
 
     def rule(tape, g):
-        dx = np.zeros(x_data.shape) if isinstance(x, Tensor) else None
-        for (w, u, b), (_, previous, saved), steps, cols in (
-            (fwd, runs[0], range(span - 1, -1, -1), slice(0, hidden)),
-            (bwd, runs[1], range(span), slice(hidden, 2 * hidden)),
-        ):
+        for ((w, u, b), steps, cols), (previous, saved) in zip(directions, runs):
             dgates = np.empty((rows, span, 4 * hidden))
             dh, dc = np.zeros((rows, hidden)), np.zeros((rows, hidden))
-            for t in steps:
+            for t in reversed(steps):
                 dh = g[:, t, cols] + dh
                 if ragged[t]:
                     dh, dc = np.where(inside[:, t, None], dh, 0.0), np.where(inside[:, t, None], dc, 0.0)
@@ -549,10 +548,6 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
             tape._acc(w, x_flat.T @ dg_flat)
             tape._acc(u, previous.reshape(-1, hidden).T @ dg_flat)
             tape._acc(b, dg_flat.sum(axis=0))
-            if dx is not None:
-                dx[:, :span] += (dg_flat @ w.data.T).reshape(rows, span, n_in)
-        if dx is not None:
-            tape._acc(x, dx)
 
     _record((out,), rule)
     return out

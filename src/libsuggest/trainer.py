@@ -90,11 +90,11 @@ class TrainConfig:
     lib_embed: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-        if self.clip_max_norm <= 0:
+        if not self.clip_max_norm > 0:  # inf never clips
             raise ValueError("clip_max_norm must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -106,8 +106,8 @@ class TrainConfig:
             raise ValueError("model dimensions must be >= 1")
         if not 0.0 < self.adam_beta1 < 1.0 or not 0.0 < self.adam_beta2 < 1.0:
             raise ValueError("Adam betas must be in (0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be positive")
+        if not 0.0 < self.adam_epsilon < math.inf:
+            raise ValueError("adam_epsilon must be positive and finite")
 
 
 @dataclass
@@ -165,7 +165,7 @@ def adam_step(
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients by max_norm/norm when the global L2 norm exceeds
     max_norm; directions are preserved."""
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError("max_norm must be positive")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm:
@@ -198,9 +198,8 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     are bit-reproducible for a given (seed, dataset, config).
 
     The source ids are padded once into one [N x max_src] array.  A
-    mini-batch is sorted by target length, longest first (a stable sort,
-    so ties keep their shuffled order), cut to its longest source, embedded
-    and run as one `model.batch_loss` call on one tape.
+    mini-batch, in its shuffled order, is cut to its longest source,
+    embedded and run as one `model.batch_loss` call on one tape.
     """
     if not data.examples:
         raise ValueError("cannot train on an empty dataset")
@@ -235,7 +234,6 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
         row[: len(ex.source.ids)] = ex.source.ids
     lengths = np.array([ex.source.length for ex in data.examples])
     targets = [list(ex.target.ids[: ex.target.length]) for ex in data.examples]
-    target_lengths = np.array([len(t) for t in targets])
 
     step = 0
     final_loss: float | None = None
@@ -244,7 +242,6 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
         epoch_total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            batch = batch[np.argsort(-target_lengths[batch], kind="stable")]
             x = word_embed[source_ids[batch, : lengths[batch].max()]]
             with Tape() as tape:
                 total = batch_loss(

@@ -66,13 +66,16 @@ class TestConfigFile:
             ("seed 1", "expected 'key = value'"),
             ("warp_speed = 9", "unknown config key 'warp_speed'"),
             ("seed = one", "cannot parse 'one' as int"),
+            ("seed = 1\nbatch_size = 4\nseed = 2", "config key 'seed' is set twice"),
         ],
-        ids=["no_equals_sign", "unknown_key", "uncastable_value"],
+        ids=["no_equals_sign", "unknown_key", "uncastable_value", "repeated_key"],
     )
     def test_line_errors_name_the_file_and_the_line(self, tmp_path, text, message):
         path = tmp_path / "c.cfg"
         path.write_text(f"# comment\n{text}\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match=rf"^line 2: .*c\.cfg: {message}"):
+        # the error is on the last line of `text`
+        line = 1 + len(text.splitlines())
+        with pytest.raises(DatasetError, match=rf"^line {line}: .*c\.cfg: {message}"):
             load_config(path)
 
     def test_invalid_value_names_the_file(self, tmp_path):
@@ -112,6 +115,21 @@ class TestPreprocess:
         assert code == 1
         assert "empty corpus" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("ratio", ["-0.5", "0", "1.5", "nan", "inf"])
+    def test_split_ratio_outside_zero_to_one_rejected_before_reading(self, corpus_files, tmp_path, capsys, ratio):
+        # a dataset that does not exist: the flag fails first
+        out_dir = tmp_path / "never"
+        paths = dict(corpus_files, dataset=tmp_path / "missing.jsonl")
+        assert run_preprocess(paths, out_dir, extra=("--split-ratio", ratio)) == 1
+        assert f"--split-ratio must lie in (0, 1], not {float(ratio)!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_split_ratio_one_leaves_the_test_split_empty(self, corpus_files, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert run_preprocess(corpus_files, out_dir, extra=("--split-ratio", "1.0")) == 0
+        assert "train/test split: 15/0 (ratio 1.0)" in capsys.readouterr().out
+        assert (out_dir / "test.jsonl").read_text(encoding="utf-8") == ""
 
     def test_existing_nonempty_output_rejected(self, corpus_files, tmp_path, capsys):
         out_dir = tmp_path / "busy"
@@ -551,6 +569,22 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["inf", "nan", "-1", "1100"])
+    def test_beta_that_gives_no_weights_is_an_error(self, pipeline, capsys, beta):
+        # 1100 passes the flag check, but f ** -1100 underflows to 0
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(pipeline["ckpt"]),
+                "--dataset", str(pipeline["prep"] / "test.jsonl"),
+                "--beta", beta,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "beta" in captured.err
 
     def test_identical_reports_across_runs(self, pipeline, capsys):
         args = [

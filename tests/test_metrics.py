@@ -1,4 +1,5 @@
 import io
+import math
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -127,8 +128,16 @@ class TestPsr:
             psr_at_k(cases, 1, {"a": 1}, 0.2)
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            psr_at_k([case(["a"], {"a"})], 1, {"a": 1}, -0.1)
+        # NaN and inf too: inf weighs every library above 1 use at 0
+        for beta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                psr_at_k([case(["a"], {"a"})], 1, {"a": 1}, beta)
+
+    def test_truth_weights_that_all_underflow_name_the_case(self):
+        # 2 ** -1100 is 0.0 in float64: the case would divide 0 by 0
+        cases = [case(["b"], {"b"}), case(["a"], {"a"})]
+        with pytest.raises(ValueError, match=r"^case 1: .*underflow"):
+            psr_at_k(cases, 1, {"a": 2, "b": 1}, 1100.0)
 
 
 class TestAgainstBruteForce:
@@ -271,6 +280,17 @@ class TestGroupedEvaluate:
         expected = EvalReport(ks=ks, values=values, cases=17, skipped=3, beam_width=3, beta=0.2)
         assert len(cases) == 17
         assert evaluate(ckpt, test_set, ks=ks).format_machine() == expected.format_machine()
+
+    @pytest.mark.parametrize("beta", [-0.1, math.nan, math.inf])
+    def test_bad_beta_rejected_before_any_decoding(self, beta, monkeypatch):
+        from libsuggest import metrics
+
+        calls = []
+        monkeypatch.setattr(metrics, "beam_search", lambda *args: calls.append(args))
+        ckpt = _synth.random_checkpoint(5, n_libs=40, n_words=8)
+        with pytest.raises(ValueError, match="beta"):
+            evaluate(ckpt, self.cases_of(ckpt, 12), beta=beta)
+        assert calls == []
 
     def test_empty_tokens_in_the_middle_of_a_group_name_their_case(self):
         ckpt = _synth.random_checkpoint(5, n_libs=40, n_words=8)

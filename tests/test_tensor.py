@@ -565,7 +565,7 @@ def _cell(rng, input_size, hidden):
 
 class TestFusedLstm:
     @pytest.mark.parametrize("total, valid_len", [(5, 5), (5, 3), (4, 1)])
-    def test_bilstm_passes_fd_audit_with_input_gradient(self, total, valid_len):
+    def test_bilstm_passes_fd_audit(self, total, valid_len):
         rng = np.random.default_rng(total + valid_len)
         x = Tensor(rng.normal(size=(1, total, 5)))
         fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
@@ -574,12 +574,13 @@ class TestFusedLstm:
         f = lambda: sum_all(einsum("bth,bth->bth", tanh(bilstm(x, np.array([valid_len]), fwd, bwd)), readout))
         # every coordinate, at acceptance 1's tolerance: truncation error
         # reaches 6e-6 here, a backward rule off by 0.1% shows 1e-3
-        err = finite_difference_check(f, [*fwd, *bwd, x], max_coords_per_tensor=1000)
+        err = finite_difference_check(f, [*fwd, *bwd], max_coords_per_tensor=1000)
         assert err < 1e-4
+        # the source is a constant, also when it is a Tensor
         with Tape() as tape:
             loss = f()
         backward(tape, loss)
-        assert not tape.gradient(x)[0, valid_len:].any()
+        assert tape.gradient(x) is None
 
     def test_bilstm_matches_its_definition_step_by_step(self):
         rng = np.random.default_rng(4)
@@ -628,13 +629,13 @@ class TestFusedLstm:
         assert finite_difference_check(f, [*cell, x, h, c], max_coords_per_tensor=1000) < 1e-4
 
     @pytest.mark.parametrize("lengths", [(5, 1, 3), (1, 3, 5), (2, 2, 2)])
-    def test_batched_bilstm_passes_fd_audit_with_input_gradient(self, lengths):
+    def test_batched_bilstm_passes_fd_audit(self, lengths):
         rng = np.random.default_rng(sum(lengths))
         x = Tensor(rng.normal(size=(3, 5, 4)))
         fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
         readout = Tensor(rng.normal(size=(3, 5, 6)))
         f = lambda: sum_all(einsum("bth,bth->bth", tanh(bilstm(x, np.array(lengths), fwd, bwd)), readout))
-        err = finite_difference_check(f, [*fwd, *bwd, x], max_coords_per_tensor=1000)
+        err = finite_difference_check(f, [*fwd, *bwd], max_coords_per_tensor=1000)
         assert err < 1e-4
 
     def test_batched_rows_equal_one_sequence_calls(self):
@@ -653,17 +654,22 @@ class TestFusedLstm:
         fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
         lengths = np.array([5, 1, 3])
         readout = Tensor(rng.normal(size=(3, 5, 6)))
-        x = Tensor(data)
-        with Tape() as tape:
-            out = bilstm(x, lengths, fwd, bwd)
-            loss = sum_all(einsum("bth,bth->bth", tanh(out), readout))
-        backward(tape, loss)
         junk = data.copy()
         junk[1, 1:], junk[2, 3:] = 1e6, np.nan
-        again = bilstm(Tensor(junk), lengths, fwd, bwd).data
+        outs, grads = [], []
+        for x in (data, junk):
+            with Tape() as tape:
+                out = bilstm(Tensor(x), lengths, fwd, bwd)
+                loss = sum_all(einsum("bth,bth->bth", tanh(out), readout))
+            backward(tape, loss)
+            outs.append(out.data)
+            grads.append([tape.gradient(t).tobytes() for t in (*fwd, *bwd)])
+        out, again = outs
         for b, n in enumerate(lengths):
-            assert (out.data[b, n:] == 0.0).all() and (tape.gradient(x)[b, n:] == 0.0).all()
-            assert again[b, :n].tobytes() == out.data[b, :n].tobytes()
+            assert (out[b, n:] == 0.0).all()
+            assert again[b, :n].tobytes() == out[b, :n].tobytes()
+        # what x holds past a row's length reaches no weight gradient
+        assert grads[1] == grads[0]
 
     def test_plain_array_input_is_a_constant(self):
         rng = np.random.default_rng(10)

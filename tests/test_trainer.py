@@ -42,6 +42,17 @@ class TestTrainConfig:
             TrainConfig(clip_max_norm=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        # values that cannot train: NaN steps, an infinite epsilon never moves
+        for name, value in (
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("adam_epsilon", math.nan),
+            ("adam_epsilon", math.inf),
+            ("clip_max_norm", math.nan),
+        ):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+        assert TrainConfig(clip_max_norm=math.inf).clip_max_norm == math.inf  # never clips
 
 
 class TestAdamStep:
@@ -363,6 +374,10 @@ class TestCheckpointHeaderValidation:
 
     def test_invalid_config_value(self):
         self.rejects(lambda h: h["config"].update(dropout_p=1.5), "config")
+
+    def test_learning_rate_that_is_not_a_number(self):
+        # JSON as Python writes and reads it admits NaN
+        self.rejects(lambda h: h["config"].update(learning_rate=math.nan), "learning_rate")
 
     @pytest.mark.parametrize("field", ["tables", "tensors", "lib_vocab", "config", "epochs"])
     def test_missing_field(self, field):
