@@ -312,9 +312,10 @@ def _load_prepared(directory: str, cfg: TrainConfig) -> PreparedDataset:
 
 
 def cmd_train(args) -> int:
+    directory = os.path.dirname(args.checkpoint) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--checkpoint {args.checkpoint!r}: directory {directory!r} does not exist")
     cfg = load_config(args.config) if args.config else TrainConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     data = _load_prepared(args.preprocessed, cfg)
     table = load_embeddings(args.embeddings)
     ckpt = train(data, cfg, table)
@@ -381,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preprocessed", required=True, help="directory written by preprocess")
     p.add_argument("--embeddings", required=True, help="textual word-embedding file")
     p.add_argument("--config", help="flat key = value training config")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--checkpoint", required=True, help="output checkpoint path")
     p.set_defaults(func=cmd_train)
 

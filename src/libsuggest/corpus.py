@@ -1,8 +1,8 @@
 """Corpus ingestion and preprocessing.
 
 Turns raw project records (name, description, library list) into filtered,
-token-processed records, deterministic vocabularies, and fixed-length id
-sequences ready for the model.
+token-processed records, deterministic vocabularies, and the id
+sequences of the model's examples.
 
 Two stored formats are defined here once for every module that reads or
 writes them.  `json_lines` reads a JSON-lines file, one object per line
@@ -79,18 +79,13 @@ class ProjectRecord:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Fixed-length id sequence: `length` non-PAD ids followed only by PAD."""
+    """The ids of a source or a target, without padding; a batch pads them."""
 
     ids: tuple[int, ...]
-    length: int
 
-    def __post_init__(self):
-        if not 0 <= self.length <= len(self.ids):
-            raise ValueError("length out of range for id sequence")
-        if any(i == PAD_ID for i in self.ids[: self.length]):
-            raise ValueError("PAD inside the non-PAD prefix")
-        if any(i != PAD_ID for i in self.ids[self.length :]):
-            raise ValueError("non-PAD id after the prefix")
+    @property
+    def length(self) -> int:
+        return len(self.ids)
 
 
 class Vocabulary:
@@ -111,10 +106,12 @@ class Vocabulary:
         if len(set(regular)) != len(regular):
             raise ValueError("duplicate tokens in vocabulary")
         self._tokens = RESERVED_TOKENS + regular
-        self._ids = {tok: i for i, tok in enumerate(self._tokens)}
+        # a text token spelled like a reserved symbol is an unknown word
+        self._ids = {tok: i for i, tok in enumerate(regular, start=N_RESERVED)}
 
     def id(self, token: str) -> int:
-        """Id for `token`, or UNK_ID when absent."""
+        """Id of a regular token; UNK_ID for any other, the spellings of
+        the reserved symbols included."""
         return self._ids.get(token, UNK_ID)
 
     def token(self, token_id: int) -> str:
@@ -126,7 +123,7 @@ class Vocabulary:
         return self._tokens[N_RESERVED:]
 
     def __contains__(self, token: str) -> bool:
-        return self._ids.get(token, 0) >= N_RESERVED
+        return token in self._ids
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -391,24 +388,16 @@ def encode_example(
     max_src: int,
     max_tgt: int,
 ) -> tuple[TokenSequence, TokenSequence]:
-    """Encode one processed record into fixed-length (source, target) ids.
+    """Encode one processed record into its (source, target) ids.
 
-    Source: ids of the description tokens (UNK for out-of-vocabulary),
-    truncated/padded to max_src.  Target: the record's libraries (already
-    frequency-sorted) restricted to the library vocabulary, truncated to
-    leave room for a trailing EOS, padded to max_tgt.
+    Source: ids of the first max_src description tokens (UNK for
+    out-of-vocabulary).  Target: the record's libraries (already
+    frequency-sorted) restricted to the library vocabulary, cut to
+    max_tgt - 1, then EOS.  Neither is padded.
     """
     if max_src < 1 or max_tgt < 1:
         raise ValueError("maximum lengths must be >= 1")
-    tokens = record.description.split()[:max_src]
-    src_ids = [word_vocab.id(tok) for tok in tokens]
-    src_ids += [PAD_ID] * (max_src - len(src_ids))
-
+    src_ids = [word_vocab.id(tok) for tok in record.description.split()[:max_src]]
     libs = [lib for lib in record.libraries if lib in lib_vocab][: max_tgt - 1]
     tgt_ids = [lib_vocab.id(lib) for lib in libs] + [EOS_ID]
-    tgt_len = len(tgt_ids)
-    tgt_ids += [PAD_ID] * (max_tgt - tgt_len)
-    return (
-        TokenSequence(tuple(src_ids), len(tokens)),
-        TokenSequence(tuple(tgt_ids), tgt_len),
-    )
+    return TokenSequence(tuple(src_ids)), TokenSequence(tuple(tgt_ids))

@@ -26,16 +26,14 @@ class EmbeddingTable:
     """Word -> dense float64 vector map with a shared unknown-word vector.
 
     All stored vectors have exactly `dimension` finite components.  Lookups
-    of absent words fall back to `unk_vector` (the component-wise mean of
+    of absent words fall back to `unk_vector`, the component-wise mean of
     the stored vectors, computed over words in sorted order so it does not
-    depend on file order).  `duplicates` counts how many file entries were
-    overwritten by a later line for the same word.
+    depend on file order.
     """
 
     dimension: int
     vectors: dict[str, np.ndarray]
-    unk_vector: np.ndarray = field(default=None)  # type: ignore[assignment]
-    duplicates: int = 0
+    unk_vector: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -45,10 +43,7 @@ class EmbeddingTable:
                 raise ValueError(f"vector for {word!r} has wrong dimension")
             if not np.isfinite(vec).all():
                 raise ValueError(f"vector for {word!r} has a non-finite component")
-        if self.unk_vector is None:
-            self.unk_vector = _mean_vector(self.vectors, self.dimension)
-        elif self.unk_vector.shape != (self.dimension,):
-            raise ValueError("unk_vector has wrong dimension")
+        self.unk_vector = _mean_vector(self.vectors, self.dimension)
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors.get(word, self.unk_vector)
@@ -67,9 +62,8 @@ def _mean_vector(vectors: dict[str, np.ndarray], dimension: int) -> np.ndarray:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse a textual embedding file: header `<count> <dim>` on line 1,
     then one `<word> <v1> ... <vdim>` line per word; blank lines are
-    skipped.  Duplicate words keep the last entry and bump the duplicate
-    counter.  Every error names the file, and the line when one is at
-    fault."""
+    skipped.  A repeated word keeps its last entry.  Every error names the
+    file, and the line when one is at fault."""
     lines = text_lines(path, EmbeddingFormatError)
     lineno, header = next(lines, (0, ""))
     if lineno != 1:
@@ -85,7 +79,6 @@ def load_embeddings(path) -> EmbeddingTable:
         raise EmbeddingFormatError(f"{path}: count and dimension must be >= 1", 1)
 
     vectors: dict[str, np.ndarray] = {}
-    duplicates = 0
     data_lines = 0
     for lineno, raw in lines:
         data_lines += 1
@@ -101,14 +94,12 @@ def load_embeddings(path) -> EmbeddingTable:
             raise EmbeddingFormatError(f"{path}: non-numeric vector component", lineno) from None
         if not np.isfinite(vec).all():
             raise EmbeddingFormatError(f"{path}: non-finite vector component", lineno)
-        if word in vectors:
-            duplicates += 1
         vectors[word] = vec
     if data_lines != count:
         raise EmbeddingFormatError(
             f"{path}: header declares {count} entries but file holds {data_lines}"
         )
-    return EmbeddingTable(dimension=dimension, vectors=vectors, duplicates=duplicates)
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decode import beam_search
 from .trainer import ModelCheckpoint
@@ -109,18 +109,14 @@ class EvalReport:
     skipped: int
     beam_width: int
     beta: float
-    header_lines: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        self.header_lines = (
-            f"# cases evaluated: {self.cases} (skipped {self.skipped} with no known ground truth)",
-            f"# decoder: beam search, width {self.beam_width}",
-            f"# precision@k and psr@k are macro-averaged per project; beta = {self.beta!r}",
-        )
 
     def format_text(self) -> str:
         """Aligned table: one row per metric, one column per k."""
-        lines = list(self.header_lines)
+        lines = [
+            f"# cases evaluated: {self.cases} (skipped {self.skipped} with no known ground truth)",
+            f"# decoder: beam search, width {self.beam_width}",
+            f"# precision@k and psr@k are macro-averaged per project; beta = {self.beta!r}",
+        ]
         width = max(len(name) for name in METRIC_NAMES) + 2
         header = "metric".ljust(width) + "".join(f"k={k}".rjust(9) for k in self.ks)
         lines.append(header)
@@ -156,13 +152,14 @@ def evaluate(
     `beam_search` call per group, whose decoder steps run the hypotheses
     and greedy seeds of all its cases as rows.  Each case's answer is the
     one it gets decoded alone, so the report does not depend on the
-    grouping.  `ks` and `beta` are checked before any decoding.
+    grouping.  `ks`, `beta` and every case's truth weights are checked
+    before any decoding.
     """
     if not test_set:
         raise ValueError("empty test set")
     ks = tuple(ks)
-    if not ks or min(ks) < 1:
-        raise ValueError("ks must be a non-empty list of positive ints")
+    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+        raise ValueError("ks must be a non-empty list of distinct positive ints")
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, not {beta!r}")
 
@@ -176,6 +173,8 @@ def evaluate(
             continue
         if not tokens:
             raise ValueError(f"case {index}: cannot decode from an empty token list")
+        if not any(float(ckpt.lib_freq[lib]) ** (-beta) for lib in known):
+            raise ValueError(f"case {index}: every truth weight underflows to 0 at beta = {beta!r}")
         pending.append((index, list(tokens), known))
     if not pending:
         raise ValueError("no evaluable cases (every case lacked known ground truth)")

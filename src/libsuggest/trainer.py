@@ -5,15 +5,14 @@ and dropout.  Each mini-batch is one batched forward pass over [B x T x .]
 arrays (`model.batch_loss`), one tape and one backward sweep.  Dropout
 draws its masks per batch: once over the batch's [B x T x 2H] encoder
 output, then once per decoder step over the [n_t x H] states of the rows
-still running.  Same-seed runs are byte-identical; checkpoints differ from
-those of the earlier loop over single examples, which drew per example.
-Checkpoints are a versioned binary container that round-trips
-bit-exactly: magic, JSON metadata padded so that the tensors start 8-byte
-aligned, raw little-endian float64 tensors, and a trailing SHA-256
-checksum.  The tensors are those of `model.parameter_shapes`, in its
-order, then `class_weights` and `word_embed`; the preprocessing tables
-sit in the header in the stored form of `corpus.PreprocTables`, which
-checks them on load.
+still running.  Same-seed runs are byte-identical.  Checkpoints are a
+versioned binary container that round-trips bit-exactly: magic, JSON
+metadata padded so that the tensors start 8-byte aligned, raw
+little-endian float64 tensors, and a trailing SHA-256 checksum.  The
+tensors are those of `model.parameter_shapes`, in its order, then
+`class_weights` and `word_embed`; the preprocessing tables sit in the
+header in the stored form of `corpus.PreprocTables`, which checks them on
+load.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     averaged over the batch, backward, global-norm clipping, Adam.  Runs
     are bit-reproducible for a given (seed, dataset, config).
 
-    The source ids are padded once into one [N x max_src] array.  A
+    The source ids are padded once into one [N x longest source] array.  A
     mini-batch, in its shuffled order, is cut to its longest source,
     embedded and run as one `model.batch_loss` call on one tape.
     """
@@ -229,11 +228,11 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
 
     word_embed = vocab_matrix(data.word_vocab, table)
     n = len(data.examples)
-    source_ids = np.full((n, max(len(ex.source.ids) for ex in data.examples)), PAD_ID)
-    for row, ex in zip(source_ids, data.examples):
-        row[: len(ex.source.ids)] = ex.source.ids
     lengths = np.array([ex.source.length for ex in data.examples])
-    targets = [list(ex.target.ids[: ex.target.length]) for ex in data.examples]
+    source_ids = np.full((n, lengths.max()), PAD_ID)
+    for row, ex in zip(source_ids, data.examples):
+        row[: ex.source.length] = ex.source.ids
+    targets = [list(ex.target.ids) for ex in data.examples]
 
     step = 0
     final_loss: float | None = None

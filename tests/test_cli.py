@@ -1,14 +1,19 @@
+import argparse
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import _synth
-from libsuggest.cli import _load_prepared, _load_test_set, load_config, main
-from libsuggest.corpus import DatasetError
+import libsuggest
+from libsuggest import cli
+from libsuggest.cli import _build_parser, _load_prepared, _load_test_set, load_config, main
+from libsuggest.corpus import UNK_ID, DatasetError
 from libsuggest.trainer import TrainConfig, load_checkpoint
 
 
@@ -235,6 +240,34 @@ class TestTrainCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_checkpoint_directory_must_exist_before_training(self, pipeline, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("read or trained before the checkpoint directory was checked")
+
+        monkeypatch.setattr(cli, "_load_prepared", fail)
+        monkeypatch.setattr(cli, "train", fail)
+        missing = tmp_path / "nodir"
+        code = main(
+            [
+                "train",
+                "--preprocessed", str(pipeline["prep"]),
+                "--embeddings", str(pipeline["files"]["embeddings"]),
+                "--config", str(pipeline["files"]["config"]),
+                "--checkpoint", str(missing / "m.ckpt"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --checkpoint ") and str(missing) in err
+
+
+def short_config(pipeline, path, epochs):
+    """The fixture's training config with `max_epochs` set to `epochs`."""
+    lines = pipeline["files"]["config"].read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = "".join(l for l in lines if not l.startswith("max_epochs"))
+    path.write_text(kept + f"max_epochs = {epochs}\n", encoding="utf-8")
+    return path
+
 
 class TestPreparedDirectory:
     """`train --preprocessed` input that would fail inside training, or
@@ -341,6 +374,14 @@ class TestPreparedDirectory:
         ckpt = tmp_path / "model.ckpt"
         assert self.train(pipeline, prep, ckpt) == 0
         assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
+
+    def test_tokens_spelled_like_reserved_symbols_are_unknown_words(self, pipeline, tmp_path):
+        prep = self.replace_row(
+            pipeline, tmp_path, lambda row: json.dumps({**row, "tokens": ["<pad>", "<eos>", *row["tokens"]]})
+        )
+        config = short_config(pipeline, tmp_path / "short.cfg", 1)
+        assert _load_prepared(str(prep), load_config(config)).examples[2].source.ids[:2] == (UNK_ID, UNK_ID)
+        assert self.train(pipeline, prep, tmp_path / "model.ckpt", config=config) == 0
 
     def test_one_directory_trains_under_other_sequence_limits(self, pipeline, tmp_path):
         cfg = load_config(pipeline["files"]["config"])
@@ -586,6 +627,20 @@ class TestEvaluateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "beta" in captured.err
 
+    def test_repeated_k_is_an_error(self, pipeline, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(pipeline["ckpt"]),
+                "--dataset", str(pipeline["prep"] / "test.jsonl"),
+                "--k", "5,5",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "distinct" in captured.err
+
     def test_identical_reports_across_runs(self, pipeline, capsys):
         args = [
             "evaluate",
@@ -648,3 +703,69 @@ def test_cross_process_determinism(pipeline, tmp_path):
     for run in runs:
         assert run.returncode == 0, run.stderr.decode()
     assert runs[0].stdout == runs[1].stdout
+
+
+_PIPELINE_SCRIPT = """
+import json, sys
+from libsuggest.cli import main
+
+files = json.loads(sys.argv[1])
+for argv in (
+    ["preprocess", "--dataset", files["dataset"], "--stopwords", files["stopwords"],
+     "--lemma-table", files["lemma"], "--min-libs", "2", "--out", "prep"],
+    ["train", "--preprocessed", "prep", "--embeddings", files["embeddings"],
+     "--config", files["config"], "--checkpoint", "model.ckpt"],
+    ["evaluate", "--checkpoint", "model.ckpt", "--dataset", "prep/test.jsonl"],
+    ["evaluate", "--checkpoint", "model.ckpt", "--dataset", files["dataset"], "--machine-readable"],
+    ["recommend", "w000 w001 w003", "--checkpoint", "model.ckpt", "--k", "5"],
+):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_the_hash_seed(pipeline, tmp_path):
+    """preprocess -> train -> evaluate -> recommend in two interpreters
+    whose string hashes differ: every file written and every byte printed
+    are the same, so no output depends on set or dict order of strings."""
+    files = {k: str(v) for k, v in pipeline["files"].items()}
+    files["config"] = str(short_config(pipeline, tmp_path / "short.cfg", 30))
+    src = os.path.dirname(os.path.dirname(libsuggest.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for hash_seed in ("0", "1"):
+        run_dir = tmp_path / f"hash{hash_seed}"
+        run_dir.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+        run = subprocess.run(
+            [sys.executable, "-c", _PIPELINE_SCRIPT, json.dumps(files)],
+            cwd=run_dir, env=env, capture_output=True, timeout=240,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        written = {
+            str(path.relative_to(run_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(run_dir.rglob("*")) if path.is_file()
+        }
+        assert "model.ckpt" in written and "prep/train.jsonl" in written
+        digests.append((written, hashlib.sha256(run.stdout).hexdigest()))
+    assert digests[0] == digests[1]
+
+
+def readme_flag_tables():
+    """The first column of each command's flag table in README.md, by command."""
+    tables, command = {}, None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            command = line[4:].strip() if line.startswith("### ") else None
+        elif command and line.startswith("| `"):
+            tables.setdefault(command, []).append(line.split("`")[1])
+    return tables
+
+
+def test_readme_flag_tables_match_the_parser():
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: [", ".join(a.option_strings) or a.dest for a in sub._actions if a.dest != "help"]
+        for name, sub in commands.choices.items()
+    }
+    assert readme_flag_tables() == flags

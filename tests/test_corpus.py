@@ -11,7 +11,6 @@ from libsuggest.corpus import (
     UNK_ID,
     DatasetError,
     ProjectRecord,
-    TokenSequence,
     Vocabulary,
     build_vocabularies,
     encode_example,
@@ -319,7 +318,9 @@ class TestVocabularies:
 
     def test_reserved_ids(self):
         vocab = Vocabulary(["alpha", "beta"])
-        assert vocab.id("<pad>") == PAD_ID == 0
+        assert PAD_ID == 0
+        assert vocab.id("<pad>") == UNK_ID
+        assert vocab.id("<eos>") == UNK_ID
         assert vocab.token(UNK_ID) == "<unk>"
         assert vocab.token(EOS_ID) == "<eos>"
         assert vocab.id("alpha") == 3
@@ -332,11 +333,11 @@ class TestEncodeExample:
         self.word_vocab = Vocabulary(["fast", "json", "parser"])
         self.lib_vocab = Vocabulary(["gson", "junit"])
 
-    def test_padding(self):
+    def test_short_source_is_not_padded(self):
         rec = ProjectRecord("p", "json parser fast", ("gson",))
         src, _ = encode_example(rec, self.word_vocab, self.lib_vocab, 5, 4)
         ids = [self.word_vocab.id(t) for t in ["json", "parser", "fast"]]
-        assert src.ids == (*ids, PAD_ID, PAD_ID)
+        assert src.ids == tuple(ids)
         assert src.length == 3
 
     def test_unknown_token_becomes_unk(self):
@@ -344,10 +345,10 @@ class TestEncodeExample:
         src, _ = encode_example(rec, self.word_vocab, self.lib_vocab, 3, 4)
         assert src.ids[1] == UNK_ID
 
-    def test_target_gets_eos_then_pad(self):
+    def test_target_ends_with_eos(self):
         rec = ProjectRecord("p", "json", ("gson", "junit"))
         _, tgt = encode_example(rec, self.word_vocab, self.lib_vocab, 3, 4)
-        assert tgt.ids == (self.lib_vocab.id("gson"), self.lib_vocab.id("junit"), EOS_ID, PAD_ID)
+        assert tgt.ids == (self.lib_vocab.id("gson"), self.lib_vocab.id("junit"), EOS_ID)
         assert tgt.length == 3
 
     def test_source_truncation_keeps_head(self):
@@ -373,12 +374,6 @@ class TestEncodeExample:
         assert prefix[-1] == EOS_ID
         libs = prefix[:-1]
         assert len(set(libs)) == len(libs)
-
-    def test_token_sequence_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TokenSequence((PAD_ID, 5), 2)
-        with pytest.raises(ValueError):
-            TokenSequence((5, 4), 1)
 
 
 class TestTableFiles:

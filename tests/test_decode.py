@@ -5,10 +5,10 @@ import pytest
 
 import _synth
 from libsuggest import decode
-from libsuggest.corpus import EOS_ID, N_RESERVED
+from libsuggest.corpus import EOS_ID, N_RESERVED, UNK_ID
 from libsuggest.decode import NoSignalError, _beam, beam_search, greedy_decode, recommend
 from libsuggest.model import BOS, attention_keys, decoder_step
-from libsuggest.decode import _greedy_rollout, _start_state
+from libsuggest.decode import _embed_source, _greedy_rollout, _start_state
 
 TOKENS = ["t0", "t3", "t5"]
 
@@ -93,6 +93,15 @@ def tie_checkpoint(seed):
         p.emb.data[b] = p.emb.data[a]
         p.out.w_o.data[:, b] = p.out.w_o.data[:, a]
     return ckpt
+
+
+class TestEmbedSource:
+    def test_token_spelled_like_a_reserved_symbol_is_an_unknown_word(self):
+        ckpt = _synth.random_checkpoint(0)
+        ckpt.word_embed[UNK_ID] = np.arange(1.0, ckpt.config.embed_dim + 1)  # the EOS row stays zero
+        x, length = _embed_source(["<eos>", "zzz"], ckpt)
+        assert length == 2
+        np.testing.assert_array_equal(x.data, ckpt.word_embed[[UNK_ID, UNK_ID]])
 
 
 class TestGreedyDecode:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from libsuggest.corpus import PAD_ID, UNK_ID, DatasetError, TokenSequence, Vocabulary
+from libsuggest.corpus import PAD_ID, UNK_ID, DatasetError, Vocabulary
 from libsuggest.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -89,10 +89,9 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         np.testing.assert_array_equal(table.vector("missing"), [1.0, 2.0])
 
-    def test_duplicate_last_wins_and_counted(self, tmp_path):
+    def test_duplicate_last_wins(self, tmp_path):
         path = write(tmp_path / "e.txt", "3 2\ncat 1 0\ncat 5 5\ndog 0 1\n")
         table = load_embeddings(path)
-        assert table.duplicates == 1
         np.testing.assert_array_equal(table.vector("cat"), [5.0, 5.0])
 
 
@@ -121,12 +120,12 @@ class TestRoundTrip:
         assert load_embeddings(a).unk_vector.tobytes() == load_embeddings(b).unk_vector.tobytes()
 
 
-def embed_sequence(seq, word_vocab, table):
-    """Reference embedding of a token sequence, one id at a time: PAD rows
-    are zero, UNK rows (and in-vocabulary words missing from the table) get
-    the table's unknown-word vector."""
-    out = np.zeros((len(seq.ids), table.dimension))
-    for t, token_id in enumerate(seq.ids):
+def embed_sequence(ids, word_vocab, table):
+    """Reference embedding of a tuple of token ids, one id at a time: PAD
+    rows are zero, UNK rows (and in-vocabulary words missing from the
+    table) get the table's unknown-word vector."""
+    out = np.zeros((len(ids), table.dimension))
+    for t, token_id in enumerate(ids):
         if token_id == UNK_ID:
             out[t] = table.unk_vector
         elif token_id != PAD_ID:
@@ -134,9 +133,9 @@ def embed_sequence(seq, word_vocab, table):
     return out
 
 
-def gathered(seq, word_vocab, table):
+def gathered(ids, word_vocab, table):
     """How the program embeds a sequence: rows of `vocab_matrix` by id."""
-    return vocab_matrix(word_vocab, table)[np.array(seq.ids)]
+    return vocab_matrix(word_vocab, table)[np.array(ids)]
 
 
 class TestEmbedSequence:
@@ -147,24 +146,20 @@ class TestEmbedSequence:
         )
 
     def test_all_pad_is_zero_matrix(self):
-        seq = TokenSequence((PAD_ID, PAD_ID, PAD_ID), 0)
-        out = gathered(seq, self.vocab, self.table)
+        out = gathered((PAD_ID, PAD_ID, PAD_ID), self.vocab, self.table)
         assert out.shape == (3, 2)
         assert np.all(out == 0.0)
 
     def test_known_token_row(self):
-        seq = TokenSequence((self.vocab.id("cat"), PAD_ID), 1)
-        out = gathered(seq, self.vocab, self.table)
+        out = gathered((self.vocab.id("cat"), PAD_ID), self.vocab, self.table)
         np.testing.assert_array_equal(out[0], [1.0, 2.0])
 
     def test_unk_row_uses_unk_vector(self):
-        seq = TokenSequence((self.vocab.id("cat"), UNK_ID), 2)
-        out = gathered(seq, self.vocab, self.table)
+        out = gathered((self.vocab.id("cat"), UNK_ID), self.vocab, self.table)
         np.testing.assert_array_equal(out[1], self.table.unk_vector)
 
     def test_pad_rows_have_exactly_zero_norm(self):
-        seq = TokenSequence((self.vocab.id("dog"), PAD_ID, PAD_ID), 1)
-        out = gathered(seq, self.vocab, self.table)
+        out = gathered((self.vocab.id("dog"), PAD_ID, PAD_ID), self.vocab, self.table)
         assert np.linalg.norm(out[1]) == 0.0
         assert np.linalg.norm(out[2]) == 0.0
 
@@ -173,12 +168,10 @@ class TestEmbedSequence:
         table = EmbeddingTable(4, {f"w{i}": rng.normal(size=4) for i in range(5)})
         vocab = Vocabulary(sorted(table.vectors))
         ids = tuple(vocab.id(f"w{i}") for i in range(5)) + (UNK_ID, PAD_ID)
-        seq = TokenSequence(ids, 6)
-        assert np.isfinite(gathered(seq, vocab, table)).all()
+        assert np.isfinite(gathered(ids, vocab, table)).all()
 
     def test_vocab_matrix_gather_matches_embed_sequence(self):
         # a vocabulary word missing from the table falls back to UNK too
         vocab = Vocabulary(["cat", "dog", "emu"])
         for ids in ((vocab.id("dog"), UNK_ID, PAD_ID), (vocab.id("emu"), vocab.id("cat"), vocab.id("dog"))):
-            seq = TokenSequence(ids, sum(i != PAD_ID for i in ids))
-            np.testing.assert_array_equal(gathered(seq, vocab, self.table), embed_sequence(seq, vocab, self.table))
+            np.testing.assert_array_equal(gathered(ids, vocab, self.table), embed_sequence(ids, vocab, self.table))

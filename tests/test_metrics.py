@@ -292,6 +292,28 @@ class TestGroupedEvaluate:
             evaluate(ckpt, self.cases_of(ckpt, 12), beta=beta)
         assert calls == []
 
+    @pytest.mark.parametrize("ks", [(5, 5), (), (0,)])
+    def test_bad_ks_rejected_before_any_decoding(self, ks, monkeypatch):
+        from libsuggest import metrics
+
+        calls = []
+        monkeypatch.setattr(metrics, "beam_search", lambda *args: calls.append(args))
+        ckpt = _synth.random_checkpoint(5, n_libs=40, n_words=8)
+        with pytest.raises(ValueError, match="ks must be"):
+            evaluate(ckpt, self.cases_of(ckpt, 12), ks=ks)
+        assert calls == []
+
+    def test_truth_weights_that_all_underflow_name_the_test_set_row_before_decoding(self, monkeypatch):
+        # row 0 is skipped (no known truth) and row 1 keeps the weight 1 ** -1100
+        from libsuggest import metrics
+
+        calls = []
+        monkeypatch.setattr(metrics, "beam_search", lambda *args: calls.append(args))
+        test_set = [(["t0"], ["nolib"]), (["t1"], ["lib0"]), (["t2"], ["lib3", "lib4"])]
+        with pytest.raises(ValueError, match=r"^case 2: every truth weight underflows"):
+            evaluate(_synth.random_checkpoint(0), test_set, beta=1100)
+        assert calls == []
+
     def test_empty_tokens_in_the_middle_of_a_group_name_their_case(self):
         ckpt = _synth.random_checkpoint(5, n_libs=40, n_words=8)
         test_set = self.cases_of(ckpt, 12)
