@@ -315,6 +315,8 @@ def cmd_train(args) -> int:
     directory = os.path.dirname(args.checkpoint) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"--checkpoint {args.checkpoint!r}: directory {directory!r} does not exist")
+    if os.path.isdir(args.checkpoint):
+        raise ValueError(f"--checkpoint {args.checkpoint!r} is a directory, not a file path")
     cfg = load_config(args.config) if args.config else TrainConfig()
     data = _load_prepared(args.preprocessed, cfg)
     table = load_embeddings(args.embeddings)
@@ -331,9 +333,12 @@ def _load_test_set(path, ckpt):
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        ks = tuple(int(part) for part in args.k.split(","))
+    except ValueError:
+        raise ValueError(f"--k {args.k!r}: expected comma-separated ints, such as 1,5,10") from None
     ckpt = load_checkpoint(args.checkpoint)
     test_set = _load_test_set(args.dataset, ckpt)
-    ks = tuple(int(part) for part in str(args.k).split(","))
     report = evaluate(ckpt, test_set, ks=ks, beta=args.beta, beam_width=args.beam_width)
     sys.stdout.write(report.format_machine() if args.machine_readable else report.format_text())
     return 0

@@ -18,10 +18,12 @@ scores finds the width-th best, and only the candidates within a relative
 margin of 1e-9 of it are scored again as `score + math.log(p)` and sorted
 by (-score, sequence).  The margin covers the last-bit difference between
 np.log and math.log, so ties and near-ties resolve as a sort of every
-candidate would.  With no tape each row of the start and of a step is
-bit-identical to the one-sequence call, whatever the other rows and the
-padding, so the answers and their reported probabilities equal those of a
-decode of one query, one hypothesis at a time.
+candidate would.  With no tape the products run in fixed 4-row blocks,
+whose bits depend on the BLAS kernel for M=4 (`tensor._product`), so each
+row of the start and of a step is bit-identical to the one-sequence call,
+whatever the other rows and the padding, and the answers and their
+reported probabilities equal those of a decode of one query, one
+hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -228,9 +230,10 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     encoder outputs zero-padded to [Q x T x 2H].  Each step runs one
     `decoder_step` whose rows are each query's live hypotheses, then its
     greedy seed while that runs.  With no tape a row is bit-identical to
-    the one-sequence call (`tensor._product`, and attention's sums over
-    positions in order), whatever the other rows and the zero padding of
-    its source, and `_select` ranks by `math.log` scores, ties to the
+    the one-sequence call, whatever the other rows and the zero padding of
+    its source: the products run in fixed 4-row blocks, whose bits depend
+    on the BLAS kernel for M=4 (`tensor._product`), and attention sums over
+    positions in order.  `_select` ranks by `math.log` scores, ties to the
     lexicographically smaller sequence: each answer is that of a
     per-hypothesis search of its query alone.
     """

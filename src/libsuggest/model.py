@@ -17,8 +17,9 @@ front because `batch_loss` sorts its rows by target length, longest first
 (`example_loss` is the batch of one).  Decoding runs it with no tape,
 where each row of a batch, such as the hypotheses of several queries
 over their zero-padded sources, is bit-identical to the batch of one
-holding that row (`tensor._product`, and attention's sums over positions
-in order).
+holding that row: the products run in fixed 4-row blocks, whose bits
+depend on the BLAS kernel for M=4 (`tensor._product`), and attention sums
+over positions in order.
 
 The parameter layout is defined once.  The fields of `ModelParams` give
 the order of the trainable tensors and `parameter_shapes` their shapes;
@@ -332,8 +333,9 @@ def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
 
     It does not depend on the decoder state, so `attention` and
     `decoder_step` take it precomputed: once per source instead of once
-    per step, which decoding needs most, as its products with no tape run
-    as stacked rows at several times a GEMM's cost (`tensor._product`).
+    per step.  With no tape the product runs in fixed 4-row blocks
+    (`tensor._product`), so a source's keys have the same bits alone and
+    zero-padded in a group; their bits depend on the BLAS kernel for M=4.
     """
     _check_lengths(enc_out, valid_len)
     return matmul(enc_out, p.u_a)

@@ -18,8 +18,9 @@ its backward is hand-written backpropagation through time
 (`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`).  Its input, the
 frozen word embeddings, is a constant and gets no gradient.
 
-With no tape, `matmul` and `lstm_cell` multiply as stacked rows
-(`_product`) and a softmax sums whole rows, so a row of a batch, such as
+With no tape, `matmul` and `lstm_cell` multiply in fixed 4-row blocks
+(`_product`), so that a row's bits depend only on the row and on the BLAS
+kernel for M=4, and a softmax sums whole rows: a row of a batch, such as
 a beam hypothesis, gets the bits of the batch of one.  `einsum` (numpy's
 own loops) and a `sequential` softmax (an in-order sum) keep them also
 when zeros pad the axis summed over, with or without a tape: attention
@@ -28,19 +29,13 @@ sums over source positions with them.
 Gradients accumulate in place once the tape owns the array it holds for a
 tensor, so repeated uses of a weight add into one buffer; `take` scatters
 its gradient the same way.
-
-The one exception to float64 is `finite_difference_check`, whose probes
-evaluate the forward pass in `np.longdouble` (a 64-bit mantissa on x86-64
-Linux) so that the central differences resolve gradients far below what
-float64 rounding of the loss allows.  Where `np.longdouble` is no wider
-than float64, the probes run at float64 resolution.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -62,7 +57,6 @@ __all__ = [
     "dropout",
     "lstm_cell",
     "bilstm",
-    "finite_difference_check",
 ]
 
 _LOCAL = threading.local()
@@ -204,12 +198,19 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`a @ b` as stacked [1 x K] rows, each the BLAS call of the one-row
-    `a[i] @ b` whatever the row count; but a matrix `b` under a tape gets a
-    GEMM, which sums in another order yet costs 2-5x less, for training."""
-    if b.ndim == 2 and _active_tape() is not None:
+    """`a @ b` for a matrix `b`.  With no tape the rows of `a` run in fixed
+    blocks of 4, zero-padded: one BLAS call per block, whose kernel for
+    M=4 gives each row the same bits whatever the row count or the other
+    rows.  Under a tape a plain GEMM, which sums in another order yet
+    costs less, for training."""
+    if _active_tape() is not None:
         return a @ b
-    return (a[..., None, :] @ b)[..., 0, :]
+    k = a.shape[-1]
+    rows = a.reshape(-1, k)
+    blocks = np.zeros((-(-len(rows) // 4) * 4, k), dtype=a.dtype)
+    blocks[: len(rows)] = rows
+    out = (blocks.reshape(-1, 4, k) @ b).reshape(-1, b.shape[-1])[: len(rows)]
+    return out.reshape(a.shape[:-1] + b.shape[-1:])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -551,73 +552,3 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
 
     _record((out,), rule)
     return out
-
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    params: Mapping[str, Tensor] | Sequence[Tensor],
-    epsilon: float = 1e-4,
-    max_coords_per_tensor: int = 32,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Audit tape gradients of `f` against central finite differences.
-
-    `f` must read exactly the given parameter tensors, be deterministic,
-    and return a scalar tensor.  Large tensors are probed on a random
-    subsample of coordinates (at least min(size, max_coords_per_tensor)).
-    Returns the worst relative error, denominated by
-    max(|analytic|, |numeric|, 1e-8).
-
-    The analytic gradients come from the float64 tape.  The probes run `f`
-    with the parameters converted to `np.longdouble`, so the rounding noise
-    of each difference is ulp(|loss|)/(2*epsilon) in extended precision:
-    about 1e-15 for |loss| ~ 4 and epsilon 1e-4 with a 64-bit mantissa,
-    against about 3e-12 in float64, which the 1e-8 floor turns into a
-    relative error of 3e-4 for a perfect gradient.  Where `np.longdouble`
-    is no wider than float64, that float64 limit applies again.  Every
-    parameter gets its original array object back, also when `f` raises.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    tensors = list(params.values()) if isinstance(params, Mapping) else list(params)
-    if f().item() != f().item():
-        raise ValueError("f is not deterministic (two evaluations differ)")
-
-    with Tape() as tape:
-        loss = f()
-    backward(tape, loss)
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    originals = [t.data for t in tensors]
-    worst = 0.0
-    try:
-        for t in tensors:
-            t.data = t.data.astype(np.longdouble)
-        for t in tensors:
-            analytic = tape.gradient(t)
-            aflat = (
-                np.zeros(t.size) if analytic is None else np.asarray(analytic).reshape(-1)
-            )
-            n = t.size
-            if n <= max_coords_per_tensor:
-                indices = range(n)
-            else:
-                indices = np.sort(rng.choice(n, size=max_coords_per_tensor, replace=False))
-            for i in indices:
-                i = int(i)
-                original = t.data.flat[i]
-                t.data.flat[i] = original + epsilon
-                f_plus = f().data
-                t.data.flat[i] = original - epsilon
-                f_minus = f().data
-                t.data.flat[i] = original
-                numeric = float((f_plus - f_minus) / (2.0 * epsilon))
-                a = float(aflat[i])
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                if err > worst:
-                    worst = err
-    finally:
-        for t, data in zip(tensors, originals):
-            t.data = data
-    return worst

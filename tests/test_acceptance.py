@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import _synth
+from _fd import finite_difference_check
 from libsuggest.cli import main
 from libsuggest.corpus import EOS_ID, N_RESERVED, Vocabulary, process_description
 from libsuggest.decode import _beam, _start_state, beam_search, greedy_decode
@@ -26,7 +27,7 @@ from libsuggest.model import (
     library_weights,
     named_parameters,
 )
-from libsuggest.tensor import Tape, Tensor, backward, finite_difference_check
+from libsuggest.tensor import Tape, Tensor, backward
 from libsuggest.trainer import checkpoint_bytes, checkpoint_from_bytes, train
 
 

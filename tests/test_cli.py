@@ -260,6 +260,28 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --checkpoint ") and str(missing) in err
 
+    def test_checkpoint_that_is_a_directory_is_rejected_before_reading(self, pipeline, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("read or trained before the checkpoint path was checked")
+
+        for name in ("load_config", "_load_prepared", "load_embeddings", "train"):
+            monkeypatch.setattr(cli, name, fail)
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        code = main(
+            [
+                "train",
+                "--preprocessed", str(pipeline["prep"]),
+                "--embeddings", str(pipeline["files"]["embeddings"]),
+                "--config", str(pipeline["files"]["config"]),
+                "--checkpoint", str(existing),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --checkpoint ") and str(existing) in err and "directory" in err
+        assert list(existing.iterdir()) == []
+
 
 def short_config(pipeline, path, epochs):
     """The fixture's training config with `max_epochs` set to `epochs`."""
@@ -640,6 +662,25 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "distinct" in captured.err
+
+    @pytest.mark.parametrize("ks", ["5,", "a", "1,,5"])
+    def test_k_that_is_not_a_list_of_ints_is_named_before_loading(self, pipeline, capsys, monkeypatch, ks):
+        def fail(*args):
+            raise AssertionError("loaded the checkpoint before --k was parsed")
+
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(pipeline["ckpt"]),
+                "--dataset", str(pipeline["prep"] / "test.jsonl"),
+                "--k", ks,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --k {ks!r}")
 
     def test_identical_reports_across_runs(self, pipeline, capsys):
         args = [

@@ -6,6 +6,7 @@ import pytest
 
 from libsuggest.corpus import EOS_ID, N_RESERVED, PAD_ID
 import _synth
+from _fd import finite_difference_check
 from libsuggest.model import (
     BOS,
     AttentionParams,
@@ -23,7 +24,7 @@ from libsuggest.model import (
     sequence_loss,
 )
 from libsuggest.corpus import Vocabulary
-from libsuggest.tensor import Tensor, finite_difference_check, lstm_cell
+from libsuggest.tensor import Tensor, lstm_cell
 
 
 def zero_lstm(input_size, hidden):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _fd import finite_difference_check
 from libsuggest.tensor import (
     Tape,
     Tensor,
@@ -13,7 +14,6 @@ from libsuggest.tensor import (
     concat_rows,
     dropout,
     einsum,
-    finite_difference_check,
     log,
     lstm_cell,
     masked_softmax,
@@ -707,7 +707,7 @@ class TestFusedLstm:
 
 class TestRowProducts:
     """With no tape recording, the products of `matmul` and `lstm_cell`
-    run as stacked rows, so each row of a batch gets the bits of the
+    run in fixed 4-row blocks, so each row of a batch gets the bits of the
     one-row call whatever the row count: decoding relies on it.  Under a
     tape they stay GEMMs, so training's bits do not move."""
 
@@ -727,6 +727,53 @@ class TestRowProducts:
     def test_products_under_a_tape_are_gemms(self):
         rng = np.random.default_rng(0)
         a, w = Tensor(rng.normal(size=(32, 456))), Tensor(rng.normal(size=(456, 512)))
+        with Tape():
+            out = matmul(a, w)
+        assert np.array_equal(out.data, a.data @ w.data)
+
+    # the decode shapes, at every row count a beam step can reach: with a
+    # plain GEMM, row 0 of the output layer's product changes its bits
+    # with the row count
+    @pytest.mark.parametrize("k, n", [(128, 1003), (456, 512)])
+    def test_output_layer_rows_at_every_row_count(self, k, n):
+        rng = np.random.default_rng(k)
+        a, w = rng.normal(size=(40, k)), Tensor(rng.normal(size=(k, n)))
+        alone = [matmul(Tensor(a[r]), w).data for r in range(40)]
+        for rows in range(1, 41):
+            out = matmul(Tensor(a[:rows]), w).data
+            for r in range(rows):
+                assert np.array_equal(out[r], alone[r]), (rows, r)
+
+    def test_decoder_cell_rows_at_every_row_count(self):
+        rng = np.random.default_rng(1)
+        x, h, c = rng.normal(size=(40, 320)), rng.normal(size=(40, 128)), rng.normal(size=(40, 128))
+        cell = _cell(rng, 320, 128)
+        alone = [
+            lstm_cell(Tensor(x[r : r + 1]), Tensor(h[r : r + 1]), Tensor(c[r : r + 1]), *cell) for r in range(40)
+        ]
+        for rows in range(1, 41):
+            h_out, c_out = lstm_cell(Tensor(x[:rows]), Tensor(h[:rows]), Tensor(c[:rows]), *cell)
+            for r in range(rows):
+                assert np.array_equal(h_out.data[r], alone[r][0].data[0]), (rows, r)
+                assert np.array_equal(c_out.data[r], alone[r][1].data[0]), (rows, r)
+
+    def test_attention_key_rows_at_every_query_count(self):
+        # [Q x T x 2H] @ [2H x H], as `attention_keys` runs over a group of
+        # sources zero-padded to the longest, against each source alone
+        rng = np.random.default_rng(2)
+        enc, u = rng.normal(size=(40, 12, 256)), Tensor(rng.normal(size=(256, 128)))
+        lengths = [1 + q % 12 for q in range(40)]
+        for q, n in enumerate(lengths):
+            enc[q, n:] = 0.0
+        alone = [matmul(Tensor(enc[q, :n]), u).data for q, n in enumerate(lengths)]
+        for queries in range(1, 41):
+            out = matmul(Tensor(enc[:queries]), u).data
+            for q in range(queries):
+                assert np.array_equal(out[q, : lengths[q]], alone[q]), (queries, q)
+
+    def test_three_axis_products_under_a_tape_are_gemms(self):
+        rng = np.random.default_rng(3)
+        a, w = Tensor(rng.normal(size=(5, 7, 256))), Tensor(rng.normal(size=(256, 128)))
         with Tape():
             out = matmul(a, w)
         assert np.array_equal(out.data, a.data @ w.data)
