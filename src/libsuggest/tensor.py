@@ -12,11 +12,15 @@ matrices, one row per sequence, and `bilstm` takes [B x T x .] sequences.
 One sequence is a batch of one.  A cell stores its four gates
 [i | f | o | g] side by side as `w[in x 4H]`, `u[H x 4H]` and `b[4H]`.
 `lstm_cell` is one decoder step as one op.  `bilstm` is a whole
-bidirectional encoder pass as one op: each direction projects its input in
-one product `x @ w + b`, then runs the recurrence over [B x 4H] rows, and
-its backward is hand-written backpropagation through time
-(`dW = X^T dG`, `dU = H_prev^T dG`, `db = sum dG`).  Its input, the
-frozen word embeddings, is a constant and gets no gradient.
+bidirectional encoder pass as one op over packed rows: sorted by length,
+longest first, with only the valid positions laid out time-major, so that
+each recurrence step runs on the prefix of rows still running and no
+padding is computed.  Each direction projects its input in one product
+`x @ w + b`, and its backward is hand-written backpropagation through
+time over the same prefixes (`dW = X^T dG`, `dU = H_prev^T dG`,
+`db = sum dG`, each one product over the valid positions).  Its input,
+the frozen word embeddings, is a constant and gets no gradient.  The gate
+sigmoid is `0.5 * tanh(0.5 * x) + 0.5`, one transcendental.
 
 With no tape, `matmul` and `lstm_cell` multiply in fixed 4-row blocks
 (`_product`), so that a row's bits depend only on the row and on the BLAS
@@ -28,7 +32,11 @@ sums over source positions with them.
 
 Gradients accumulate in place once the tape owns the array it holds for a
 tensor, so repeated uses of a weight add into one buffer; `take` scatters
-its gradient the same way.
+its gradient the same way.  A weight gradient `a^T g` into a leaf, a
+tensor that no record on the tape produced (a parameter), is deferred:
+`matmul` and `lstm_cell` leave their rows of `a` and `g` on the tape, and
+`backward` adds each leaf's rows as one product at the end of the sweep,
+in place of one full-size product per decoder step.
 """
 
 from __future__ import annotations
@@ -111,8 +119,10 @@ class Tape:
     Ops append themselves in execution order, which is a topological order
     of the computation graph, so a single reverse sweep sees every output
     gradient fully accumulated before visiting the op that produced it.
-    One tape serves one forward/backward pass on one thread; distinct
-    tapes may run on distinct threads concurrently.
+    A leaf, a tensor that no record produced, has no rule that reads its
+    gradient, so the products into it can wait for the end of the sweep
+    (`_outer`).  One tape serves one forward/backward pass on one thread;
+    distinct tapes may run on distinct threads concurrently.
     """
 
     def __init__(self):
@@ -121,6 +131,9 @@ class Tape:
         self._records: list[tuple[tuple[Tensor, ...], Callable]] = []
         self._grads: dict[int, np.ndarray] = {}
         self._owned: set[int] = set()  # gradients no other name refers to
+        self._produced: set[int] = set()  # outputs of the records, set by backward
+        # per leaf: (leaf, rows of a, rows of g) for one a^T g at the end
+        self._deferred: dict[int, tuple[Tensor, list[np.ndarray], list[np.ndarray]]] = {}
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -166,6 +179,19 @@ class Tape:
         else:
             buf[index] += g
 
+    def _outer(self, t: Tensor, a: np.ndarray, g: np.ndarray) -> None:
+        """Add `a^T g`, over the rows of `a` and `g` (their leading axes), to
+        t's gradient: at once when a record produced t, as its producer's
+        rule reads that gradient later in the sweep; for a leaf, keep the
+        rows, and `backward` adds them all as one product."""
+        a, g = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+        if id(t) in self._produced:
+            self._acc(t, a.T @ g)
+            return
+        _, a_rows, g_rows = self._deferred.setdefault(id(t), (t, [], []))
+        a_rows.append(a)
+        g_rows.append(g)
+
 
 def _record(outs: tuple[Tensor, ...], rule: Callable) -> None:
     tape = _active_tape()
@@ -180,21 +206,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
     back with `tape.gradient(t)` for tensors no op on the tape produced
     (parameters and inputs); the gradient of an op's output is dropped
     once its rule has used it, so the sweep holds no more of them than
-    it needs.
+    it needs.  The products into a leaf wait until the reverse sweep ends
+    and then go in as one `concat(a)^T @ concat(g)` per leaf, in sweep
+    order, so a repeated sweep gives the same bytes.
     """
     if loss.ndim != 0:
         raise ValueError("loss must be a scalar tensor")
+    tape._produced = {id(o) for outs, _ in tape._records for o in outs}
+    if id(loss) not in tape._produced:
+        raise ValueError("loss was not produced on this tape")
     tape._grads = {id(loss): np.ones((), dtype=np.float64)}
     tape._owned = set()
+    tape._deferred = {}
     grads = tape._grads
     for outs, rule in reversed(tape._records):
         gs = [grads.pop(id(o), None) for o in outs]
         if any(g is not None for g in gs):
             rule(tape, *gs)
-    # the record that produced the loss claims its seed gradient; a loss
-    # from elsewhere leaves it, and then no rule ran
-    if id(loss) in grads:
-        raise ValueError("loss was not produced on this tape")
+    deferred, tape._deferred = tape._deferred, {}
+    for t, a_rows, g_rows in deferred.values():
+        tape._acc(t, np.concatenate(a_rows).T @ np.concatenate(g_rows))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,7 +254,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(tape, g):
         tape._acc(a, g @ bd.T)
-        tape._acc(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
+        tape._outer(b, ad, g)
 
     _record((out,), rule)
     return out
@@ -305,9 +336,12 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a nonpositive argument only, so no overflow on either branch
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # one transcendental, which saturates without overflow; augmented
+    # assignment, not out=, since tanh of a 0-d array is a numpy scalar
+    y = np.tanh(0.5 * x)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def relu(x: Tensor) -> Tensor:
@@ -476,8 +510,8 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
         tape._acc(x, dz @ w.data.T)
         tape._acc(h, dz @ u.data.T)
         tape._acc(c, dc_prev)
-        tape._acc(w, xd.T @ dz)
-        tape._acc(u, hd.T @ dz)
+        tape._outer(w, xd, dz)
+        tape._outer(u, hd, dz)
         tape._acc(b, dz.sum(axis=0))
 
     _record((h_out, c_out), rule)
@@ -496,8 +530,17 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     next to the right-to-left state at t.  Both directions start from zero
     state and cell; the right-to-left one starts at each row's own last
     token.  Positions from a row's length on get exactly zero output, and
-    what x holds there reaches neither the output nor a gradient.  The
-    recurrence runs over the batch's longest row, as [B x 4H] products.
+    what x holds there is never read.
+
+    The rows run packed: sorted by length, longest first (a stable sort),
+    with the valid positions laid out time-major, so that the rows still
+    running at position t are the first n_t of that order.  Each
+    direction projects every valid position in one product `x @ w + b`,
+    then steps over row prefixes: the left-to-right pass drops rows as
+    they end, the right-to-left one takes rows on at their last token.
+    The backward rule walks the same prefixes in reverse, and `dW`, `dU`
+    and `db` are each one product or sum over the valid positions.  The
+    result is scattered back to the caller's row order.
     """
     lengths = np.asarray(valid_len)
     x_data = (x if isinstance(x, Tensor) else Tensor(x)).data
@@ -508,47 +551,46 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     hidden = _check_cell(*fwd, x_data.shape[-1])
     if _check_cell(*bwd, x_data.shape[-1]) != hidden:
         raise ValueError("encoder directions must share a hidden size")
-    rows, span, n_in = len(lengths), int(lengths.max()), x_data.shape[-1]
-    # a position past a row's length keeps that row's state at zero, and
-    # its input is read as zeros, so that what x holds there (NaN, say)
-    # reaches no weight gradient
-    inside = np.arange(span) < lengths[:, None]
-    ragged = ~inside.all(axis=0)
-    x_flat = np.where(inside[..., None], x_data[:, :span], 0.0).reshape(-1, n_in)
-    out_data = np.zeros(
-        (rows, x_data.shape[-2], 2 * hidden), dtype=np.result_type(x_data, *(p.data for p in (*fwd, *bwd)))
-    )
+    order = np.argsort(-lengths, kind="stable")
+    span = int(lengths[order[0]])
+    # packed position p is row order[ranks[p]] at position times[p]; the
+    # rows running at a position are a prefix of the order
+    times, ranks = np.nonzero(lengths[order] > np.arange(span)[:, None])
+    rows = order[ranks]
+    x_packed = x_data[rows, times]
+    edges = np.searchsorted(times, np.arange(span + 1)).tolist()
+    blocks = [(hi - lo, slice(lo, hi)) for lo, hi in zip(edges, edges[1:])]  # (rows, packed range) per position
+    dtype = np.result_type(x_data, *(p.data for p in (*fwd, *bwd)))
+    out_data = np.zeros(x_data.shape[:-1] + (2 * hidden,), dtype=dtype)
     directions = ((fwd, range(span), slice(0, hidden)), (bwd, range(span - 1, -1, -1), slice(hidden, 2 * hidden)))
     runs = []
     for (w, u, b), steps, cols in directions:
-        gates_in = (x_flat @ w.data + b.data).reshape(rows, span, 4 * hidden)
-        h = np.zeros((rows, hidden), dtype=gates_in.dtype)
-        c = h
-        previous = np.empty((rows, span, hidden), dtype=gates_in.dtype)
+        gates_in = x_packed @ w.data + b.data
+        h, c = np.zeros((2, len(lengths), hidden), dtype=dtype)
+        previous, states = np.empty((2, len(x_packed), hidden), dtype=dtype)
         saved = [None] * span
         for t in steps:
-            previous[:, t] = h
-            h, c, saved[t] = _lstm_gates(gates_in[:, t] + h @ u.data, c)
-            if ragged[t]:
-                h, c = np.where(inside[:, t, None], h, 0.0), np.where(inside[:, t, None], c, 0.0)
-            out_data[:, t, cols] = h
+            n, block = blocks[t]
+            previous[block] = h[:n]
+            # c is overwritten in place below, so the saved c_prev is a copy
+            states[block], c_new, saved[t] = _lstm_gates(gates_in[block] + h[:n] @ u.data, c[:n].copy())
+            h[:n], c[:n] = states[block], c_new
+        out_data[rows, times, cols] = states
         runs.append((previous, saved))
     out = Tensor(out_data)
 
     def rule(tape, g):
         for ((w, u, b), steps, cols), (previous, saved) in zip(directions, runs):
-            dgates = np.empty((rows, span, 4 * hidden))
-            dh, dc = np.zeros((rows, hidden)), np.zeros((rows, hidden))
+            g_packed = g[rows, times, cols]
+            dgates = np.empty((len(x_packed), 4 * hidden))
+            dh, dc = np.zeros((2, len(lengths), hidden))
             for t in reversed(steps):
-                dh = g[:, t, cols] + dh
-                if ragged[t]:
-                    dh, dc = np.where(inside[:, t, None], dh, 0.0), np.where(inside[:, t, None], dc, 0.0)
-                dgates[:, t], dc = _lstm_gates_backward(dh, dc, saved[t])
-                dh = dgates[:, t] @ u.data.T
-            dg_flat = dgates.reshape(-1, 4 * hidden)
-            tape._acc(w, x_flat.T @ dg_flat)
-            tape._acc(u, previous.reshape(-1, hidden).T @ dg_flat)
-            tape._acc(b, dg_flat.sum(axis=0))
+                n, block = blocks[t]
+                dgates[block], dc[:n] = _lstm_gates_backward(g_packed[block] + dh[:n], dc[:n], saved[t])
+                dh[:n] = dgates[block] @ u.data.T
+            tape._acc(w, x_packed.T @ dgates)
+            tape._acc(u, previous.T @ dgates)
+            tape._acc(b, dgates.sum(axis=0))
 
     _record((out,), rule)
     return out

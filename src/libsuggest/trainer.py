@@ -20,9 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
+import weakref
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
@@ -163,10 +165,18 @@ def adam_step(
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients by max_norm/norm when the global L2 norm exceeds
-    max_norm; directions are preserved."""
+    max_norm; directions are preserved.  Returns `grads` itself when it
+    does not clip, and raises FloatingPointError when an entry is inf or
+    NaN, since no factor keeps such a direction."""
     if not max_norm > 0:
         raise ValueError("max_norm must be positive")
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if np.isinf(total):  # squares past the float range, or an inf entry
+            peak = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+            total = peak * np.sqrt(sum(float(np.sum((g / peak) ** 2)) for g in grads.values()))
+    if not np.isfinite(total):
+        raise FloatingPointError(f"gradient norm is {total}")
     if total <= max_norm:
         return grads
     factor = max_norm / total
@@ -194,7 +204,9 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     Each epoch shuffles the examples with the run's seeded generator, then
     walks mini-batches: teacher-forced forward with dropout, weighted loss
     averaged over the batch, backward, global-norm clipping, Adam.  Runs
-    are bit-reproducible for a given (seed, dataset, config).
+    are bit-reproducible for a given (seed, dataset, config).  A loss or a
+    gradient that is not finite raises TrainingError naming the epoch and
+    the batch, before Adam writes into the parameters.
 
     The source ids are padded once into one [N x longest source] array.  A
     mini-batch, in its shuffled order, is cut to its longest source,
@@ -248,16 +260,18 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
                 )
                 mean_loss = scale(total, 1.0 / len(batch))
             loss_value = mean_loss.item()
+            where = f"epoch {epoch}, batch {start // cfg.batch_size + 1}"
             if not np.isfinite(loss_value):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}"
-                )
+                raise TrainingError(f"non-finite loss at {where}")
             backward(tape, mean_loss)
             grads = {}
             for name, p in named.items():
                 g = tape.gradient(p)
                 grads[name] = g if g is not None else np.zeros(p.shape)
-            grads = clip_gradients(grads, cfg.clip_max_norm)
+            try:
+                grads = clip_gradients(grads, cfg.clip_max_norm)
+            except FloatingPointError:
+                raise TrainingError(f"non-finite gradient at {where}") from None
             step += 1
             adam_step(named, grads, state, step, cfg)
             epoch_total += loss_value * len(batch)
@@ -511,12 +525,31 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
         raise
 
 
+# the memory map of the last checkpoint whose arrays are all gone
+_SPARE_MAPS: list[mmap.mmap] = []
+
+
+def _load_buffer(size: int) -> np.ndarray:
+    """A writable, page-aligned buffer of `size` bytes in an anonymous
+    memory map of its own.  Once no array over it is left, the map waits
+    for the next load, whose pages are then already in memory.  From malloc
+    instead, reloaded checkpoints share the heap with small long-lived
+    allocations, and now and then a reload finds no free stretch large
+    enough: peak memory read one checkpoint more in some runs than in
+    others."""
+    spare = _SPARE_MAPS.pop() if _SPARE_MAPS else None
+    mm = spare if spare is not None and len(spare) >= size else mmap.mmap(-1, max(size, 1))
+    whole = np.frombuffer(mm, dtype=np.uint8)
+    weakref.finalize(whole, _SPARE_MAPS.__setitem__, slice(None), [mm])
+    return whole[:size]
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
-    """Read the file into one aligned, writable buffer; the tensors of the
-    checkpoint are views into it, not copies."""
+    """Read the file into one aligned, writable buffer (`_load_buffer`); the
+    tensors of the checkpoint are views into it, not copies."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        buf = np.empty(size, dtype=np.uint8)
+        buf = _load_buffer(size)
         if fh.readinto(buf) != size or fh.read(1):
             raise CheckpointError("checkpoint file changed size while being read")
     return checkpoint_from_bytes(buf)

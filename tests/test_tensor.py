@@ -120,6 +120,11 @@ class TestElementwise:
         assert np.isfinite(out).all()
         assert out[0] == 0.0 and out[1] == 1.0
 
+    def test_sigmoid_is_the_logistic_function_to_rounding(self):
+        x = np.linspace(-60.0, 60.0, 240_001)
+        assert np.abs(_sigmoid(x) - 1.0 / (1.0 + np.exp(-x))).max() <= 2.0**-52
+        assert _sigmoid(np.array(1.5)) == _sigmoid(np.array([1.5]))[0]
+
     def test_concat_rejects_vectors(self):
         with pytest.raises(ValueError, match="matrices"):
             concat_rows(Tensor([1.0, 2.0]), Tensor([3.0]))
@@ -440,7 +445,8 @@ class TestTake:
 
 class TestDeferredLeafGradients:
     """A leaf matrix used by many products, vector and matrix ones, gets
-    the sum of their gradients, accumulated in place on the tape."""
+    the sum of their gradients, added as one product at the end of the
+    sweep; a matrix that a record produced gets each product at once."""
 
     def test_leaf_used_by_vector_and_matrix_products(self):
         rng = np.random.default_rng(0)
@@ -499,6 +505,83 @@ class TestDeferredLeafGradients:
         grads.append(tape.gradient(w))
         for g in grads:
             np.testing.assert_array_equal(g, np.outer(v.data, np.ones(2)))
+
+    @staticmethod
+    def _case(seed):
+        """A loss whose products reach each weight several times: two
+        chained `lstm_cell`s, a matmul of a [B x T x in] input and one of a
+        state, all into w or u, and `emb`, read by `take` and by a matmul.
+        `f(w1, w2, w3, u1, u2, u3, emb1, emb2)` takes one tensor per use."""
+        rng = np.random.default_rng(seed)
+        w, u, b = _cell(rng, 4, 3)
+        emb = Tensor(rng.normal(size=(6, 3)))
+        x, h, c, z = (Tensor(rng.normal(size=(2, n))) for n in (4, 3, 3, 6))
+        seq = Tensor(rng.normal(size=(2, 5, 4)))
+        readout = Tensor(rng.normal(size=(2, 3)))
+
+        def f(w1, w2, w3, u1, u2, u3, emb1, emb2):
+            h1, c1 = lstm_cell(x, h, c, w1, u1, b)
+            h2, _ = lstm_cell(x, h1, c1, w2, u2, b)
+            looked_up = add(take(emb1, np.array([1, 4])), matmul(z, emb2))
+            return add(
+                add(sum_all(einsum("bh,bh->bh", tanh(h2), readout)), sum_all(tanh(matmul(seq, w3)))),
+                add(sum_all(tanh(matmul(h2, u3))), sum_all(einsum("bh,bh->bh", tanh(looked_up), readout))),
+            )
+
+        return (w, u, b, emb), f
+
+    @staticmethod
+    def _grads(f, args, wanted):
+        with Tape() as tape:
+            loss = f(*args)
+        backward(tape, loss)
+        return [tape.gradient(t) for t in wanted]
+
+    def test_leaf_gets_the_sum_of_its_products(self):
+        (w, u, b, emb), f = self._case(11)
+        shared = self._grads(f, (w, w, w, u, u, u, emb, emb), (w, u, emb))
+        # one leaf per use: each gets its own product, and their sum is the
+        # shared leaf's gradient
+        copies = [Tensor(t.data.copy()) for t in (w, w, w, u, u, u, emb, emb)]
+        apart = self._grads(f, copies, copies)
+        for got, parts in zip(shared, (apart[:3], apart[3:6], apart[6:])):
+            np.testing.assert_allclose(got, sum(parts), rtol=1e-12, atol=1e-15)
+        shared_f = lambda: f(w, w, w, u, u, u, emb, emb)
+        assert finite_difference_check(shared_f, [w, u, b, emb], max_coords_per_tensor=1000) < 1e-4
+
+    def test_non_leaf_weight_gets_its_products_at_once(self):
+        # add's rule reads the weight's gradient later in the sweep, so
+        # every product into it must be there by then
+        (w, u, b, emb), f = self._case(12)
+        shift = Tensor(np.full(w.shape, 0.1))
+        g = lambda: f(*[add(w, shift)] * 3, u, u, u, emb, emb)
+        got = self._grads(g, (), (w, shift))
+        assert got[0].tobytes() == got[1].tobytes()
+        apart = [Tensor(w.data + 0.1) for _ in range(3)]
+        expected = self._grads(f, (*apart, u, u, u, emb, emb), apart)
+        np.testing.assert_allclose(got[0], sum(expected), rtol=1e-12, atol=1e-15)
+        assert finite_difference_check(g, [w, shift, u], max_coords_per_tensor=1000) < 1e-4
+
+    def test_interleaved_tapes_and_repeated_sweeps_give_the_same_bytes(self):
+        (w, u, b, emb), f = self._case(13)
+        args = (w, w, w, u, u, u, emb, emb)
+        with Tape() as first:
+            loss_a = f(*args)
+        with Tape() as second:
+            loss_b = scale(f(*args), 2.0)
+        sweeps = []
+        for tape, loss in ((first, loss_a), (second, loss_b), (first, loss_a)):
+            backward(tape, loss)
+            sweeps.append([tape.gradient(t) for t in (w, u, b, emb)])
+        assert [g.tobytes() for g in sweeps[2]] == [g.tobytes() for g in sweeps[0]]
+        assert [g.tobytes() for g in sweeps[1]] == [(2.0 * g).tobytes() for g in sweeps[0]]
+
+    def test_three_axis_input_into_a_leaf_passes_fd_audit(self):
+        rng = np.random.default_rng(14)
+        a, w = Tensor(rng.normal(size=(3, 4, 5))), Tensor(rng.normal(size=(5, 2)))
+        readout = Tensor(rng.normal(size=(3, 4, 2)))
+        f = lambda: sum_all(einsum("btn,btn->btn", tanh(matmul(a, w)), readout))
+        assert finite_difference_check(f, [a, w], max_coords_per_tensor=1000) < 1e-6
 
 
 class TestBatchedOps:
@@ -563,6 +646,20 @@ def _cell(rng, input_size, hidden):
     )
 
 
+def _run_cell(x, cell, order):
+    """Hidden states of an LSTM over the positions of x [T x in] visited in
+    `order`, step by step from the definition with hidden size 3."""
+    w, u, b = (t.data for t in cell)
+    h, c, states = np.zeros(3), np.zeros(3), {}
+    for t in order:
+        z = x[t] @ w + h @ u + b
+        i, f, o = (1.0 / (1.0 + np.exp(-z[k * 3 : (k + 1) * 3])) for k in range(3))
+        c = f * c + i * np.tanh(z[9:])
+        h = o * np.tanh(c)
+        states[t] = h
+    return states
+
+
 class TestFusedLstm:
     @pytest.mark.parametrize("total, valid_len", [(5, 5), (5, 3), (4, 1)])
     def test_bilstm_passes_fd_audit(self, total, valid_len):
@@ -587,22 +684,20 @@ class TestFusedLstm:
         x = Tensor(rng.normal(size=(1, 6, 5)))
         fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
         out = bilstm(x, np.array([4]), fwd, bwd).data[0]
-
-        def run(cell, order):
-            w, u, b = (t.data for t in cell)
-            h, c, states = np.zeros(3), np.zeros(3), {}
-            for t in order:
-                z = x.data[0, t] @ w + h @ u + b
-                i, f, o = (1.0 / (1.0 + np.exp(-z[k * 3 : (k + 1) * 3])) for k in range(3))
-                c = f * c + i * np.tanh(z[9:])
-                h = o * np.tanh(c)
-                states[t] = h
-            return states
-
-        forward, backward_ = run(fwd, range(4)), run(bwd, range(3, -1, -1))
+        forward, backward_ = _run_cell(x.data[0], fwd, range(4)), _run_cell(x.data[0], bwd, range(3, -1, -1))
         for t in range(4):
             np.testing.assert_allclose(out[t], np.concatenate([forward[t], backward_[t]]), rtol=1e-12)
         assert not out[4:].any()
+
+    def test_one_full_length_row_matches_its_definition(self):
+        # the decode path: a batch of one whose length is the span
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(1, 7, 5))
+        fwd, bwd = _cell(rng, 5, 3), _cell(rng, 5, 3)
+        out = bilstm(x, np.array([7]), fwd, bwd).data[0]
+        forward, backward_ = _run_cell(x[0], fwd, range(7)), _run_cell(x[0], bwd, range(6, -1, -1))
+        for t in range(7):
+            np.testing.assert_allclose(out[t], np.concatenate([forward[t], backward_[t]]), rtol=1e-12)
 
     def test_bilstm_forward_keeps_longdouble(self):
         rng = np.random.default_rng(5)
@@ -628,15 +723,38 @@ class TestFusedLstm:
 
         assert finite_difference_check(f, [*cell, x, h, c], max_coords_per_tensor=1000) < 1e-4
 
-    @pytest.mark.parametrize("lengths", [(5, 1, 3), (1, 3, 5), (2, 2, 2)])
+    # packing sorts the rows, ties in their given order, and scatters the
+    # result back
+    @pytest.mark.parametrize("lengths", [(5, 1, 3), (1, 3, 5), (2, 2, 2), (3, 5, 3, 1)])
     def test_batched_bilstm_passes_fd_audit(self, lengths):
         rng = np.random.default_rng(sum(lengths))
-        x = Tensor(rng.normal(size=(3, 5, 4)))
+        x = Tensor(rng.normal(size=(len(lengths), 5, 4)))
         fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
-        readout = Tensor(rng.normal(size=(3, 5, 6)))
+        readout = Tensor(rng.normal(size=(len(lengths), 5, 6)))
         f = lambda: sum_all(einsum("bth,bth->bth", tanh(bilstm(x, np.array(lengths), fwd, bwd)), readout))
         err = finite_difference_check(f, [*fwd, *bwd], max_coords_per_tensor=1000)
         assert err < 1e-4
+
+    def test_permuted_batch_gives_permuted_rows(self):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(5, 6, 4))
+        fwd, bwd = _cell(rng, 4, 3), _cell(rng, 4, 3)
+        lengths = np.array([3, 6, 3, 1, 6])
+        readout = rng.normal(size=(5, 6, 6))
+
+        def run(perm):
+            with Tape() as tape:
+                out = bilstm(x[perm], lengths[perm], fwd, bwd)
+                loss = sum_all(einsum("bth,bth->bth", tanh(out), Tensor(readout[perm])))
+            backward(tape, loss)
+            return out.data, [tape.gradient(t) for t in (*fwd, *bwd)]
+
+        out, grads = run(np.arange(5))
+        for perm in (np.arange(5)[::-1], rng.permutation(5)):
+            moved, moved_grads = run(perm)
+            np.testing.assert_allclose(moved, out[perm], rtol=1e-13, atol=1e-16)
+            for got, expected in zip(moved_grads, grads):
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
     def test_batched_rows_equal_one_sequence_calls(self):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import mmap
 import struct
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -13,10 +14,12 @@ from libsuggest.corpus import N_RESERVED, PreparedDataset, Vocabulary
 from libsuggest.decode import greedy_decode
 from libsuggest.model import init_params, named_parameters, parameter_shapes, params_from_named
 from libsuggest.tensor import Tensor
+from libsuggest import trainer
 from libsuggest.trainer import (
     AdamState,
     CheckpointError,
     TrainConfig,
+    TrainingError,
     adam_step,
     checkpoint_bytes,
     checkpoint_from_bytes,
@@ -149,6 +152,24 @@ class TestClipGradients:
         np.testing.assert_allclose(ratio, ratio[0])
         assert ratio[0] > 0
 
+    def test_finite_gradients_whose_squares_overflow_are_clipped(self):
+        grads = {"a": np.array([1e200]), "b": np.array([-1e200])}
+        out = clip_gradients(grads, 5.0)
+        np.testing.assert_allclose(out["a"], [5.0 / math.sqrt(2.0)], rtol=1e-15)
+        np.testing.assert_allclose(out["b"], [-5.0 / math.sqrt(2.0)], rtol=1e-15)
+
+    def test_factor_is_max_norm_over_the_plain_norm(self):
+        rng = np.random.default_rng(7)
+        grads = {"a": rng.normal(size=(3, 4)) * 50, "b": rng.normal(size=5)}
+        factor = 2.0 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        out = clip_gradients(grads, 2.0)
+        assert all(out[name].tobytes() == (g * factor).tobytes() for name, g in grads.items())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(FloatingPointError, match="gradient norm"):
+            clip_gradients({"a": np.array([1.0, bad]), "b": np.ones(2)}, 5.0)
+
 
 def tiny_dataset(n=1):
     data = _synth.prepared_dataset(n_projects=10, n_libs=8, cfg=_synth.overfit_config(1))
@@ -227,6 +248,29 @@ class TestTrain:
         data = tiny_dataset(1)
         with pytest.raises(ValueError, match="dimension"):
             train(data, tiny_cfg(embed_dim=7), self.table())
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_gradient_stops_before_adam(self, bad, monkeypatch, capsys):
+        named, steps, sweeps = {}, [], []
+        real_named, real_backward, real_adam = trainer.named_parameters, trainer.backward, trainer.adam_step
+
+        def capture(params):
+            named.update(real_named(params))
+            return named
+
+        def poisoned(tape, loss):
+            real_backward(tape, loss)
+            sweeps.append(tape)
+            if len(sweeps) == 2:
+                tape.gradient(named["dec.u"])[0, 0] = bad
+
+        monkeypatch.setattr(trainer, "named_parameters", capture)
+        monkeypatch.setattr(trainer, "backward", poisoned)
+        monkeypatch.setattr(trainer, "adam_step", lambda *args: steps.append(real_adam(*args)))
+        with pytest.raises(TrainingError, match="non-finite gradient at epoch 1, batch 2"):
+            train(tiny_dataset(6), tiny_cfg(max_epochs=1), self.table())
+        assert len(steps) == 1
+        assert all(np.isfinite(p.data).all() for p in named.values())
 
     def test_inference_has_no_dropout(self, capsys):
         data = tiny_dataset(4)
@@ -485,6 +529,25 @@ class TestSingleBufferLoad:
             assert loaded.params.class_weights.tobytes() == ckpt.params.class_weights.tobytes()
             # one buffer behind every tensor, not a copy each
             assert base is not None and all(a.base is base for a in arrays)
+
+    def test_buffer_is_a_memory_map_lent_to_the_next_load_once_dropped(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ckpt = _synth.random_checkpoint(7, n_libs=6)
+        save_checkpoint(ckpt, path)
+        first = load_checkpoint(path)
+        owner = first.word_embed
+        while isinstance(owner, (np.ndarray, memoryview)):
+            owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+        assert isinstance(owner, mmap.mmap)
+        # a live checkpoint keeps its memory; a dropped one's goes to the next load
+        address = first.word_embed.ctypes.data
+        second = load_checkpoint(path)
+        assert second.word_embed.ctypes.data != address
+        assert first.word_embed.tobytes() == ckpt.word_embed.tobytes()
+        del first, owner
+        third = load_checkpoint(path)
+        assert third.word_embed.ctypes.data == address
+        assert third.word_embed.tobytes() == second.word_embed.tobytes() == ckpt.word_embed.tobytes()
 
 
 def _mutations():
