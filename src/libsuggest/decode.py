@@ -7,27 +7,31 @@ applies dropout.
 
 Both run training's `model.decoder_step` with no tape, with the encoder
 side of attention computed once per query.  Greedy decoding steps one
-sequence.  Beam search takes one query or a list of them and runs them
-together.  The group starts as one batch: each source is encoded alone,
-and the encoder outputs, zero-padded to the longest source, go through one
-`attention_keys` and one `initial_decoder_state` call.  Each step is then
-one call whose rows are every query's live hypotheses, then its greedy
-rollout (the seed of its pool) until that completes.  Each query selects
-from its own rows of the [rows x V] probabilities: np.partition on np.log
-scores finds the width-th best, and only the candidates within a relative
-margin of 1e-9 of it are scored again as `score + math.log(p)` and sorted
-by (-score, sequence).  The margin covers the last-bit difference between
-np.log and math.log, so ties and near-ties resolve as a sort of every
-candidate would.  With no tape the products run in fixed 4-row blocks,
-whose bits depend on the BLAS kernel for M=4 (`tensor._product`), so each
-row of the start and of a step is bit-identical to the one-sequence call,
-whatever the other rows and the padding, and the answers and their
-reported probabilities equal those of a decode of one query, one
-hypothesis at a time.
+sequence.  Beam search takes one query or a list of them and decodes the
+group as one batch from end to end.  One `encode` call runs over the
+group's embedded sources zero-padded to the longest, then one
+`attention_keys` and one `initial_decoder_state` call.  Each step is one
+`decoder_step` whose rows are every query's live hypotheses, then its
+greedy rollout (the seed of its pool) until that completes, and one
+`_select` over the beam rows of every query: np.log scores for all of
+them, and one np.partition over each query's block of them padded into
+one matrix, find each query's width-th best; only the candidates within
+a relative margin of 1e-9 of it are scored again as
+`score + math.log(p)` and sorted by (-score, sequence).  The margin
+covers the last-bit difference between np.log and math.log, so ties and
+near-ties resolve as a sort of every candidate would.  With no tape the
+products run in fixed 4-row blocks, whose bits depend on the BLAS kernel
+for M=4 (`tensor._product`), the encoder's recurrence one row at a time,
+and attention reads only each row's valid positions and sums over them
+in order, so each row of the encoder, of the start and of a step is
+bit-identical to the one-sequence call, whatever the other rows and the
+padding, and the answers and their reported probabilities equal those of
+a decode of one query, one hypothesis at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,33 +124,63 @@ def greedy_decode(tokens, ckpt: ModelCheckpoint, max_steps: int) -> list[str]:
 _SELECT_MARGIN = 1e-9
 
 
-def _select(y: np.ndarray, candidate: np.ndarray, live: list, width: int):
-    """The `width` best extensions of the `live` hypotheses, best first, as
-    ((score, sequence, probabilities), row) pairs.
+def _starts(counts: list[int]) -> list[int]:
+    """The first row of each of consecutive blocks of `counts` rows."""
+    return list(itertools.accumulate(counts[:-1], initial=0))
 
-    The rule is the one of a plain sort of every candidate by (-score,
-    sequence), where score is the row's score plus `math.log(p)`.  The
-    [B x V] matrix of those scores computed with np.log only picks which
+
+def _select(y: np.ndarray, masked: np.ndarray, rows: list[int], live: list, counts: list[int], width: int) -> list[list]:
+    """The `width` best extensions of each query's live hypotheses, best
+    first, as ((score, sequence, probabilities), row) pairs.
+
+    Rows `rows` of a step's [B x V] probabilities `y` and boolean repeat
+    mask `masked` hold the hypotheses `live`, query by query in blocks of
+    `counts` rows.  The rule is the one of a plain sort of each query's
+    candidates by (-score, sequence), where score is the row's score plus
+    `math.log(p)`.  One matrix of those scores computed with np.log, and
+    one np.partition over each query's block of it, only pick which
     candidates to score exactly: every one within the margin of the
-    width-th best approximate score, which keeps every candidate that the
-    exact width-th best score admits, ties included.
+    query's width-th best approximate score, which keeps every candidate
+    that the exact width-th best score admits, ties included.
     """
-    rows, ids = np.nonzero(candidate)
-    if len(rows) > width:
-        with np.errstate(divide="ignore"):
-            approx = np.log(y) + np.array([h[0] for h in live])[:, None]
-        approx[~candidate] = -np.inf
-        flat = approx.ravel()
-        kth = np.partition(flat, flat.size - width)[flat.size - width]
-        if kth > -np.inf:
-            rows, ids = np.nonzero(approx >= kth - _SELECT_MARGIN * abs(kth))
-    chosen = []
-    for r, j in zip(rows.tolist(), ids.tolist()):
-        score, seq, probs = live[r]
-        p = float(y[r, j])
-        chosen.append(((score + (math.log(p) if p > 0.0 else -math.inf), seq + (j,), probs + (p,)), r))
-    chosen.sort(key=lambda c: (-c[0][0], c[0][1]))
-    return chosen[:width]
+    approx, beam_masked = y[rows], masked[rows]
+    with np.errstate(divide="ignore"):
+        np.log(approx, out=approx)
+    approx += np.array([h[0] for h in live])[:, None]
+    approx[beam_masked] = -np.inf
+    approx[:, PAD_ID] = approx[:, UNK_ID] = -np.inf
+    # one row per query: its block, padded with -inf to the longest block
+    queries, most, vocab_n = len(counts), max(counts), y.shape[1]
+    size = most * vocab_n
+    kth = np.full(queries, -np.inf)
+    if size > width:
+        if min(counts) == most:
+            blocks = approx.reshape(queries, size)
+        else:
+            blocks = np.full((queries, most, vocab_n), -np.inf)
+            for q, (first, n) in enumerate(zip(_starts(counts), counts)):
+                blocks[q, :n] = approx[first : first + n]
+            blocks = blocks.reshape(queries, size)
+        kth = np.partition(blocks, size - width, axis=-1)[:, size - width]
+    # kth is -inf for a query with fewer than `width` finite scores, which
+    # keeps every candidate
+    threshold = kth - _SELECT_MARGIN * np.abs(kth)
+    hits = approx >= np.repeat(threshold, counts)[:, None]
+    if kth.min() == -np.inf:
+        open_rows = np.repeat(kth == -np.inf, counts)
+        hits[open_rows] = ~beam_masked[open_rows]
+        hits[:, PAD_ID] = hits[:, UNK_ID] = False
+    query = [q for q, n in enumerate(counts) for _ in range(n)]
+    chosen = [[] for _ in counts]
+    for index in np.flatnonzero(hits).tolist():
+        k, j = divmod(index, vocab_n)
+        score, seq, probs = live[k]
+        p = float(y[rows[k], j])
+        chosen[query[k]].append(((score + (math.log(p) if p > 0.0 else -math.inf), seq + (j,), probs + (p,)), rows[k]))
+    for found in chosen:
+        found.sort(key=lambda c: (-c[0][0], c[0][1]))
+        del found[width:]
+    return chosen
 
 
 class _Search:
@@ -172,13 +206,11 @@ class _Search:
         self.steps: list[tuple[int, float]] = []
         self.beam_live = True
 
-    def step_beam(self, y: np.ndarray, masked: np.ndarray, width: int) -> list[tuple[int, int]]:
-        """Extend the live hypotheses from their rows of the step; returns
+    def step_beam(self, chosen: list) -> list[tuple[int, int]]:
+        """Extend the live hypotheses by their `_select` choices; returns
         (row, emitted id) for each hypothesis that stays live."""
-        candidate = ~masked
-        candidate[:, [PAD_ID, UNK_ID]] = False
         kept, live = [], []
-        for (score, seq, probs), r in _select(y, candidate, self.live, width):
+        for (score, seq, probs), r in chosen:
             if seq[-1] == EOS_ID:
                 self.pool.append((score, seq[:-1], probs))
             else:
@@ -225,17 +257,19 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     """Beam search core: (library ids, per-step probabilities) for each
     token list of `sources`.
 
-    The group starts as one batch: each source is encoded alone, and one
-    `attention_keys` and one `initial_decoder_state` call run over the
-    encoder outputs zero-padded to [Q x T x 2H].  Each step runs one
-    `decoder_step` whose rows are each query's live hypotheses, then its
-    greedy seed while that runs.  With no tape a row is bit-identical to
-    the one-sequence call, whatever the other rows and the zero padding of
-    its source: the products run in fixed 4-row blocks, whose bits depend
-    on the BLAS kernel for M=4 (`tensor._product`), and attention sums over
-    positions in order.  `_select` ranks by `math.log` scores, ties to the
-    lexicographically smaller sequence: each answer is that of a
-    per-hypothesis search of its query alone.
+    The group runs as one batch: one `encode` of the embedded sources
+    zero-padded to [Q x T x dim], one `attention_keys` and one
+    `initial_decoder_state` call, then per step one `decoder_step` whose
+    rows are each query's live hypotheses, then its greedy seed while that
+    runs, and one `_select` over every query's hypotheses.  With no tape a
+    row is bit-identical to the one-sequence call, whatever the other rows
+    and the zero padding of its source: the products run in fixed 4-row
+    blocks, whose bits depend on the BLAS kernel for M=4
+    (`tensor._product`), the encoder's recurrence one row at a time, and
+    attention sums over positions in order.
+    `_select` ranks by `math.log` scores, ties to the lexicographically
+    smaller sequence: each answer is that of a per-hypothesis search of
+    its query alone.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -244,15 +278,16 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     params = ckpt.params
     embedded = [_embed_source(tokens, ckpt) for tokens in sources]
     lengths = np.array([n for _, n in embedded])
-    enc_all = np.zeros((len(embedded), lengths.max(), 2 * params.enc_fwd.hidden_size))
-    for i, (x, n) in enumerate(embedded):
-        enc_all[i, :n] = encode(x, n, params.enc_fwd, params.enc_bwd).data
-    enc_out = Tensor(enc_all)
-    keys_all = attention_keys(enc_out, lengths, params.attn).data
+    x = np.zeros((len(embedded), lengths.max(), ckpt.word_embed.shape[-1]))
+    for i, (source, n) in enumerate(embedded):
+        x[i, :n] = source.data
+    enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
+    enc_all, keys_all = enc_out.data, attention_keys(enc_out, lengths, params.attn).data
     searches = [_Search() for _ in sources]
 
-    # row r of the step belongs to query owner[r]; each starts with one
-    # hypothesis row and one seed row, both at BOS
+    # row r of the step belongs to query owner[r]; each query's rows are
+    # its live hypotheses while its beam runs, then its greedy seed while
+    # that runs; each starts with one hypothesis row and one seed row
     owner = np.repeat(np.arange(len(searches)), 2)
     prev = np.full(len(owner), BOS)
     s, cell, context = (np.repeat(t.data, 2, axis=0) for t in initial_decoder_state(enc_out, lengths, params))
@@ -267,17 +302,20 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         s_t, cell_t, context_t, _, y = decoder_step(
             prev, Tensor(context), Tensor(s), Tensor(cell), enc_rows, row_lengths, masked, params, keys=key_rows
         )
+        sizes = [(len(q.live) if q.beam_live else 0, int(q.seed is not None)) for q in searches]
+        starts = _starts([n_beam + n_seed for n_beam, n_seed in sizes])
+        beam_rows = [r for (n_beam, _), start in zip(sizes, starts) for r in range(start, start + n_beam)]
+        counts = [n_beam for n_beam, _ in sizes if n_beam]
+        live = [h for q in searches if q.beam_live for h in q.live]
+        chosen = iter(_select(y.data, masked, beam_rows, live, counts, beam_width) if counts else ())
         kept: list[tuple[int, int, int]] = []  # (row, emitted id, query) of the next step
-        row = 0
-        for i, q in enumerate(searches):
-            n_beam, n_seed = (len(q.live) if q.beam_live else 0), int(q.seed is not None)
-            beam = q.step_beam(y.data[row : row + n_beam], masked[row : row + n_beam], beam_width) if n_beam else []
-            lib = q.step_seed(y.data[row + n_beam]) if n_seed else None
+        for i, (q, (n_beam, n_seed), start) in enumerate(zip(searches, sizes, starts)):
+            beam = q.step_beam(next(chosen)) if n_beam else []
+            lib = q.step_seed(y.data[start + n_beam]) if n_seed else None
             if q.beam_live:  # the seed's completion may have stopped it
-                kept += [(row + r, j, i) for r, j in beam]
+                kept += [(r, j, i) for r, j in beam]
             if lib is not None:
-                kept.append((row + n_beam, lib, i))
-            row += n_beam + n_seed
+                kept.append((start + n_beam, lib, i))
         if not kept:
             break
         rows, ids, owners = (np.array(column) for column in zip(*kept))

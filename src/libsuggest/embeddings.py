@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import UNK_ID, DatasetError, Vocabulary, text_lines
+from .corpus import N_RESERVED, UNK_ID, DatasetError, Vocabulary, text_lines
 
 __all__ = [
     "EmbeddingFormatError",
@@ -120,6 +120,7 @@ def vocab_matrix(word_vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
     """
     out = np.zeros((len(word_vocab), table.dimension))
     out[UNK_ID] = table.unk_vector
-    for word in word_vocab.regular_tokens():
-        out[word_vocab.id(word)] = table.vector(word)
+    regular = word_vocab.regular_tokens()
+    if regular:  # they hold the ids from N_RESERVED on, in order
+        out[N_RESERVED:] = [*map(table.vector, regular)]
     return out

@@ -14,12 +14,16 @@ not a tape op, and return its row 0 (`_batch_of_one`).
 through `batch_loss`: one encoder op, then one `decoder_step` per target
 position over the rows whose targets are still running, which lie at the
 front because `batch_loss` sorts its rows by target length, longest first
-(`example_loss` is the batch of one).  Decoding runs it with no tape,
-where each row of a batch, such as the hypotheses of several queries
-over their zero-padded sources, is bit-identical to the batch of one
-holding that row: the products run in fixed 4-row blocks, whose bits
-depend on the BLAS kernel for M=4 (`tensor._product`), and attention sums
-over positions in order.
+(`example_loss` is the batch of one).  Attention is one tape op,
+`tensor.additive_attention`, which reads only each row's valid source
+positions; `attention` projects the decoder state and calls it.
+Decoding runs `encode` and `decoder_step` with no tape, where each row of
+a batch, such as the sources of a decode group or the hypotheses of
+several queries over their zero-padded sources, is bit-identical to the
+batch of one holding that row: the products run in fixed 4-row blocks,
+whose bits depend on the BLAS kernel for M=4 (`tensor._product`), the
+encoder's recurrence one row at a time, and attention sums over positions
+in order.
 
 The parameter layout is defined once.  The fields of `ModelParams` give
 the order of the trainable tensors and `parameter_shapes` their shapes;
@@ -43,10 +47,10 @@ from .tensor import (
     Tensor,
     _active_tape,
     add,
+    additive_attention,
     bilstm,
     concat_rows,
     dropout,
-    einsum,
     log,
     lstm_cell,
     masked_softmax,
@@ -224,7 +228,8 @@ def attention(
     s_t is [B x H], enc_out [B x T x 2H] with one length per row.  Returns
     the attention weights over all T positions (exact zeros past each
     row's length: its scores there are -inf) and the context vectors over
-    the valid positions.  `keys`, when given, is
+    the valid positions, from one `tensor.additive_attention` op, which
+    reads only those positions.  `keys`, when given, is
     `attention_keys(enc_out, valid_len, p)`, computed once for every step
     of a batch instead of once per step.
     """
@@ -235,12 +240,7 @@ def attention(
         keys = matmul(enc_out, p.u_a)
     elif keys.shape[:-1] != enc_out.shape[:-1]:
         raise ValueError(f"attention keys {keys.shape} do not fit encoder output {enc_out.shape}")
-    # numpy's own loops and an in-order softmax sum: a row's bits depend on
-    # neither the other rows nor the zero padding past its length
-    scores = einsum("bsa,a->bs", tanh(add(keys, matmul(s_t, p.w_a))), p.v_a)
-    alpha = masked_softmax(scores, np.arange(enc_out.shape[-2]) >= lengths[:, None], sequential=True)
-    context = einsum("bs,bsh->bh", alpha, enc_out)
-    return alpha, context
+    return additive_attention(keys, matmul(s_t, p.w_a), p.v_a, enc_out, lengths)
 
 
 @_batch_of_one
@@ -397,7 +397,9 @@ def batch_loss(
     order), so that the sequences still running at step t are the first
     n_t rows: step t runs one `decoder_step` over those rows only, and the
     states, encoder outputs and attention keys shrink to the first rows
-    whenever a target ends.  Each row's repeat mask grows with its
+    whenever a target ends; the encoder outputs and keys are cut from the
+    whole batch's arrays each time, so that the gradients of all the cuts
+    add in place into one buffer.  Each row's repeat mask grows with its
     ground-truth prefix, mirroring what inference does with its own
     emissions.  Dropout (when active) draws once over the sorted
     [B x T x 2H] encoder output, then once per step over the [n_t x H]
@@ -414,7 +416,8 @@ def batch_loss(
     enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
     enc_out = dropout(enc_out, dropout_p, rng)
     s_t, cell_t, context_t = initial_decoder_state(enc_out, lengths, params)
-    enc, keys = enc_out, attention_keys(enc_out, lengths, params.attn)
+    keys_all = attention_keys(enc_out, lengths, params.attn)
+    enc, keys = enc_out, keys_all
 
     ids = np.full((len(targets), sizes[0]), EOS_ID)
     for row, target in zip(ids, targets):
@@ -429,7 +432,7 @@ def batch_loss(
             rows = slice(0, n)
             s_t, cell_t, context_t = take(s_t, rows), take(cell_t, rows), take(context_t, rows)
             window = (rows, slice(0, int(lengths[:n].max())))
-            enc, keys = take(enc, window), take(keys, window)
+            enc, keys = take(enc_out, window), take(keys_all, window)
         step = ids[:n, t]
         s_t, cell_t, context_t, _, y_t = decoder_step(
             prev[:n], context_t, s_t, cell_t, enc, lengths[:n], masked[:n], params, dropout_p, rng, keys

@@ -6,9 +6,10 @@ the thread's active tape (see `Tape`); with no active tape they are plain
 numpy computations.
 
 At these sizes the cost is the number of Python-level ops, so the ops take
-a batch and the LSTM is fused.  `matmul`, `add` and `take` treat leading
-axes as rows; `concat_rows`, `masked_softmax` and `lstm_cell` take [B x .]
-matrices, one row per sequence, and `bilstm` takes [B x T x .] sequences.
+a batch and the LSTM and attention are fused.  `matmul`, `add` and `take`
+treat leading axes as rows; `concat_rows`, `masked_softmax` and
+`lstm_cell` take [B x .] matrices, one row per sequence, and `bilstm` and
+`additive_attention` take [B x T x .] sequences with one length per row.
 One sequence is a batch of one.  A cell stores its four gates
 [i | f | o | g] side by side as `w[in x 4H]`, `u[H x 4H]` and `b[4H]`.
 `lstm_cell` is one decoder step as one op.  `bilstm` is a whole
@@ -22,13 +23,18 @@ time over the same prefixes (`dW = X^T dG`, `dU = H_prev^T dG`,
 the frozen word embeddings, is a constant and gets no gradient.  The gate
 sigmoid is `0.5 * tanh(0.5 * x) + 0.5`, one transcendental.
 
-With no tape, `matmul` and `lstm_cell` multiply in fixed 4-row blocks
-(`_product`), so that a row's bits depend only on the row and on the BLAS
-kernel for M=4, and a softmax sums whole rows: a row of a batch, such as
-a beam hypothesis, gets the bits of the batch of one.  `einsum` (numpy's
-own loops) and a `sequential` softmax (an in-order sum) keep them also
-when zeros pad the axis summed over, with or without a tape: attention
-sums over source positions with them.
+With no tape, `matmul`, `lstm_cell` and the input projection of `bilstm`
+multiply in fixed 4-row blocks (`_product`), and the recurrence of
+`bilstm` multiplies each row alone (`_row_product`, one gemv per row, as
+a one-source encode has one row per step anyway), so that a row's bits
+depend only on the row and on the BLAS kernels, and a softmax sums whole
+rows: a row of a batch, such as a beam hypothesis or a source of a decode
+group, gets the bits of the batch of one.  `additive_attention` is one op over the valid (row,
+position) pairs only: it gathers, adds to and scores them with numpy's
+own einsum loops, and sums over positions in order (a `sequential`
+softmax and einsum), so a row keeps its bits also when zeros pad its
+span; its backward rule uses BLAS, as no row has to match a batch of one
+under a tape.
 
 Gradients accumulate in place once the tape owns the array it holds for a
 tensor, so repeated uses of a weight add into one buffer; `take` scatters
@@ -52,7 +58,6 @@ __all__ = [
     "Tape",
     "backward",
     "matmul",
-    "einsum",
     "add",
     "scale",
     "tanh",
@@ -62,6 +67,7 @@ __all__ = [
     "take",
     "sum_all",
     "masked_softmax",
+    "additive_attention",
     "dropout",
     "lstm_cell",
     "bilstm",
@@ -244,6 +250,16 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-1] + b.shape[-1:])
 
 
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` for a matrix `a` of a few rows and a matrix `b`.  With no
+    tape each row is its own vector-matrix product (one BLAS gemv), so a
+    row's bits depend only on the row, and one row costs what a plain
+    product of one row costs.  Under a tape a plain GEMM."""
+    if _active_tape() is not None:
+        return a @ b
+    return (a[:, None, :] @ b)[:, 0]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Contract the last axis of `a` with the first axis of a matrix `b`:
     the leading axes of `a` are rows, [.. x K] @ [K x N] is [.. x N]."""
@@ -255,37 +271,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def rule(tape, g):
         tape._acc(a, g @ bd.T)
         tape._outer(b, ad, g)
-
-    _record((out,), rule)
-    return out
-
-
-def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """`np.einsum` of two operands with explicit subscripts, such as
-    "bs,bsh->bh", in which no index repeats within an operand and every
-    index of an operand also appears in the other one or in the output.
-
-    Without `optimize` numpy runs its own loops, not BLAS: an output
-    entry depends only on its own terms, whatever the sizes of the other
-    axes, and the terms along a summed axis other than the innermost are
-    added in index order, so zeros appended to that axis leave the bits
-    unchanged.  Attention sums over source positions this way.
-    """
-    inputs, _, out_sub = subscripts.partition("->")
-    a_sub, _, b_sub = inputs.partition(",")
-    subs = (a_sub, b_sub, out_sub)
-    if (
-        not all(sub.isalpha() and len(set(sub)) == len(sub) for sub in subs)
-        or (len(a_sub), len(b_sub)) != (a.ndim, b.ndim)
-        or not set(a_sub) <= set(b_sub + out_sub)
-        or not set(b_sub) <= set(a_sub + out_sub)
-    ):
-        raise ValueError(f"einsum subscripts {subscripts!r} do not fit operands {a.shape} and {b.shape}")
-    out = Tensor(np.einsum(subscripts, a.data, b.data))
-
-    def rule(tape, g):
-        tape._acc(a, np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data))
-        tape._acc(b, np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data))
 
     _record((out,), rule)
     return out
@@ -438,6 +423,65 @@ def masked_softmax(logits: Tensor, mask, sequential: bool = False) -> Tensor:
     return out
 
 
+def additive_attention(keys: Tensor, query: Tensor, v: Tensor, enc: Tensor, valid_len) -> tuple[Tensor, Tensor]:
+    """Additive attention as one op: returns (alpha [B x S], context
+    [B x H]) for keys [B x S x A], one query row [B x A] per row, v [A],
+    values enc [B x S x H] and one length per row in `valid_len`.
+
+    alpha[b] is the softmax of `v . tanh(keys[b, s] + query[b])` over the
+    positions s below row b's length, exact zeros past it, and context[b]
+    is `sum_s alpha[b, s] enc[b, s]`.  Only the valid (row, position)
+    pairs are gathered, added to and scored, so padding costs nothing and
+    what keys holds past a row's length is never read.  numpy's own einsum
+    loops and an in-order softmax sum (`_softmax_rows`) give a row the
+    bits of its batch of one, also with zeros appended to its span.  The
+    backward rule runs over the same pairs, with BLAS products: under a
+    tape no row has to match a batch of one.
+    """
+    kd, qd, vd, ed = keys.data, query.data, v.data, enc.data
+    lengths = np.asarray(valid_len)
+    if (
+        kd.ndim != 3
+        or qd.shape != kd.shape[:1] + kd.shape[2:]
+        or vd.shape != kd.shape[2:]
+        or ed.ndim != 3
+        or ed.shape[:2] != kd.shape[:2]
+        or lengths.shape != kd.shape[:1]
+    ):
+        raise ValueError(
+            f"attention shapes: keys {kd.shape}, query {qd.shape}, v {vd.shape}, values {ed.shape}, "
+            f"lengths {lengths.shape}"
+        )
+    if not ((lengths >= 1) & (lengths <= kd.shape[1])).all():
+        raise ValueError(f"valid_len {valid_len} out of range for {kd.shape[1]} positions")
+    valid = np.arange(kd.shape[1]) < lengths[:, None]
+    rows, positions = np.nonzero(valid)  # row-major: each row's positions in order
+    pre = kd[rows, positions].astype(np.result_type(kd, qd), copy=False)
+    pre += qd[rows]
+    np.tanh(pre, out=pre)
+    scores = np.full(valid.shape, -np.inf, dtype=pre.dtype)
+    scores[valid] = np.einsum("pa,a->p", pre, vd)
+    alpha = _softmax_rows(scores, valid, sequential=True)
+    alpha_out, context_out = Tensor(alpha), Tensor(np.einsum("bs,bsh->bh", alpha, ed))
+
+    def rule(tape, g_alpha, g_context):
+        d_alpha = 0.0 if g_alpha is None else g_alpha
+        if g_context is not None:
+            d_alpha = d_alpha + (ed @ g_context[..., None])[..., 0]
+            tape._acc(enc, alpha[..., None] * g_context[:, None, :])
+        d_scores = (alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True)))[valid]
+        tape._acc(v, pre.T @ d_scores)
+        d_pre = d_scores[:, None] * vd
+        d_pre *= 1.0 - pre * pre
+        d_keys = np.zeros(kd.shape, dtype=d_pre.dtype)
+        d_keys[valid] = d_pre
+        tape._acc(keys, d_keys)
+        tape._acc(query, np.add.reduceat(d_pre, np.cumsum(lengths) - lengths, axis=0))
+
+    _record((alpha_out, context_out), rule)
+    return alpha_out, context_out
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero units with probability p and scale the kept
     ones by 1/(1-p).  Identity (and no rng draw) at p = 0, as at inference."""
@@ -540,7 +584,9 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     they end, the right-to-left one takes rows on at their last token.
     The backward rule walks the same prefixes in reverse, and `dW`, `dU`
     and `db` are each one product or sum over the valid positions.  The
-    result is scattered back to the caller's row order.
+    result is scattered back to the caller's row order.  With no tape
+    each row of the result has the bits of its batch of one (`_product`
+    and `_row_product`), so a decode group encodes as one batch.
     """
     lengths = np.asarray(valid_len)
     x_data = (x if isinstance(x, Tensor) else Tensor(x)).data
@@ -565,7 +611,7 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
     directions = ((fwd, range(span), slice(0, hidden)), (bwd, range(span - 1, -1, -1), slice(hidden, 2 * hidden)))
     runs = []
     for (w, u, b), steps, cols in directions:
-        gates_in = x_packed @ w.data + b.data
+        gates_in = _product(x_packed, w.data) + b.data
         h, c = np.zeros((2, len(lengths), hidden), dtype=dtype)
         previous, states = np.empty((2, len(x_packed), hidden), dtype=dtype)
         saved = [None] * span
@@ -573,7 +619,7 @@ def bilstm(x: Tensor | np.ndarray, valid_len, fwd: Cell, bwd: Cell) -> Tensor:
             n, block = blocks[t]
             previous[block] = h[:n]
             # c is overwritten in place below, so the saved c_prev is a copy
-            states[block], c_new, saved[t] = _lstm_gates(gates_in[block] + h[:n] @ u.data, c[:n].copy())
+            states[block], c_new, saved[t] = _lstm_gates(gates_in[block] + _row_product(h[:n], u.data), c[:n].copy())
             h[:n], c[:n] = states[block], c_new
         out_data[rows, times, cols] = states
         runs.append((previous, saved))

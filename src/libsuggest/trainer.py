@@ -144,19 +144,25 @@ def adam_step(
     if t < 1:
         raise ValueError("step index must be >= 1")
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    # two buffers serve every parameter, in place of five temporaries each
+    largest = max((p.size for p in params.values()), default=0)
+    terms, denoms = np.empty(largest), np.empty(largest)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
         m, v = state.m[name], state.v[name]
+        term, denom = terms[: g.size].reshape(g.shape), denoms[: g.size].reshape(g.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=term)
         v *= b2
-        v += (1.0 - b2) * g * g
-        denom = v / (1.0 - b2**t)
+        np.multiply(1.0 - b2, g, out=term)
+        term *= g
+        v += term
+        np.divide(v, 1.0 - b2**t, out=denom)
         np.sqrt(denom, out=denom)
         denom += eps
-        step = m / (1.0 - b1**t)
+        step = np.divide(m, 1.0 - b1**t, out=term)
         step *= cfg.learning_rate
         step /= denom
         p.data -= step

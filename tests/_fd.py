@@ -1,5 +1,6 @@
 """Finite-difference audit of tape gradients, the oracle of the gradient
-tests.
+tests, and `einsum`, the differentiable contraction those tests build
+their losses with.
 
 The probes evaluate the forward pass in `np.longdouble` (a 64-bit mantissa
 on x86-64 Linux), which `Tensor` keeps, so that the central differences
@@ -14,7 +15,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from libsuggest.tensor import Tape, Tensor, backward
+from libsuggest.tensor import Tape, Tensor, _record, backward
 
 
 def finite_difference_check(
@@ -85,3 +86,34 @@ def finite_difference_check(
         for t, data in zip(tensors, originals):
             t.data = data
     return worst
+
+
+def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
+    """`np.einsum` of two operands with explicit subscripts, such as
+    "bs,bsh->bh", in which no index repeats within an operand and every
+    index of an operand also appears in the other one or in the output.
+
+    Without `optimize` numpy runs its own loops, not BLAS: an output
+    entry depends only on its own terms, whatever the sizes of the other
+    axes, and the terms along a summed axis other than the innermost are
+    added in index order, so zeros appended to that axis leave the bits
+    unchanged, as in the contractions of `tensor.additive_attention`.
+    """
+    inputs, _, out_sub = subscripts.partition("->")
+    a_sub, _, b_sub = inputs.partition(",")
+    subs = (a_sub, b_sub, out_sub)
+    if (
+        not all(sub.isalpha() and len(set(sub)) == len(sub) for sub in subs)
+        or (len(a_sub), len(b_sub)) != (a.ndim, b.ndim)
+        or not set(a_sub) <= set(b_sub + out_sub)
+        or not set(b_sub) <= set(a_sub + out_sub)
+    ):
+        raise ValueError(f"einsum subscripts {subscripts!r} do not fit operands {a.shape} and {b.shape}")
+    out = Tensor(np.einsum(subscripts, a.data, b.data))
+
+    def rule(tape, g):
+        tape._acc(a, np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data))
+        tape._acc(b, np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data))
+
+    _record((out,), rule)
+    return out

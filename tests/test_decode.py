@@ -7,7 +7,7 @@ import _synth
 from libsuggest import decode
 from libsuggest.corpus import EOS_ID, N_RESERVED, UNK_ID
 from libsuggest.decode import NoSignalError, _beam, beam_search, greedy_decode, recommend
-from libsuggest.model import BOS, attention_keys, decoder_step
+from libsuggest.model import BOS, attention_keys, decoder_step, encode
 from libsuggest.decode import _embed_source, _greedy_rollout, _start_state
 
 TOKENS = ["t0", "t3", "t5"]
@@ -277,6 +277,27 @@ class TestManyQueries:
                     assert np.array_equal(enc.data[row, :n], enc_out.data)
                     assert np.array_equal(kw["keys"].data[row, :n], keys.data)
                     assert not enc.data[row, n:].any() and not kw["keys"].data[row, n:].any()
+
+    def test_sources_of_different_lengths_give_the_reference_answers(self):
+        # one source runs past max_src; the tie checkpoints have exact ties
+        for seed in range(6):
+            for ckpt in (_synth.random_checkpoint(seed, n_libs=40 if seed % 2 else 5), tie_checkpoint(seed)):
+                for width in (2, 3):
+                    want = [reference_beam(tokens, ckpt, width, 6) for tokens in self.SOURCES]
+                    assert _beam(self.SOURCES, ckpt, width, 6) == want, (seed, width)
+
+    def test_one_encode_per_group_gives_the_rows_of_one_source_encodes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decode, "encode", lambda *a: calls.append(encode(*a)) or calls[-1])
+        for seed in range(3):
+            ckpt = _synth.random_checkpoint(seed)
+            calls.clear()
+            _beam(self.SOURCES, ckpt, 3, 6)
+            [group] = calls
+            for i, tokens in enumerate(self.SOURCES):
+                x, n = _embed_source(tokens, ckpt)
+                alone = encode(x, n, ckpt.params.enc_fwd, ckpt.params.enc_bwd)
+                assert np.array_equal(group.data[i, :n], alone.data) and not group.data[i, n:].any()
 
     def test_late_seed_completion_stops_the_beam_where_pooling_it_first_would(self):
         """The greedy seed completes at step 5, with the score of the best

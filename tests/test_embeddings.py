@@ -170,6 +170,18 @@ class TestEmbedSequence:
         ids = tuple(vocab.id(f"w{i}") for i in range(5)) + (UNK_ID, PAD_ID)
         assert np.isfinite(gathered(ids, vocab, table)).all()
 
+    def test_vocab_matrix_equals_a_row_by_row_fill(self):
+        # the words missing from the table, every third, get the unk vector
+        rng = np.random.default_rng(5)
+        words = [f"w{i:03d}" for i in range(60)]
+        table = EmbeddingTable(4, {w: rng.normal(size=4) for i, w in enumerate(words) if i % 3})
+        for vocab in (Vocabulary(words), Vocabulary(words[::-1]), Vocabulary([])):
+            expected = np.zeros((len(vocab), 4))
+            expected[UNK_ID] = table.unk_vector
+            for word in vocab.regular_tokens():
+                expected[vocab.id(word)] = table.vectors.get(word, table.unk_vector)
+            assert vocab_matrix(vocab, table).tobytes() == expected.tobytes()
+
     def test_vocab_matrix_gather_matches_embed_sequence(self):
         # a vocabulary word missing from the table falls back to UNK too
         vocab = Vocabulary(["cat", "dog", "emu"])

@@ -6,7 +6,7 @@ import pytest
 
 from libsuggest.corpus import EOS_ID, N_RESERVED, PAD_ID
 import _synth
-from _fd import finite_difference_check
+from _fd import einsum, finite_difference_check
 from libsuggest.model import (
     BOS,
     AttentionParams,
@@ -189,7 +189,7 @@ class TestAttention:
         readout = Tensor(rng.normal(size=(3, 13)))
 
         def f():
-            from libsuggest.tensor import concat_rows, einsum, sum_all
+            from libsuggest.tensor import concat_rows, sum_all
 
             keys = attention_keys(enc_out, lengths, params.attn)
             alpha, context = attention(s, enc_out, lengths, params.attn, keys)
@@ -710,6 +710,6 @@ def test_paper_scale_example_op_and_tape_record_counts(monkeypatch):
             monkeypatch.setattr(model, name, counted(name, getattr(tensor, name)))
     with Tape() as tape:
         batch_loss(x, np.full(32, 32), targets, params)
-    assert (len(tape), sum(calls.values())) == (402, 419), (len(tape), calls)
+    assert (len(tape), sum(calls.values())) == (338, 355), (len(tape), calls)
     assert len(tape) < 32 * 325 and sum(calls.values()) < 32 * 342
     assert calls["bilstm"] == 1 and calls["lstm_cell"] == 16

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from _fd import finite_difference_check
+from _fd import einsum, finite_difference_check
 from libsuggest.tensor import (
     Tape,
     Tensor,
     _sigmoid,
     add,
+    additive_attention,
     backward,
     bilstm,
     concat_rows,
     dropout,
-    einsum,
     log,
     lstm_cell,
     masked_softmax,
@@ -85,6 +85,86 @@ class TestEinsum:
     def test_subscripts_validated(self, subscripts):
         with pytest.raises(ValueError):
             einsum(subscripts, Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
+
+
+class TestAdditiveAttention:
+    """The fused attention op: the six-op chain it replaces, as a
+    reference, gives the same bits; its backward passes the FD audit; a
+    row's bits do not depend on the other rows or on zero padding."""
+
+    @staticmethod
+    def inputs(rng, lengths, span, a=5, h=3):
+        keys = rng.normal(size=(len(lengths), span, a))
+        values = rng.normal(size=(len(lengths), span, h))
+        for b, n in enumerate(lengths):
+            keys[b, n:] = values[b, n:] = 0.0
+        return keys, rng.normal(size=(len(lengths), a)), rng.normal(size=a), values
+
+    @staticmethod
+    def chain(keys, query, v, values, lengths):
+        mask = np.arange(keys.shape[1]) >= np.asarray(lengths)[:, None]
+        scores = einsum("bsa,a->bs", tanh(add(keys, query)), v)
+        alpha = masked_softmax(scores, mask, sequential=True)
+        return alpha, einsum("bs,bsh->bh", alpha, values)
+
+    def test_forward_has_the_bits_of_the_op_chain(self):
+        rng = np.random.default_rng(30)
+        for lengths, span, a, h in (([3, 1, 4, 4, 2], 4, 5, 3), ([32, 7, 19, 1, 32, 25], 32, 128, 256)):
+            tensors = [Tensor(t) for t in self.inputs(rng, lengths, span, a, h)]
+            fused = additive_attention(*tensors, np.array(lengths))
+            for got, want in zip(fused, self.chain(*tensors, lengths)):
+                assert np.array_equal(got.data, want.data)
+
+    def test_passes_fd_audit_with_alpha_and_context_in_the_loss(self):
+        # unsorted and tied lengths, with 1 and the full span
+        rng = np.random.default_rng(31)
+        lengths = np.array([3, 5, 1, 3, 5, 2])
+        keys, query, v, values = (Tensor(t) for t in self.inputs(rng, lengths, 5))
+        alpha_readout, context_readout = Tensor(rng.normal(size=(6, 5))), Tensor(rng.normal(size=(6, 3)))
+
+        def f():
+            alpha, context = additive_attention(keys, query, v, values, lengths)
+            return add(
+                sum_all(einsum("bs,bs->bs", alpha, alpha_readout)),
+                sum_all(einsum("bh,bh->bh", tanh(context), context_readout)),
+            )
+
+        assert finite_difference_check(f, [keys, query, v, values], max_coords_per_tensor=1000) < 1e-4
+
+    def test_gradients_reach_only_the_positions_read(self):
+        rng = np.random.default_rng(32)
+        lengths = np.array([2, 4, 1])
+        keys, query, v, values = (Tensor(t) for t in self.inputs(rng, lengths, 4))
+        with Tape() as tape:
+            _, context = additive_attention(keys, query, v, values, lengths)
+            loss = sum_all(context)
+        backward(tape, loss)
+        for b, n in enumerate(lengths):
+            assert not tape.gradient(keys)[b, n:].any() and not tape.gradient(values)[b, n:].any()
+
+    def test_rows_equal_their_batch_of_one_also_zero_padded(self):
+        rng = np.random.default_rng(33)
+        lengths = [32, 7, 19, 1, 25, 8, 9, 31]
+        keys, query, v, values = self.inputs(rng, lengths, 32, 128, 256)
+        batch = additive_attention(Tensor(keys), Tensor(query), Tensor(v), Tensor(values), np.array(lengths))
+        for b, n in enumerate(lengths):
+            for span in (n, n + 1, 40):
+                padded_keys, padded_values = np.zeros((1, span, 128)), np.zeros((1, span, 256))
+                padded_keys[0, :n], padded_values[0, :n] = keys[b, :n], values[b, :n]
+                alone = additive_attention(
+                    Tensor(padded_keys), Tensor(query[b : b + 1]), Tensor(v), Tensor(padded_values), np.array([n])
+                )
+                assert np.array_equal(batch[0].data[b, :n], alone[0].data[0, :n]), (b, span)
+                assert not alone[0].data[0, n:].any()
+                assert np.array_equal(batch[1].data[b], alone[1].data[0]), (b, span)
+
+    def test_inputs_validated(self):
+        keys, query, v, values = (Tensor(t) for t in self.inputs(np.random.default_rng(34), [2, 1], 2))
+        for lengths in ([0, 1], [3, 1], [2]):
+            with pytest.raises(ValueError):
+                additive_attention(keys, query, v, values, np.array(lengths))
+        with pytest.raises(ValueError, match="shapes"):
+            additive_attention(keys, query, v, Tensor(np.zeros((2, 3, 3))), np.array([2, 1]))
 
 
 class TestConstruction:
@@ -886,6 +966,19 @@ class TestRowProducts:
         alone = [matmul(Tensor(enc[q, :n]), u).data for q, n in enumerate(lengths)]
         for queries in range(1, 41):
             out = matmul(Tensor(enc[:queries]), u).data
+            for q in range(queries):
+                assert np.array_equal(out[q, : lengths[q]], alone[q]), (queries, q)
+
+    def test_encoder_rows_equal_one_source_calls_at_every_group_size(self):
+        # a decode group's sources, zero-padded to the longest, in one
+        # bilstm call at the paper's sizes: each row against its source alone
+        rng = np.random.default_rng(4)
+        lengths = [1 + (7 * q) % 32 for q in range(12)]
+        x = rng.normal(size=(12, 32, 200))
+        fwd, bwd = _cell(rng, 200, 128), _cell(rng, 200, 128)
+        alone = [bilstm(x[q : q + 1, :n], np.array([n]), fwd, bwd).data[0] for q, n in enumerate(lengths)]
+        for queries in (1, 2, 3, 5, 8, 12):
+            out = bilstm(x[:queries], np.array(lengths[:queries]), fwd, bwd).data
             for q in range(queries):
                 assert np.array_equal(out[q, : lengths[q]], alone[q]), (queries, q)
 

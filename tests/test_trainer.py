@@ -95,6 +95,28 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape"):
             adam_step(p, {"w": np.zeros(3)}, state, 1, self.cfg())
 
+    def test_parameters_of_every_size_share_the_buffers_byte_for_byte(self):
+        # sizes that fall and rise, so each parameter reads buffers a
+        # larger one wrote before it; three steps against the formula
+        cfg = replace(self.cfg(), learning_rate=2e-3, adam_beta1=0.8, adam_beta2=0.99)
+        rng = np.random.default_rng(12)
+        shapes = {"big": (6, 7), "one": (1,), "cube": (2, 3, 4), "row": (5,), "last": (7, 6)}
+        params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+        expected = {name: (p.data.copy(), 0.0, 0.0) for name, p in params.items()}
+        state = AdamState.for_params(params)
+        b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            adam_step(params, grads, state, t, cfg)
+            for name, g in grads.items():
+                w, m, v = expected[name]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                w = w - cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+                expected[name] = w, m, v
+                assert params[name].data.tobytes() == w.tobytes(), (name, t)
+                assert state.m[name].tobytes() == m.tobytes() and state.v[name].tobytes() == v.tobytes()
+
     def test_in_place_update_matches_the_allocating_formula_byte_for_byte(self):
         def reference(w, g, m, v, t, cfg):
             # the update as it was written before it ran in place
