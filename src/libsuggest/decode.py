@@ -154,13 +154,10 @@ def _select(y: np.ndarray, masked: np.ndarray, rows: list[int], live: list, coun
     size = most * vocab_n
     kth = np.full(queries, -np.inf)
     if size > width:
-        if min(counts) == most:
-            blocks = approx.reshape(queries, size)
-        else:
-            blocks = np.full((queries, most, vocab_n), -np.inf)
-            for q, (first, n) in enumerate(zip(_starts(counts), counts)):
-                blocks[q, :n] = approx[first : first + n]
-            blocks = blocks.reshape(queries, size)
+        blocks = np.full((queries, most, vocab_n), -np.inf)
+        for q, (first, n) in enumerate(zip(_starts(counts), counts)):
+            blocks[q, :n] = approx[first : first + n]
+        blocks = blocks.reshape(queries, size)
         kth = np.partition(blocks, size - width, axis=-1)[:, size - width]
     # kth is -inf for a query with fewer than `width` finite scores, which
     # keeps every candidate

@@ -30,6 +30,14 @@ the order of the trainable tensors and `parameter_shapes` their shapes;
 `named_parameters` and `params_from_named` walk those fields, and
 `init_params` draws over that table.  A checkpoint stores the tensors in
 the same order (`trainer.checkpoint_bytes`).
+
+An input is checked once, by the op that reads it.  The tensor ops
+reject shapes that do not fit: `tensor.additive_attention` checks the
+decoder states, keys and lengths against the encoder output at every
+step, and `tensor.masked_softmax` checks the repeat mask and rejects a
+row where every id is masked.  This module checks what it indexes
+itself, the lengths of `initial_decoder_state` and the previous ids of
+`decoder_step`, and names an all-PAD source in `encode`.
 """
 
 from __future__ import annotations
@@ -212,14 +220,6 @@ def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) 
     return bilstm(x, valid_len, (fwd.w, fwd.u, fwd.b), (bwd.w, bwd.u, bwd.b))
 
 
-def _check_lengths(enc_out: Tensor, valid_len) -> np.ndarray:
-    lengths = np.asarray(valid_len)
-    total = enc_out.shape[1] if enc_out.ndim == 3 else 0
-    if lengths.shape != enc_out.shape[:1] or not ((lengths >= 1) & (lengths <= total)).all():
-        raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
-    return lengths
-
-
 def attention(
     s_t: Tensor, enc_out: Tensor, valid_len, p: AttentionParams, keys: Tensor | None = None
 ) -> tuple[Tensor, Tensor]:
@@ -231,16 +231,13 @@ def attention(
     the valid positions, from one `tensor.additive_attention` op, which
     reads only those positions.  `keys`, when given, is
     `attention_keys(enc_out, valid_len, p)`, computed once for every step
-    of a batch instead of once per step.
+    of a batch instead of once per step.  `additive_attention` rejects
+    states, keys or lengths that do not fit `enc_out`, and a length
+    outside 1..T.
     """
-    lengths = _check_lengths(enc_out, valid_len)
-    if s_t.shape[:-1] != lengths.shape:
-        raise ValueError(f"decoder state {s_t.shape} does not fit encoder output {enc_out.shape}")
     if keys is None:
         keys = matmul(enc_out, p.u_a)
-    elif keys.shape[:-1] != enc_out.shape[:-1]:
-        raise ValueError(f"attention keys {keys.shape} do not fit encoder output {enc_out.shape}")
-    return additive_attention(keys, matmul(s_t, p.w_a), p.v_a, enc_out, lengths)
+    return additive_attention(keys, matmul(s_t, p.w_a), p.v_a, enc_out, valid_len)
 
 
 @_batch_of_one
@@ -250,7 +247,10 @@ def initial_decoder_state(
     """Decoder start, one row per sequence: learned tanh map of the final
     forward and backward encoder states; zero cell state and zero initial
     context."""
-    lengths = _check_lengths(enc_out, valid_len)
+    lengths = np.asarray(valid_len)
+    total = enc_out.shape[1] if enc_out.ndim == 3 else 0
+    if lengths.shape != enc_out.shape[:1] or not ((lengths >= 1) & (lengths <= total)).all():
+        raise ValueError(f"valid_len {valid_len} out of range for {total} positions")
     enc_hidden, rows = enc_out.shape[-1] // 2, len(lengths)
     final_fwd = take(enc_out, (np.arange(rows), lengths - 1, slice(0, enc_hidden)))
     final_bwd = take(enc_out, (slice(0, rows), 0, slice(enc_hidden, 2 * enc_hidden)))
@@ -271,15 +271,6 @@ def _previous_embedding(prev_id, lead: tuple[int, ...], params: ModelParams) -> 
     if ((prev < 0) | (prev >= vocab_n)).any():
         raise ValueError(f"previous ids {prev} out of vocabulary range")
     return take(params.emb, prev)
-
-
-def _repeat_mask(mask_ids, lead: tuple[int, ...], vocab_n: int) -> np.ndarray:
-    masked = np.asarray(mask_ids)
-    if masked.shape != lead + (vocab_n,) or masked.dtype != bool:
-        raise ValueError(f"repeat mask of shape {masked.shape} != {lead + (vocab_n,)} booleans")
-    if masked.all(axis=-1).any():
-        raise ValueError("repeat mask covers the whole library vocabulary")
-    return masked
 
 
 @_batch_of_one
@@ -310,11 +301,14 @@ def decoder_step(
     mask in place between steps.  `keys` is passed on to `attention`.
     With no tape, row b of each result equals the batch of one holding
     row b's inputs bit for bit, and so the one-sequence step.
-    """
-    lead = s_prev.shape[:-1]
-    prev_emb = _previous_embedding(prev_id, lead, params)
-    masked = _repeat_mask(mask_ids, lead, params.lib_vocab_size)
 
+    Each input is checked by the op that reads it: the previous ids here,
+    the states by `concat_rows` and `lstm_cell`, the encoder output, keys
+    and lengths by `tensor.additive_attention`, and the mask, its shape,
+    its dtype and a row where every id is masked, by
+    `tensor.masked_softmax`.
+    """
+    prev_emb = _previous_embedding(prev_id, s_prev.shape[:-1], params)
     x = concat_rows(prev_emb, context_prev)
     s_t, cell_t = lstm_cell(x, s_prev, cell_prev, params.dec.w, params.dec.u, params.dec.b)
     _, context_t = attention(s_t, enc_out, valid_len, params.attn, keys)
@@ -322,7 +316,7 @@ def decoder_step(
     s_used = dropout(s_t, dropout_p, rng)
     hidden = relu(add(matmul(s_used, params.out.w_d), matmul(context_t, params.out.v_d)))
     logits = matmul(hidden, params.out.w_o)
-    y_t = masked_softmax(logits, masked)
+    y_t = masked_softmax(logits, mask_ids)
     return s_t, cell_t, context_t, logits, y_t
 
 
@@ -336,8 +330,10 @@ def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
     per step.  With no tape the product runs in fixed 4-row blocks
     (`tensor._product`), so a source's keys have the same bits alone and
     zero-padded in a group; their bits depend on the BLAS kernel for M=4.
+    The keys do not read the lengths: `valid_len` only tells one sequence
+    from a batch, and `tensor.additive_attention` checks the lengths at
+    every step.
     """
-    _check_lengths(enc_out, valid_len)
     return matmul(enc_out, p.u_a)
 
 

@@ -415,7 +415,7 @@ def masked_softmax(logits: Tensor, mask, sequential: bool = False) -> Tensor:
     if ld.ndim != 2 or md.shape != ld.shape or md.dtype != bool:
         raise ValueError("masked_softmax expects a matrix and an equal-shape boolean mask")
     if md.all(axis=-1).any():
-        raise ValueError("all positions masked")
+        raise ValueError("all positions masked: the mask covers the whole row")
     y = _softmax_rows(ld, ~md, sequential)
     out = Tensor(y)
     # y is zero at masked positions, so their logit grads stay zero

@@ -132,41 +132,25 @@ def adam_step(
     state: AdamState,
     t: int,
     cfg: TrainConfig,
-) -> tuple[dict[str, Tensor], AdamState]:
+) -> None:
     """One Adam update, step index t >= 1, in place on the parameter
-    tensors and on the moment arrays of `state`.
-
-    The update is lr * m_hat / (sqrt(v_hat) + eps) with m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g and the bias-corrected m_hat, v_hat; the in-place
-    form runs each elementwise operation in that order, so its bytes are
-    those of the formula.
+    tensors and on the moment arrays of `state`: m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, then a step of lr * m_hat / (sqrt(v_hat) + eps)
+    with the bias-corrected m_hat and v_hat.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
-    # two buffers serve every parameter, in place of five temporaries each
-    largest = max((p.size for p in params.values()), default=0)
-    terms, denoms = np.empty(largest), np.empty(largest)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
         m, v = state.m[name], state.v[name]
-        term, denom = terms[: g.size].reshape(g.shape), denoms[: g.size].reshape(g.shape)
         m *= b1
-        m += np.multiply(1.0 - b1, g, out=term)
+        m += (1.0 - b1) * g
         v *= b2
-        np.multiply(1.0 - b2, g, out=term)
-        term *= g
-        v += term
-        np.divide(v, 1.0 - b2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step = np.divide(m, 1.0 - b1**t, out=term)
-        step *= cfg.learning_rate
-        step /= denom
-        p.data -= step
-    return params, state
+        v += (1.0 - b2) * g * g
+        p.data -= cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:

@@ -340,6 +340,47 @@ class TestManyQueries:
         assert len(calls) == 11
 
 
+def near_tie(seed, draws=50_000):
+    """Probabilities (p_b, p_a) a few ulps apart where math.log ranks b at
+    least as high as a but np.log puts b below a, from a seeded search over
+    uniform draws; None when np.log and math.log agree on every draw."""
+    p = np.random.default_rng(seed).uniform(0.01, 1.0, size=draws)
+    for p_b in p[np.log(p) != [math.log(x) for x in p]]:
+        for k in range(-4, 5):
+            p_a = p_b + k * np.spacing(p_b)
+            if math.log(p_b) >= math.log(p_a) and np.log(p_b) < np.log(p_a):
+                return float(p_b), float(p_a)
+    return None
+
+
+class TestSelect:
+    def test_candidate_an_ulp_below_the_approximate_kth_is_scored_exactly(self):
+        # query 0's one row holds library 3 at p_b and library 4 at p_a: by
+        # math.log, 3 scores at least as high and wins a tie by its smaller
+        # id, yet by np.log it falls an ulp below the width-th best, 4; only
+        # the margin keeps it for the exact rescoring.  Query 1's two rows
+        # make the blocks unequal
+        pair = near_tie(20)
+        if pair is None:
+            pytest.skip("np.log and math.log agree on every draw: no input tells a missing margin")
+        p_b, p_a = pair
+        y = np.full((3, 7), 1e-6)
+        y[0, 3], y[0, 4] = p_b, p_a
+        y[1:, 3:] = [[0.1, 0.3, 0.2, 0.4], [0.25, 0.05, 0.5, 0.2]]
+        masked = np.zeros(y.shape, dtype=bool)
+        masked[1, 5] = True
+        live = [(0.0, (), ()), (-1.5, (5,), (0.2,)), (-0.5, (6,), (0.6,))]
+        chosen = decode._select(y, masked, [0, 1, 2], live, [1, 2], 1)
+        assert chosen[0] == [((math.log(p_b), (3,), (p_b,)), 0)]
+        candidates = [
+            ((score + math.log(y[row, j]), seq + (j,), probs + (y[row, j],)), row)
+            for row, (score, seq, probs) in zip((1, 2), live[1:])
+            for j in range(EOS_ID, 7)
+            if not masked[row, j]
+        ]
+        assert chosen[1] == [min(candidates, key=lambda c: (-c[0][0], c[0][1]))]
+
+
 @pytest.fixture(scope="module")
 def trained():
     # cheap memorized model over the small synthetic corpus

@@ -210,6 +210,24 @@ class TestAttention:
             np.testing.assert_allclose(context.data[b], c_b.data[0], rtol=1e-13, atol=1e-16)
             assert (alpha.data[b, n:] == 0.0).all()
 
+    def test_inputs_that_do_not_fit_are_rejected(self):
+        params, rng = tiny_params(16)
+        enc_out = Tensor(rng.normal(size=(2, 3, 8)))
+        s = Tensor(rng.normal(size=(2, 4)))
+        keys = attention_keys(enc_out, np.array([3, 2]), params.attn)
+        cases = [
+            (Tensor(rng.normal(size=(3, 4))), np.array([3, 2]), None),  # a row too many
+            (s, np.array([3, 2]), Tensor(keys.data[:, :2])),  # keys over 2 of 3 positions
+            (s, np.array([3, 2]), Tensor(keys.data[:1])),  # keys of 1 of 2 rows
+            (s, np.array([3, 2, 1]), None),
+            (s, np.array([3, 0]), None),
+            (s, np.array([4, 2]), None),
+        ]
+        for state, lengths, given in cases:
+            with pytest.raises(ValueError):
+                attention(state, enc_out, lengths, params.attn, given)
+        attention(s, enc_out, np.array([3, 2]), params.attn, keys)  # the same inputs, fitting
+
 
 class TestDecoderStep:
     def run_step(self, seed, mask):
