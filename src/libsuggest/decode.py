@@ -5,28 +5,31 @@ library, and neither PAD nor UNK is ever emitted (selection only considers
 library ids and EOS).  Decoding is read-only over the checkpoint and never
 applies dropout.
 
-Both run training's `model.decoder_step` with no tape, with the encoder
-side of attention computed once per query.  Greedy decoding steps one
-sequence.  Beam search takes one query or a list of them and decodes the
-group as one batch from end to end.  One `encode` call runs over the
-group's embedded sources zero-padded to the longest, then one
-`attention_keys` and one `initial_decoder_state` call.  Each step is one
-`decoder_step` whose rows are every query's live hypotheses, then its
-greedy rollout (the seed of its pool) until that completes, and one
-`_select` over the beam rows of every query: np.log scores for all of
-them, and one np.partition over each query's block of them padded into
-one matrix, find each query's width-th best; only the candidates within
-a relative margin of 1e-9 of it are scored again as
+Both start from `_start`: the token lists padded with PAD to the longest,
+then one `encode`, one `attention_keys` and one `initial_decoder_state`
+call over them.  Then they run training's `model.decoder_step` with no
+tape, with a [B x V] boolean repeat mask, one row per row of the step.
+Greedy decoding steps its one query as a batch of one.  Beam search takes
+one query or a list of them and decodes the group as one batch from end
+to end.  Each step is one `decoder_step` whose rows are every query's live
+hypotheses, then its greedy rollout (the seed of its pool) until that
+completes, and one `_select` over the beam rows of every query: np.log
+scores for all of them, and one np.partition over each query's block of
+them padded into one matrix, find each query's width-th best; only the
+candidates within a relative margin of 1e-9 of it are scored again as
 `score + math.log(p)` and sorted by (-score, sequence).  The margin
 covers the last-bit difference between np.log and math.log, so ties and
-near-ties resolve as a sort of every candidate would.  With no tape the
+near-ties resolve as a sort of every candidate would.
+
+With no tape each row of a batch has the bits of a batch of one holding
+that row, whatever the other rows and the padding of its source: the
 products run in fixed 4-row blocks, whose bits depend on the BLAS kernel
-for M=4 (`tensor._product`), the encoder's recurrence one row at a time,
-and attention reads only each row's valid positions and sums over them
-in order, so each row of the encoder, of the start and of a step is
-bit-identical to the one-sequence call, whatever the other rows and the
-padding, and the answers and their reported probabilities equal those of
-a decode of one query, one hypothesis at a time.
+for M=4 (`tensor._product`), the encoder's recurrence runs one row at a
+time (`tensor._row_product`), and attention reads only each row's valid
+positions and sums over them in order.  So each row of the encoder, of
+the start and of a step is bit-identical to the one-sequence call, and
+the answers of a group and their reported probabilities equal those of a
+decode of each query alone, one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -60,51 +63,27 @@ class RecommendResult:
     truncated: bool
 
 
-def _embed_source(tokens, ckpt: ModelCheckpoint) -> tuple[Tensor, int]:
-    if not tokens:
+def _start(sources, ckpt: ModelCheckpoint):
+    """The start of a decode of the token lists `sources`, as one batch:
+    (encoder output, lengths, attention keys, (s, cell, context))."""
+    ids = [[ckpt.word_vocab.id(tok) for tok in tokens][: ckpt.config.max_src] for tokens in sources]
+    if not all(ids):
         raise ValueError("cannot decode from an empty token list")
-    ids = [ckpt.word_vocab.id(tok) for tok in tokens][: ckpt.config.max_src]
-    return Tensor(ckpt.word_embed[np.array(ids)]), len(ids)
+    lengths = np.array([len(row) for row in ids])
+    padded = np.full((len(ids), lengths.max()), PAD_ID)
+    for row, source in zip(padded, ids):
+        row[: len(source)] = source
+    params = ckpt.params
+    enc_out = encode(ckpt.word_embed[padded], lengths, params.enc_fwd, params.enc_bwd)
+    return enc_out, lengths, attention_keys(enc_out, params.attn), initial_decoder_state(enc_out, lengths, params)
 
 
-def _start_state(tokens, ckpt: ModelCheckpoint):
-    x, valid_len = _embed_source(tokens, ckpt)
-    enc_out = encode(x, valid_len, ckpt.params.enc_fwd, ckpt.params.enc_bwd)
-    s_t, cell_t, context_t = initial_decoder_state(enc_out, valid_len, ckpt.params)
-    return enc_out, valid_len, s_t, cell_t, context_t
-
-
-def _best_candidate(y: np.ndarray, emitted: set[int]) -> int:
-    """Argmax over EOS plus not-yet-emitted library ids (ties: lowest id)."""
-    probs = y.copy()
-    probs[PAD_ID] = -1.0
-    probs[UNK_ID] = -1.0
-    for i in emitted:
-        probs[i] = -1.0
+def _best_candidate(y: np.ndarray, masked: np.ndarray) -> int:
+    """Argmax over EOS plus the library ids the mask row `masked` leaves
+    open (ties: lowest id)."""
+    probs = np.where(masked, -1.0, y)
+    probs[PAD_ID] = probs[UNK_ID] = -1.0
     return int(np.argmax(probs))
-
-
-def _greedy_rollout(state, ckpt: ModelCheckpoint, max_steps: int):
-    """Follow the argmax at every step; returns (ids, per-step probs,
-    completed, eos_prob) where `completed` means EOS was chosen in time."""
-    enc_out, valid_len, s_t, cell_t, context_t = state
-    keys = attention_keys(enc_out, valid_len, ckpt.params.attn)
-    emitted: list[int] = []
-    probs: list[float] = []
-    mask: set[int] = set()
-    prev = BOS
-    for _ in range(max_steps):
-        s_t, cell_t, context_t, _, y_t = decoder_step(
-            prev, context_t, s_t, cell_t, enc_out, valid_len, mask, ckpt.params, keys=keys
-        )
-        choice = _best_candidate(y_t.data, mask)
-        if choice == EOS_ID:
-            return emitted, probs, True, float(y_t.data[EOS_ID])
-        emitted.append(choice)
-        probs.append(float(y_t.data[choice]))
-        mask.add(choice)
-        prev = choice
-    return emitted, probs, False, 0.0
 
 
 def greedy_decode(tokens, ckpt: ModelCheckpoint, max_steps: int) -> list[str]:
@@ -115,7 +94,18 @@ def greedy_decode(tokens, ckpt: ModelCheckpoint, max_steps: int) -> list[str]:
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    emitted, _, _, _ = _greedy_rollout(_start_state(tokens, ckpt), ckpt, max_steps)
+    enc_out, lengths, keys, (s, cell, context) = _start([tokens], ckpt)
+    masked = np.zeros((1, ckpt.params.lib_vocab_size), dtype=bool)
+    emitted: list[int] = []
+    prev = np.array([BOS])
+    for _ in range(max_steps):
+        s, cell, context, _, y = decoder_step(prev, context, s, cell, enc_out, lengths, masked, ckpt.params, keys=keys)
+        choice = _best_candidate(y.data[0], masked[0])
+        if choice == EOS_ID:
+            break
+        emitted.append(choice)
+        masked[0, choice] = True
+        prev = np.array([choice])
     return [ckpt.lib_vocab.token(i) for i in emitted]
 
 
@@ -224,11 +214,12 @@ class _Search:
             self.beam_live = False
         return kept
 
-    def step_seed(self, y: np.ndarray) -> int | None:
-        """Follow greedy's argmax on the seed's row; returns the emitted id,
-        or None once the rollout completes."""
+    def step_seed(self, y: np.ndarray, masked: np.ndarray) -> int | None:
+        """Follow greedy's argmax on the seed's row of probabilities and of
+        the mask; returns the emitted id, or None once the rollout
+        completes."""
         score, seq, probs = self.seed
-        choice = _best_candidate(y, set(seq))
+        choice = _best_candidate(y, masked)
         p = float(y[choice])
         score += math.log(p) if p > 0.0 else -math.inf
         if choice != EOS_ID:
@@ -254,32 +245,20 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     """Beam search core: (library ids, per-step probabilities) for each
     token list of `sources`.
 
-    The group runs as one batch: one `encode` of the embedded sources
-    zero-padded to [Q x T x dim], one `attention_keys` and one
-    `initial_decoder_state` call, then per step one `decoder_step` whose
-    rows are each query's live hypotheses, then its greedy seed while that
-    runs, and one `_select` over every query's hypotheses.  With no tape a
-    row is bit-identical to the one-sequence call, whatever the other rows
-    and the zero padding of its source: the products run in fixed 4-row
-    blocks, whose bits depend on the BLAS kernel for M=4
-    (`tensor._product`), the encoder's recurrence one row at a time, and
-    attention sums over positions in order.
-    `_select` ranks by `math.log` scores, ties to the lexicographically
-    smaller sequence: each answer is that of a per-hypothesis search of
-    its query alone.
+    The group runs as one batch (see the module docstring): one `_start`,
+    then per step one `decoder_step` whose rows are each query's live
+    hypotheses, then its greedy seed while that runs, and one `_select`
+    over every query's hypotheses.  `_select` ranks by `math.log` scores,
+    ties to the lexicographically smaller sequence: each answer is that of
+    a per-hypothesis search of its query alone.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     params = ckpt.params
-    embedded = [_embed_source(tokens, ckpt) for tokens in sources]
-    lengths = np.array([n for _, n in embedded])
-    x = np.zeros((len(embedded), lengths.max(), ckpt.word_embed.shape[-1]))
-    for i, (source, n) in enumerate(embedded):
-        x[i, :n] = source.data
-    enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
-    enc_all, keys_all = enc_out.data, attention_keys(enc_out, lengths, params.attn).data
+    enc_out, lengths, keys, state = _start(sources, ckpt)
+    enc_all, keys_all = enc_out.data, keys.data
     searches = [_Search() for _ in sources]
 
     # row r of the step belongs to query owner[r]; each query's rows are
@@ -287,7 +266,7 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
     # that runs; each starts with one hypothesis row and one seed row
     owner = np.repeat(np.arange(len(searches)), 2)
     prev = np.full(len(owner), BOS)
-    s, cell, context = (np.repeat(t.data, 2, axis=0) for t in initial_decoder_state(enc_out, lengths, params))
+    s, cell, context = (np.repeat(t.data, 2, axis=0) for t in state)
     masked = np.zeros((len(owner), params.lib_vocab_size), dtype=bool)
     gathered = None
     for _ in range(max_steps):
@@ -308,7 +287,7 @@ def _beam(sources, ckpt: ModelCheckpoint, beam_width: int, max_steps: int):
         kept: list[tuple[int, int, int]] = []  # (row, emitted id, query) of the next step
         for i, (q, (n_beam, n_seed), start) in enumerate(zip(searches, sizes, starts)):
             beam = q.step_beam(next(chosen)) if n_beam else []
-            lib = q.step_seed(y.data[start + n_beam]) if n_seed else None
+            lib = q.step_seed(y.data[start + n_beam], masked[start + n_beam]) if n_seed else None
             if q.beam_live:  # the seed's completion may have stopped it
                 kept += [(r, j, i) for r, j in beam]
             if lib is not None:

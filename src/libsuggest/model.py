@@ -4,11 +4,13 @@ against repeats, and the popularity-weighted sequence loss.
 
 Every function here runs a batch of B sequences: embedded sources
 [B x T x dim] with B lengths, [B x .] states, [B] previous ids and a
-[B x V] boolean repeat mask.  `encode`, `initial_decoder_state`,
-`attention_keys` and `decoder_step` also take one sequence, told by an
-int length: an embedded source [T x dim], vector states, an int previous
-id and a set of masked ids.  They lift it to a batch of one, which is
-not a tape op, and return its row 0 (`_batch_of_one`).
+[B x V] boolean repeat mask.  `encode`, `initial_decoder_state` and
+`decoder_step` also take one sequence, told by an int length: an embedded
+source [T x dim], vector states, an int previous id and a set of masked
+ids.  They lift it to a batch of one, which is not a tape op, and return
+its row 0 (`_batch_of_one`).  Nothing in the package calls that form: the
+lift serves callers outside it, such as the benchmark's replay of an
+answer and the tests.
 
 `decoder_step` is the one decoder step.  Training runs a mini-batch
 through `batch_loss`: one encoder op, then one `decoder_step` per target
@@ -19,11 +21,8 @@ front because `batch_loss` sorts its rows by target length, longest first
 positions; `attention` projects the decoder state and calls it.
 Decoding runs `encode` and `decoder_step` with no tape, where each row of
 a batch, such as the sources of a decode group or the hypotheses of
-several queries over their zero-padded sources, is bit-identical to the
-batch of one holding that row: the products run in fixed 4-row blocks,
-whose bits depend on the BLAS kernel for M=4 (`tensor._product`), the
-encoder's recurrence one row at a time, and attention sums over positions
-in order.
+several queries over their padded sources, is bit-identical to the batch
+of one holding that row (`decode` states why).
 
 The parameter layout is defined once.  The fields of `ModelParams` give
 the order of the trainable tensors and `parameter_shapes` their shapes;
@@ -37,7 +36,8 @@ decoder states, keys and lengths against the encoder output at every
 step, and `tensor.masked_softmax` checks the repeat mask and rejects a
 row where every id is masked.  This module checks what it indexes
 itself, the lengths of `initial_decoder_state` and the previous ids of
-`decoder_step`, and names an all-PAD source in `encode`.
+`decoder_step`; `tensor.bilstm` checks the lengths of `encode` and names
+an all-PAD source.
 """
 
 from __future__ import annotations
@@ -215,8 +215,6 @@ def encode(x: Tensor | np.ndarray, valid_len, fwd: LstmParams, bwd: LstmParams) 
     get zero gradient and are meant to be skipped via `valid_len`
     downstream.
     """
-    if (np.asarray(valid_len) < 1).any():
-        raise ValueError("cannot encode an all-PAD sequence")
     return bilstm(x, valid_len, (fwd.w, fwd.u, fwd.b), (bwd.w, bwd.u, bwd.b))
 
 
@@ -230,10 +228,9 @@ def attention(
     row's length: its scores there are -inf) and the context vectors over
     the valid positions, from one `tensor.additive_attention` op, which
     reads only those positions.  `keys`, when given, is
-    `attention_keys(enc_out, valid_len, p)`, computed once for every step
-    of a batch instead of once per step.  `additive_attention` rejects
-    states, keys or lengths that do not fit `enc_out`, and a length
-    outside 1..T.
+    `attention_keys(enc_out, p)`, computed once for every step of a batch
+    instead of once per step.  `additive_attention` rejects states, keys
+    or lengths that do not fit `enc_out`, and a length outside 1..T.
     """
     if keys is None:
         keys = matmul(enc_out, p.u_a)
@@ -320,19 +317,14 @@ def decoder_step(
     return s_t, cell_t, context_t, logits, y_t
 
 
-@_batch_of_one
-def attention_keys(enc_out: Tensor, valid_len, p: AttentionParams) -> Tensor:
+def attention_keys(enc_out: Tensor, p: AttentionParams) -> Tensor:
     """The encoder side of the attention scores, `enc_out @ u_a` over all
-    T positions.
+    T positions, for a batch or for one sequence.
 
-    It does not depend on the decoder state, so `attention` and
-    `decoder_step` take it precomputed: once per source instead of once
-    per step.  With no tape the product runs in fixed 4-row blocks
-    (`tensor._product`), so a source's keys have the same bits alone and
-    zero-padded in a group; their bits depend on the BLAS kernel for M=4.
-    The keys do not read the lengths: `valid_len` only tells one sequence
-    from a batch, and `tensor.additive_attention` checks the lengths at
-    every step.
+    It depends neither on the decoder state nor on the lengths, so
+    `attention` and `decoder_step` take it precomputed: once per source
+    instead of once per step.  `tensor.additive_attention` reads only the
+    valid positions and checks the lengths at every step.
     """
     return matmul(enc_out, p.u_a)
 
@@ -412,7 +404,7 @@ def batch_loss(
     enc_out = encode(x, lengths, params.enc_fwd, params.enc_bwd)
     enc_out = dropout(enc_out, dropout_p, rng)
     s_t, cell_t, context_t = initial_decoder_state(enc_out, lengths, params)
-    keys_all = attention_keys(enc_out, lengths, params.attn)
+    keys_all = attention_keys(enc_out, params.attn)
     enc, keys = enc_out, keys_all
 
     ids = np.full((len(targets), sizes[0]), EOS_ID)

@@ -1,6 +1,6 @@
 """Finite-difference audit of tape gradients, the oracle of the gradient
-tests, and `einsum`, the differentiable contraction those tests build
-their losses with.
+tests, and `einsum` and `sequential_softmax`, the differentiable ops
+those tests build their losses and reference chains with.
 
 The probes evaluate the forward pass in `np.longdouble` (a 64-bit mantissa
 on x86-64 Linux), which `Tensor` keeps, so that the central differences
@@ -15,7 +15,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from libsuggest.tensor import Tape, Tensor, _record, backward
+from libsuggest.tensor import Tape, Tensor, _record, _softmax_rows, backward
 
 
 def finite_difference_check(
@@ -116,4 +116,16 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
         tape._acc(b, np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data))
 
     _record((out,), rule)
+    return out
+
+
+def sequential_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """`tensor.masked_softmax` with the exponentials of a row added one
+    position after another, as `tensor.additive_attention` adds them, so
+    that masked positions appended to a row leave its bits unchanged."""
+    if logits.ndim != 2 or mask.shape != logits.shape or mask.dtype != bool:
+        raise ValueError("sequential_softmax expects a matrix and an equal-shape boolean mask")
+    y = _softmax_rows(logits.data, ~mask, sequential=True)
+    out = Tensor(y)
+    _record((out,), lambda tape, g: tape._acc(logits, y * (g - (g * y).sum(axis=-1, keepdims=True))))
     return out

@@ -24,7 +24,8 @@ from libsuggest.corpus import (
     sort_libraries,
 )
 from libsuggest.embeddings import EmbeddingTable
-from libsuggest.model import init_params
+from libsuggest.model import encode, init_params, initial_decoder_state
+from libsuggest.tensor import Tensor
 from libsuggest.trainer import ModelCheckpoint, TrainConfig
 
 STOPWORDS = frozenset({"the", "for", "a"})
@@ -205,3 +206,13 @@ def random_checkpoint(seed: int, n_libs: int = 5, n_words: int = 6, embed_dim: i
         epochs=0,
         final_loss=None,
     )
+
+
+def start_one(tokens, ckpt: ModelCheckpoint):
+    """The start of a decode of one token list from the model's
+    one-sequence calls, as the benchmark's replay builds it, independent of
+    the decoder's own start: (encoder output, length, s, cell, context)."""
+    params = ckpt.params
+    ids = [ckpt.word_vocab.id(tok) for tok in tokens][: ckpt.config.max_src]
+    enc_out = encode(Tensor(ckpt.word_embed[np.array(ids)]), len(ids), params.enc_fwd, params.enc_bwd)
+    return (enc_out, len(ids), *initial_decoder_state(enc_out, len(ids), params))

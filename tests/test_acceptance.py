@@ -16,7 +16,7 @@ import _synth
 from _fd import finite_difference_check
 from libsuggest.cli import main
 from libsuggest.corpus import EOS_ID, N_RESERVED, Vocabulary, process_description
-from libsuggest.decode import _beam, _start_state, beam_search, greedy_decode
+from libsuggest.decode import _beam, beam_search, greedy_decode
 from libsuggest.embeddings import EmbeddingTable, load_embeddings, save_embeddings
 from libsuggest.metrics import EvalCase, precision_at_k, psr_at_k, recall_rate_at_k
 from libsuggest.model import (
@@ -82,8 +82,7 @@ def test_2_mask_invariant():
     masked_nonzero = 0
     for seed in range(100):
         ckpt = _synth.random_checkpoint(seed)
-        state = _start_state(["t0", "t5"], ckpt)
-        enc_out, valid_len, s_t, cell_t, ctx_t = state
+        enc_out, valid_len, s_t, cell_t, ctx_t = _synth.start_one(["t0", "t5"], ckpt)
         rng = np.random.default_rng(seed)
         mask: set[int] = set()
         prev = BOS
@@ -110,8 +109,7 @@ def test_2_mask_invariant():
 
 
 def _exhaustive_best(ckpt, tokens, max_steps):
-    state = _start_state(tokens, ckpt)
-    enc_out, valid_len, s0, c0, ctx0 = state
+    enc_out, valid_len, s0, c0, ctx0 = _synth.start_one(tokens, ckpt)
     vocab_n = ckpt.params.lib_vocab_size
     ranked = []
 

@@ -8,7 +8,6 @@ from libsuggest import decode
 from libsuggest.corpus import EOS_ID, N_RESERVED, UNK_ID
 from libsuggest.decode import NoSignalError, _beam, beam_search, greedy_decode, recommend
 from libsuggest.model import BOS, attention_keys, decoder_step, encode
-from libsuggest.decode import _embed_source, _greedy_rollout, _start_state
 
 TOKENS = ["t0", "t3", "t5"]
 
@@ -16,8 +15,7 @@ TOKENS = ["t0", "t3", "t5"]
 def exhaustive_best(ckpt, tokens, max_steps):
     """Score every no-repeat library sequence that ends with EOS within
     max_steps emissions; ties resolve to the lexicographically smallest."""
-    state = _start_state(tokens, ckpt)
-    enc_out, valid_len, s0, c0, ctx0 = state
+    enc_out, valid_len, s0, c0, ctx0 = _synth.start_one(tokens, ckpt)
     vocab_n = ckpt.params.lib_vocab_size
     best: list[tuple[float, tuple[int, ...]]] = []
 
@@ -39,18 +37,48 @@ def exhaustive_best(ckpt, tokens, max_steps):
     return min(best, key=lambda item: (-item[0], item[1]))
 
 
+def replay(tokens, ckpt, ids):
+    """The probability of each id of `ids` in turn, teacher-forced over the
+    one-sequence `decoder_step`."""
+    enc_out, valid_len, s, cell, ctx = _synth.start_one(tokens, ckpt)
+    probs, prev = [], BOS
+    for step, target in enumerate(ids):
+        s, cell, ctx, _, y = decoder_step(prev, ctx, s, cell, enc_out, valid_len, set(ids[:step]), ckpt.params)
+        probs.append(float(y.data[target]))
+        prev = target
+    return probs
+
+
+def reference_greedy(tokens, ckpt, max_steps):
+    """Greedy decoding over the one-sequence `decoder_step`: at each step
+    the most likely of EOS and the libraries not yet emitted, ties to the
+    lowest id.  Returns (library ids, per-step probabilities with EOS's
+    last, completed), where `completed` means EOS came within max_steps."""
+    enc_out, valid_len, s, cell, ctx = _synth.start_one(tokens, ckpt)
+    ids, probs, prev = [], [], BOS
+    for _ in range(max_steps):
+        s, cell, ctx, _, y = decoder_step(prev, ctx, s, cell, enc_out, valid_len, set(ids), ckpt.params)
+        candidates = [EOS_ID] + [i for i in range(N_RESERVED, ckpt.params.lib_vocab_size) if i not in ids]
+        choice = max(candidates, key=lambda i: (y.data[i], -i))
+        probs.append(float(y.data[choice]))
+        if choice == EOS_ID:
+            return ids, probs, True
+        ids.append(choice)
+        prev = choice
+    return ids, probs, False
+
+
 def reference_beam(tokens, ckpt, beam_width, max_steps):
     """Beam search one hypothesis at a time: every candidate becomes a
     tuple, and one sort by (-score, sequence) picks the next beam."""
-    state = _start_state(tokens, ckpt)
-    enc_out, valid_len, s_t, cell_t, context_t = state
+    enc_out, valid_len, s_t, cell_t, context_t = _synth.start_one(tokens, ckpt)
     vocab_n = ckpt.params.lib_vocab_size
     # (score, seq, probs, s, cell, context)
     live = [(0.0, (), (), s_t, cell_t, context_t)]
     pool = []
-    seed_ids, seed_probs, seed_done, seed_eos = _greedy_rollout(state, ckpt, max_steps)
-    if seed_done:
-        steps = seed_probs + [seed_eos]
+    seed_ids = [ckpt.lib_vocab.id(name) for name in greedy_decode(tokens, ckpt, max_steps)]
+    if len(seed_ids) < max_steps:  # greedy completed: its path seeds the pool
+        steps = replay(tokens, ckpt, seed_ids + [EOS_ID])
         score = sum(math.log(p) if p > 0.0 else -math.inf for p in steps)
         pool.append((score, tuple(seed_ids), tuple(steps)))
     for _ in range(max_steps):
@@ -99,9 +127,11 @@ class TestEmbedSource:
     def test_token_spelled_like_a_reserved_symbol_is_an_unknown_word(self):
         ckpt = _synth.random_checkpoint(0)
         ckpt.word_embed[UNK_ID] = np.arange(1.0, ckpt.config.embed_dim + 1)  # the EOS row stays zero
-        x, length = _embed_source(["<eos>", "zzz"], ckpt)
-        assert length == 2
-        np.testing.assert_array_equal(x.data, ckpt.word_embed[[UNK_ID, UNK_ID]])
+        enc_out, lengths, _, _ = decode._start([["<eos>", "zzz"]], ckpt)
+        assert lengths.tolist() == [2]
+        p = ckpt.params
+        unknown = encode(ckpt.word_embed[[UNK_ID, UNK_ID]], 2, p.enc_fwd, p.enc_bwd)
+        assert np.array_equal(enc_out.data[0], unknown.data)
 
 
 class TestGreedyDecode:
@@ -124,6 +154,14 @@ class TestGreedyDecode:
     def test_max_steps_validated(self):
         with pytest.raises(ValueError):
             greedy_decode(TOKENS, _synth.random_checkpoint(0), 0)
+
+    def test_equals_the_one_sequence_argmax_rollout(self):
+        # an oracle that shares no code with `decode`; the tie checkpoints
+        # have exact ties, which go to the lowest id
+        for ckpt in [_synth.random_checkpoint(seed) for seed in range(100)] + [tie_checkpoint(s) for s in range(20)]:
+            for max_steps in (1, 3, 8):
+                ids, _, _ = reference_greedy(TOKENS, ckpt, max_steps)
+                assert greedy_decode(TOKENS, ckpt, max_steps) == [ckpt.lib_vocab.token(i) for i in ids]
 
 
 class TestBeamSearch:
@@ -268,8 +306,8 @@ class TestManyQueries:
             (prev, context, s, cell, enc, lengths, masked, _), kw = calls[0]
             assert (prev == BOS).all() and not masked.any()
             for i, tokens in enumerate(self.SOURCES):
-                enc_out, n, s0, cell0, context0 = _start_state(tokens, ckpt)
-                keys = attention_keys(enc_out, n, ckpt.params.attn)
+                enc_out, n, s0, cell0, context0 = _synth.start_one(tokens, ckpt)
+                keys = attention_keys(enc_out, ckpt.params.attn)
                 for row in (2 * i, 2 * i + 1):
                     assert lengths[row] == n
                     for got, want in ((s, s0), (cell, cell0), (context, context0)):
@@ -295,8 +333,7 @@ class TestManyQueries:
             _beam(self.SOURCES, ckpt, 3, 6)
             [group] = calls
             for i, tokens in enumerate(self.SOURCES):
-                x, n = _embed_source(tokens, ckpt)
-                alone = encode(x, n, ckpt.params.enc_fwd, ckpt.params.enc_bwd)
+                alone, n, *_ = _synth.start_one(tokens, ckpt)
                 assert np.array_equal(group.data[i, :n], alone.data) and not group.data[i, n:].any()
 
     def test_late_seed_completion_stops_the_beam_where_pooling_it_first_would(self):
@@ -315,10 +352,10 @@ class TestManyQueries:
         """
         ckpt = _synth.random_checkpoint(5)
         ckpt.params.out.w_o.data *= 1e4
-        seed_ids, seed_probs, completed, eos = _greedy_rollout(_start_state(TOKENS, ckpt), ckpt, 6)
+        seed_ids, seed_probs, completed = reference_greedy(TOKENS, ckpt, 6)
         assert completed and len(seed_ids) == 5
-        seed_score = sum(math.log(p) for p in seed_probs + [eos])
-        enc_out, valid_len, s0, c0, ctx0 = _start_state(TOKENS, ckpt)
+        seed_score = sum(math.log(p) for p in seed_probs)
+        enc_out, valid_len, s0, c0, ctx0 = _synth.start_one(TOKENS, ckpt)
         *_, y0 = decoder_step(BOS, ctx0, s0, c0, enc_out, valid_len, set(), ckpt.params)
         # the best live score of step 0, when width >= 2
         assert seed_score >= math.log(y0.data[N_RESERVED:].max())

@@ -191,7 +191,7 @@ class TestAttention:
         def f():
             from libsuggest.tensor import concat_rows, sum_all
 
-            keys = attention_keys(enc_out, lengths, params.attn)
+            keys = attention_keys(enc_out, params.attn)
             alpha, context = attention(s, enc_out, lengths, params.attn, keys)
             return sum_all(einsum("bk,bk->bk", concat_rows(alpha, context), readout))
 
@@ -214,7 +214,7 @@ class TestAttention:
         params, rng = tiny_params(16)
         enc_out = Tensor(rng.normal(size=(2, 3, 8)))
         s = Tensor(rng.normal(size=(2, 4)))
-        keys = attention_keys(enc_out, np.array([3, 2]), params.attn)
+        keys = attention_keys(enc_out, params.attn)
         cases = [
             (Tensor(rng.normal(size=(3, 4))), np.array([3, 2]), None),  # a row too many
             (s, np.array([3, 2]), Tensor(keys.data[:, :2])),  # keys over 2 of 3 positions
@@ -285,7 +285,7 @@ class TestDecoderStepBatch:
         embed_dim = params.enc_fwd.input_size
         x = Tensor(rng.normal(size=(total, embed_dim)))
         enc_out = encode(x, valid_len, params.enc_fwd, params.enc_bwd)
-        keys = attention_keys(enc_out, valid_len, params.attn)
+        keys = attention_keys(enc_out, params.attn)
         dec_hidden, ctx_width = params.init_b.shape[0], enc_out.shape[1]
         masked = np.zeros((batch, vocab_n), dtype=bool)
         for b in range(1, batch):
@@ -343,7 +343,7 @@ class TestDecoderStepBatch:
         vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.input_size
         lengths = [span, n, *(int(m) for m in rng.integers(1, span + 1, size=3))]
         encs = [encode(Tensor(rng.normal(size=(m, embed_dim))), m, params.enc_fwd, params.enc_bwd) for m in lengths]
-        keys = [attention_keys(enc, m, params.attn) for enc, m in zip(encs, lengths)]
+        keys = [attention_keys(enc, params.attn) for enc in encs]
         enc_rows = np.zeros((len(lengths), span, encs[0].shape[-1]))
         key_rows = np.zeros((len(lengths), span, keys[0].shape[-1]))
         for r, m in enumerate(lengths):
@@ -378,7 +378,7 @@ class TestDecoderStepBatch:
     def test_invalid_rows_rejected(self):
         params = _synth.random_checkpoint(0).params
         enc_out = Tensor(np.ones((1, 2, 8)))
-        keys = attention_keys(enc_out, [2], params.attn)
+        keys = attention_keys(enc_out, params.attn)
         state = Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))
         ctx = Tensor(np.zeros((1, 8)))
 
@@ -394,9 +394,10 @@ class TestDecoderStepBatch:
 
 
 class TestBatchOfOne:
-    """An int length marks one sequence: `encode`, `initial_decoder_state`,
-    `attention_keys` and `decoder_step` run it as a batch of one and return
-    row 0, with no tape only."""
+    """An int length marks one sequence: `encode`, `initial_decoder_state`
+    and `decoder_step` run it as a batch of one and return row 0, with no
+    tape only.  `attention_keys` takes no length: one sequence's keys are
+    the rows of its batch of one."""
 
     @staticmethod
     def one_sequence(seed):
@@ -412,7 +413,6 @@ class TestBatchOfOne:
         calls = {
             "encode": lambda: encode(x, 3, params.enc_fwd, params.enc_bwd),
             "initial_decoder_state": lambda: initial_decoder_state(enc_out, 3, params),
-            "attention_keys": lambda: attention_keys(enc_out, 3, params.attn),
             "decoder_step": lambda: decoder_step(BOS, ctx, s, cell, enc_out, 3, set(), params),
         }
         for name, call in calls.items():
@@ -430,10 +430,10 @@ class TestBatchOfOne:
     def test_results_are_row_0_of_the_batch_of_one(self):
         params, x, enc_out, state = self.one_sequence(17)
         length, lift = np.array([3]), lambda t: Tensor(t.data[None])
-        keys = attention_keys(enc_out, 3, params.attn)
+        keys = attention_keys(enc_out, params.attn)
         pairs = [
             (enc_out, encode(lift(x), length, params.enc_fwd, params.enc_bwd)),
-            (keys, attention_keys(lift(enc_out), length, params.attn)),
+            (keys, attention_keys(lift(enc_out), params.attn)),
             *zip(state, initial_decoder_state(lift(enc_out), length, params)),
         ]
         s, cell, ctx = state

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _fd import einsum, finite_difference_check
+from _fd import einsum, finite_difference_check, sequential_softmax
 from libsuggest.tensor import (
     Tape,
     Tensor,
@@ -104,7 +104,7 @@ class TestAdditiveAttention:
     def chain(keys, query, v, values, lengths):
         mask = np.arange(keys.shape[1]) >= np.asarray(lengths)[:, None]
         scores = einsum("bsa,a->bs", tanh(add(keys, query)), v)
-        alpha = masked_softmax(scores, mask, sequential=True)
+        alpha = sequential_softmax(scores, mask)
         return alpha, einsum("bs,bsh->bh", alpha, values)
 
     def test_forward_has_the_bits_of_the_op_chain(self):
@@ -274,10 +274,10 @@ class TestMaskedSoftmax:
         rng = np.random.default_rng(12)
         for n in (1, 7, 8, 9, 31, 32):
             logits = rng.normal(size=(1, n)) * 3
-            alone = masked_softmax(Tensor(logits), np.zeros((1, n), dtype=bool), sequential=True).data[0]
+            alone = sequential_softmax(Tensor(logits), np.zeros((1, n), dtype=bool)).data[0]
             padded = np.concatenate([logits[0], rng.normal(size=40 - n)])
             mask = np.arange(40) >= n
-            rows = masked_softmax(Tensor(np.stack([padded] * 3)), np.stack([mask] * 3), sequential=True).data
+            rows = sequential_softmax(Tensor(np.stack([padded] * 3)), np.stack([mask] * 3)).data
             assert np.array_equal(rows[1, :n], alone) and (rows[1, n:] == 0.0).all(), n
 
 
@@ -682,7 +682,7 @@ class TestBatchedOps:
         mask[1, 2:] = mask[2, 0] = True
 
         def f():
-            alpha = masked_softmax(einsum("bsa,a->bs", tanh(add(keys, query)), v), mask, sequential=True)
+            alpha = sequential_softmax(einsum("bsa,a->bs", tanh(add(keys, query)), v), mask)
             rows = add(einsum("bs,bsh->bh", alpha, values), take(emb, np.array([1, 3, 1])))
             y = masked_softmax(matmul(rows, w), np.zeros((3, 6), dtype=bool))
             picked = log(take(y, (np.arange(3), np.array([5, 0, 2]))))

@@ -95,7 +95,7 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape"):
             adam_step(p, {"w": np.zeros(3)}, state, 1, self.cfg())
 
-    def test_parameters_of_every_size_share_the_buffers_byte_for_byte(self):
+    def test_formula_bytes_over_parameters_of_falling_and_rising_sizes(self):
         # sizes that fall and rise, so each parameter reads buffers a
         # larger one wrote before it; three steps against the formula
         cfg = replace(self.cfg(), learning_rate=2e-3, adam_beta1=0.8, adam_beta2=0.99)
