@@ -490,9 +490,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tens
         return x
     if rng is None:
         raise ValueError("dropout at p > 0 needs an rng")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * keep)
-    _record((out,), lambda tape, g: tape._acc(x, g * keep))
+    # the tape keeps the boolean draw, an eighth of a float64 mask
+    kept = rng.random(x.shape) >= p
+    out = Tensor(x.data * (kept / (1.0 - p)))
+    _record((out,), lambda tape, g: tape._acc(x, g * (kept / (1.0 - p))))
     return out
 
 

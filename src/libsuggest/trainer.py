@@ -201,6 +201,12 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     The source ids are padded once into one [N x longest source] array.  A
     mini-batch, in its shuffled order, is cut to its longest source,
     embedded and run as one `model.batch_loss` call on one tape.
+
+    Memory: the run holds the parameters, Adam's two moments (each the
+    parameters' size), `word_embed` and the tape of one step: its forward
+    arrays and, after the sweep, the gradients and their clipped copy.  A
+    step's tape and gradients are dropped once Adam has run, so none of
+    them is alive through the next step's forward and backward.
     """
     if not data.examples:
         raise ValueError("cannot train on an empty dataset")
@@ -254,16 +260,14 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
             if not np.isfinite(loss_value):
                 raise TrainingError(f"non-finite loss at {where}")
             backward(tape, mean_loss)
-            grads = {}
-            for name, p in named.items():
-                g = tape.gradient(p)
-                grads[name] = g if g is not None else np.zeros(p.shape)
+            grads = _gradients(tape, named)
             try:
                 grads = clip_gradients(grads, cfg.clip_max_norm)
             except FloatingPointError:
                 raise TrainingError(f"non-finite gradient at {where}") from None
             step += 1
             adam_step(named, grads, state, step, cfg)
+            del grads, tape
             epoch_total += loss_value * len(batch)
         final_loss = epoch_total / n
         print(f"epoch {epoch} loss {final_loss!r}")
@@ -281,6 +285,16 @@ def train(data: PreparedDataset, cfg: TrainConfig, table: EmbeddingTable) -> Mod
     )
 
 
+def _gradients(tape: Tape, named: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Each parameter's gradient on the tape, zeros where none reached it;
+    a function of its own, so that no loop name outlives it."""
+    grads = {}
+    for name, p in named.items():
+        g = tape.gradient(p)
+        grads[name] = g if g is not None else np.zeros(p.shape)
+    return grads
+
+
 def _checkpoint_tensors(ckpt: ModelCheckpoint) -> dict[str, np.ndarray]:
     arrays = {name: p.data for name, p in named_parameters(ckpt.params).items()}
     arrays["class_weights"] = ckpt.params.class_weights
@@ -289,7 +303,10 @@ def _checkpoint_tensors(ckpt: ModelCheckpoint) -> dict[str, np.ndarray]:
 
 
 def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
-    """Serialize to the binary container format."""
+    """Serialize to the binary container format, in one buffer: the digest
+    is taken over the parts in turn, each tensor's own float64 buffer
+    among them, and one join copies the parts and the digest into the
+    result.  So a call holds the result and no second copy of the tensors."""
     arrays = _checkpoint_tensors(ckpt)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -305,11 +322,12 @@ def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
     # JSON allows trailing blanks; they put the payload on an 8-byte boundary
     header_bytes += b" " * (-len(header_bytes) % 8)
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype=np.float64).tobytes() for arr in arrays.values()
-    )
-    body = CHECKPOINT_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
-    return body + hashlib.sha256(body).digest()
+    parts = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes]
+    parts += [np.ascontiguousarray(arr, dtype="<f8") for arr in arrays.values()]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return b"".join([*parts, digest.digest()])
 
 
 _HEADER_FIELDS = frozenset(
@@ -501,7 +519,8 @@ def _integer(value) -> int:
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
-    """Write atomically: serialize fully, then temp-file + rename."""
+    """Write atomically: serialize fully into the one buffer of
+    `checkpoint_bytes`, then temp-file + rename."""
     data = checkpoint_bytes(ckpt)
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

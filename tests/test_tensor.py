@@ -371,6 +371,19 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
 
+    def test_bits_equal_those_of_the_float_mask(self):
+        """Forward and gradient are x and g times (draw >= p) / (1 - p),
+        byte for byte, though the tape keeps only the boolean draw."""
+        rng = np.random.default_rng(4)
+        x, g = Tensor(rng.normal(size=(3, 5, 7))), rng.normal(size=(3, 5, 7))
+        mask = (np.random.default_rng(9).random(x.shape) >= 0.3) / (1.0 - 0.3)
+        with Tape() as tape:
+            out = dropout(x, 0.3, np.random.default_rng(9))
+            loss = sum_all(scale(out, g))
+        backward(tape, loss)
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        assert tape.gradient(x).tobytes() == (g * mask).tobytes()
+
     def test_gradient_uses_same_mask(self):
         x = Tensor(np.ones(50))
         err = finite_difference_check(

@@ -1,16 +1,19 @@
+import hashlib
 import io
 import json
 import math
 import mmap
 import struct
+import tracemalloc
+import weakref
 from contextlib import redirect_stdout
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import _synth
-from libsuggest.corpus import N_RESERVED, PreparedDataset, Vocabulary
+from libsuggest.corpus import N_RESERVED, PreparedDataset, PreprocTables, Vocabulary
 from libsuggest.decode import greedy_decode
 from libsuggest.model import init_params, named_parameters, parameter_shapes, params_from_named
 from libsuggest.tensor import Tensor
@@ -18,6 +21,7 @@ from libsuggest import trainer
 from libsuggest.trainer import (
     AdamState,
     CheckpointError,
+    ModelCheckpoint,
     TrainConfig,
     TrainingError,
     adam_step,
@@ -294,6 +298,29 @@ class TestTrain:
         assert len(steps) == 1
         assert all(np.isfinite(p.data).all() for p in named.values())
 
+    @pytest.mark.parametrize("clip_max_norm", [5.0, 1e-9], ids=["unclipped", "clipped"])
+    def test_no_gradient_of_a_batch_is_alive_when_the_next_batch_starts(self, clip_max_norm, monkeypatch, capsys):
+        """Each gradient array Adam receives, the tape's own or its clipped
+        copy, is freed before the next batch's forward pass begins."""
+        received, starts = [], []
+        real_loss, real_adam = trainer.batch_loss, trainer.adam_step
+
+        def adam(params, grads, *args):
+            received.extend(weakref.ref(g) for g in grads.values())
+            return real_adam(params, grads, *args)
+
+        def loss(*args):
+            alive = [ref for ref in received if ref() is not None]
+            assert not alive, f"{len(alive)} of {len(received)} gradients of the last batch are alive"
+            starts.append(len(received))
+            return real_loss(*args)
+
+        monkeypatch.setattr(trainer, "adam_step", adam)
+        monkeypatch.setattr(trainer, "batch_loss", loss)
+        train(tiny_dataset(6), tiny_cfg(max_epochs=1, dropout_p=0.2, clip_max_norm=clip_max_norm), self.table())
+        capsys.readouterr()
+        assert starts[0] == 0 and starts[1] > 0 and len(starts) == 2
+
     def test_inference_has_no_dropout(self, capsys):
         data = tiny_dataset(4)
         ckpt = train(data, tiny_cfg(max_epochs=2, dropout_p=0.4), self.table())
@@ -362,6 +389,76 @@ class TestCheckpointRoundTrip:
         )
         loaded = checkpoint_from_bytes(checkpoint_bytes(ckpt))
         assert loaded.tables == ckpt.tables
+
+
+def reference_checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
+    """The container built the plain way: each tensor's bytes copied out,
+    joined, prefixed with the magic and the header, and the digest of that
+    body appended."""
+    arrays = {name: p.data for name, p in named_parameters(ckpt.params).items()}
+    arrays |= {"class_weights": ckpt.params.class_weights, "word_embed": ckpt.word_embed}
+    header = {
+        "format_version": trainer.CHECKPOINT_VERSION,
+        "config": asdict(ckpt.config),
+        "epochs": ckpt.epochs,
+        "final_loss": ckpt.final_loss,
+        "word_vocab": list(ckpt.word_vocab.regular_tokens()),
+        "lib_vocab": list(ckpt.lib_vocab.regular_tokens()),
+        "lib_freq": sorted(ckpt.lib_freq.items()),
+        "tables": ckpt.tables.to_json(),
+        "tensors": [[name, list(arr.shape)] for name, arr in arrays.items()],
+    }
+    text = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    text += b" " * (-len(text) % 8)
+    payload = b"".join(np.ascontiguousarray(arr, dtype=np.float64).tobytes() for arr in arrays.values())
+    body = trainer.CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text + payload
+    return body + hashlib.sha256(body).digest()
+
+
+def paper_size_checkpoint(n_libs: int = 1000, n_words: int = 3000) -> ModelCheckpoint:
+    """A checkpoint at the `TrainConfig` default dimensions, with a library
+    vocabulary and a word table of the sizes a paper-scale corpus gives."""
+    cfg = TrainConfig()
+    rng = np.random.default_rng(22)
+    libs = Vocabulary([f"lib{j}" for j in range(n_libs)])
+    words = Vocabulary([f"w{i}" for i in range(n_words)])
+    params = init_params(
+        cfg.embed_dim, cfg.enc_hidden, cfg.dec_hidden, cfg.lib_embed, len(libs), np.full(n_libs, 0.99), rng
+    )
+    return ModelCheckpoint(
+        config=cfg,
+        params=params,
+        word_embed=rng.normal(size=(len(words), cfg.embed_dim)),
+        word_vocab=words,
+        lib_vocab=libs,
+        lib_freq=dict.fromkeys(libs.regular_tokens(), 1),
+        tables=PreprocTables(frozenset(), None, {}),
+        epochs=0,
+        final_loss=None,
+    )
+
+
+class TestOneBufferSerialization:
+    def test_bytes_equal_the_plain_serializer(self):
+        ckpts = [
+            _synth.random_checkpoint(seed, n_libs=2 + seed % 5, n_words=3 + seed % 4, hidden=3 + seed % 3)
+            for seed in range(8)
+        ]
+        for ckpt in [*ckpts, paper_size_checkpoint()]:
+            assert checkpoint_bytes(ckpt) == reference_checkpoint_bytes(ckpt)
+
+    def test_allocation_peak_is_about_one_copy_of_the_result(self):
+        """The tensors are not copied out before the join: the call's
+        allocation peak is the result and little else."""
+        ckpt = paper_size_checkpoint()
+        tracemalloc.start()
+        try:
+            blob = checkpoint_bytes(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) > 10 * 2**20
+        assert peak < 1.25 * len(blob), f"peak {peak} for {len(blob)} bytes"
 
 
 @pytest.mark.parametrize("dims", [(200, 128, 128, 64, 1003), (5, 7, 9, 3, 41)])
