@@ -124,6 +124,10 @@ def _usable(records, is_target):
 def cmd_preprocess(args) -> int:
     if not 0.0 < args.split_ratio <= 1.0:
         raise DatasetError(f"--split-ratio must lie in (0, 1], not {args.split_ratio!r}")
+    for name, least in (("min_stars", 0), ("min_libs", 0), ("min_desc_words", 0), ("min_lib_usage", 1), ("seed", 0)):
+        value = getattr(args, name)
+        if value < least:
+            raise DatasetError(f"--{name.replace('_', '-')} must be >= {least}, not {value}")
     records = load_dataset(args.dataset)
     stopwords = load_word_list(args.stopwords) if args.stopwords else frozenset()
     domain_vocab = load_word_list(args.domain_vocab) if args.domain_vocab else None

@@ -14,12 +14,12 @@ one query or a list of them and decodes the group as one batch from end
 to end.  Each step is one `decoder_step` whose rows are every query's live
 hypotheses, then its greedy rollout (the seed of its pool) until that
 completes, and one `_select` over the beam rows of every query: np.log
-scores for all of them, and one np.partition over each query's block of
-them padded into one matrix, find each query's width-th best; only the
-candidates within a relative margin of 1e-9 of it are scored again as
-`score + math.log(p)` and sorted by (-score, sequence).  The margin
-covers the last-bit difference between np.log and math.log, so ties and
-near-ties resolve as a sort of every candidate would.
+scores for all of them, and one np.partition over each query's own block
+of them, find each query's width-th best; only the open candidates within
+a relative margin of 1e-9 of it are scored again as `score + math.log(p)`
+and sorted by (-score, sequence).  The margin covers the last-bit
+difference between np.log and math.log, so ties and near-ties resolve as
+a sort of every candidate would.
 
 With no tape each row of a batch has the bits of a batch of one holding
 that row, whatever the other rows and the padding of its source: the
@@ -127,40 +127,30 @@ def _select(y: np.ndarray, masked: np.ndarray, rows: list[int], live: list, coun
     mask `masked` hold the hypotheses `live`, query by query in blocks of
     `counts` rows.  The rule is the one of a plain sort of each query's
     candidates by (-score, sequence), where score is the row's score plus
-    `math.log(p)`.  One matrix of those scores computed with np.log, and
-    one np.partition over each query's block of it, only pick which
-    candidates to score exactly: every one within the margin of the
-    query's width-th best approximate score, which keeps every candidate
-    that the exact width-th best score admits, ties included.
+    `math.log(p)`.  Scores computed with np.log, and one np.partition over
+    each query's block of them, only pick which candidates to score
+    exactly: every open one within the margin of the query's width-th best
+    approximate score (-inf for a block of at most `width` scores), which
+    keeps every candidate that the exact width-th best admits, ties
+    included.
     """
-    approx, beam_masked = y[rows], masked[rows]
+    approx, closed = y[rows], masked[rows]
+    closed[:, PAD_ID] = closed[:, UNK_ID] = True
     with np.errstate(divide="ignore"):
         np.log(approx, out=approx)
     approx += np.array([h[0] for h in live])[:, None]
-    approx[beam_masked] = -np.inf
-    approx[:, PAD_ID] = approx[:, UNK_ID] = -np.inf
-    # one row per query: its block, padded with -inf to the longest block
-    queries, most, vocab_n = len(counts), max(counts), y.shape[1]
-    size = most * vocab_n
-    kth = np.full(queries, -np.inf)
-    if size > width:
-        blocks = np.full((queries, most, vocab_n), -np.inf)
-        for q, (first, n) in enumerate(zip(_starts(counts), counts)):
-            blocks[q, :n] = approx[first : first + n]
-        blocks = blocks.reshape(queries, size)
-        kth = np.partition(blocks, size - width, axis=-1)[:, size - width]
-    # kth is -inf for a query with fewer than `width` finite scores, which
-    # keeps every candidate
-    threshold = kth - _SELECT_MARGIN * np.abs(kth)
-    hits = approx >= np.repeat(threshold, counts)[:, None]
-    if kth.min() == -np.inf:
-        open_rows = np.repeat(kth == -np.inf, counts)
-        hits[open_rows] = ~beam_masked[open_rows]
-        hits[:, PAD_ID] = hits[:, UNK_ID] = False
+    approx[closed] = -np.inf
+    kth = np.full(len(counts), -np.inf)
+    for q, (first, n) in enumerate(zip(_starts(counts), counts)):
+        block = approx[first : first + n].ravel()
+        if block.size > width:
+            kth[q] = np.partition(block, -width)[-width]
+    threshold = np.repeat(kth - _SELECT_MARGIN * np.abs(kth), counts)
+    hits = (approx >= threshold[:, None]) & ~closed
     query = [q for q, n in enumerate(counts) for _ in range(n)]
     chosen = [[] for _ in counts]
     for index in np.flatnonzero(hits).tolist():
-        k, j = divmod(index, vocab_n)
+        k, j = divmod(index, y.shape[1])
         score, seq, probs = live[k]
         p = float(y[rows[k], j])
         chosen[query[k]].append(((score + (math.log(p) if p > 0.0 else -math.inf), seq + (j,), probs + (p,)), rows[k]))

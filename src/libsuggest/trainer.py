@@ -101,6 +101,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if min(self.max_src, self.max_tgt) < 1:
             raise ValueError("sequence limits must be >= 1")
         if min(self.embed_dim, self.enc_hidden, self.dec_hidden, self.lib_embed) < 1:

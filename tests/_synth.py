@@ -8,10 +8,12 @@ carries a unique name token.  Word vocabulary stays under 200 tokens.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from libsuggest.corpus import (
+    EOS_ID,
     EncodedExample,
     N_RESERVED,
     PreparedDataset,
@@ -24,7 +26,7 @@ from libsuggest.corpus import (
     sort_libraries,
 )
 from libsuggest.embeddings import EmbeddingTable
-from libsuggest.model import encode, init_params, initial_decoder_state
+from libsuggest.model import BOS, decoder_step, encode, init_params, initial_decoder_state
 from libsuggest.tensor import Tensor
 from libsuggest.trainer import ModelCheckpoint, TrainConfig
 
@@ -216,3 +218,29 @@ def start_one(tokens, ckpt: ModelCheckpoint):
     ids = [ckpt.word_vocab.id(tok) for tok in tokens][: ckpt.config.max_src]
     enc_out = encode(Tensor(ckpt.word_embed[np.array(ids)]), len(ids), params.enc_fwd, params.enc_bwd)
     return (enc_out, len(ids), *initial_decoder_state(enc_out, len(ids), params))
+
+
+def exhaustive_best(ckpt, tokens, max_steps):
+    """The best (score, sequence) of every no-repeat library sequence that
+    ends with EOS within max_steps emissions, scored over the one-sequence
+    `decoder_step`; ties resolve to the lexicographically smallest."""
+    enc_out, valid_len, s0, c0, ctx0 = start_one(tokens, ckpt)
+    vocab_n = ckpt.params.lib_vocab_size
+    best: list[tuple[float, tuple[int, ...]]] = []
+
+    def walk(prev, s, cell, ctx, seq, score, depth):
+        if depth == max_steps:
+            return
+        s2, cell2, ctx2, _, y = decoder_step(prev, ctx, s, cell, enc_out, valid_len, set(seq), ckpt.params)
+        yd = y.data
+        p_eos = float(yd[EOS_ID])
+        eos_score = score + (math.log(p_eos) if p_eos > 0 else -math.inf)
+        best.append((eos_score, seq))
+        for lib in range(N_RESERVED, vocab_n):
+            if lib in seq:
+                continue
+            p = float(yd[lib])
+            walk(lib, s2, cell2, ctx2, seq + (lib,), score + (math.log(p) if p > 0 else -math.inf), depth + 1)
+
+    walk(BOS, s0, c0, ctx0, (), 0.0, 0)
+    return min(best, key=lambda item: (-item[0], item[1]))

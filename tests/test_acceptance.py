@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the transcript.
 
 import io
 import json
-import math
 import time
 from contextlib import redirect_stdout
 
@@ -108,33 +107,6 @@ def test_2_mask_invariant():
     assert worst_sum_gap <= 1e-9
 
 
-def _exhaustive_best(ckpt, tokens, max_steps):
-    enc_out, valid_len, s0, c0, ctx0 = _synth.start_one(tokens, ckpt)
-    vocab_n = ckpt.params.lib_vocab_size
-    ranked = []
-
-    def walk(prev, s, cell, ctx, seq, score, depth):
-        if depth == max_steps:
-            return
-        s2, cell2, ctx2, _, y = decoder_step(
-            prev, ctx, s, cell, enc_out, valid_len, set(seq), ckpt.params
-        )
-        yd = y.data
-        p_eos = float(yd[EOS_ID])
-        ranked.append((score + (math.log(p_eos) if p_eos > 0 else -math.inf), seq))
-        for lib in range(N_RESERVED, vocab_n):
-            if lib in seq:
-                continue
-            p = float(yd[lib])
-            walk(
-                lib, s2, cell2, ctx2, seq + (lib,),
-                score + (math.log(p) if p > 0 else -math.inf), depth + 1,
-            )
-
-    walk(BOS, s0, c0, ctx0, (), 0.0, 0)
-    return min(ranked, key=lambda item: (-item[0], item[1]))[1]
-
-
 def test_3_beam_search_oracle():
     """5 libraries + EOS, max_steps 3: width-200 beam equals exhaustive
     enumeration of all no-repeat sequences, 50 random models, < 30 s."""
@@ -144,7 +116,7 @@ def test_3_beam_search_oracle():
         ckpt = _synth.random_checkpoint(seed, n_libs=5)
         tokens = ["t0", "t3", "t5"]
         [(beam_ids, _)] = _beam([tokens], ckpt, 200, 3)
-        oracle = _exhaustive_best(ckpt, tokens, 3)
+        oracle = _synth.exhaustive_best(ckpt, tokens, 3)[1]
         if tuple(beam_ids) != oracle:
             mismatches.append((seed, beam_ids, oracle))
     elapsed = time.monotonic() - start

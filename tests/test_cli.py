@@ -89,6 +89,17 @@ class TestConfigFile:
         with pytest.raises(DatasetError, match=r"^\S*c\.cfg: sequence limits must be >= 1$"):
             load_config(path)
 
+    def test_negative_seed_names_the_file_before_training(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = -1\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^\S*c\.cfg: seed must be >= 0$"):
+            load_config(path)
+        code = main(["train", "--preprocessed", "x", "--embeddings", "y",
+                     "--config", str(path), "--checkpoint", str(tmp_path / "z")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: seed must be >= 0\n"
+        assert os.listdir(tmp_path) == ["c.cfg"]
+
     def test_dropout_one_rejected_at_validation(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("dropout_p = 1.0\n", encoding="utf-8")
@@ -128,6 +139,24 @@ class TestPreprocess:
         paths = dict(corpus_files, dataset=tmp_path / "missing.jsonl")
         assert run_preprocess(paths, out_dir, extra=("--split-ratio", ratio)) == 1
         assert f"--split-ratio must lie in (0, 1], not {float(ratio)!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [
+            ("--seed", "-1", 0),
+            ("--min-stars", "-1", 0),
+            ("--min-libs", "-1", 0),
+            ("--min-desc-words", "-1", 0),
+            ("--min-lib-usage", "0", 1),
+            ("--min-lib-usage", "-3", 1),
+        ],
+    )
+    def test_flag_out_of_range_named_before_reading(self, corpus_files, tmp_path, capsys, flag, value, least):
+        out_dir = tmp_path / "never"
+        paths = dict(corpus_files, dataset=tmp_path / "missing.jsonl")
+        assert run_preprocess(paths, out_dir, extra=(flag, value)) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= {least}, not {value}\n"
         assert not out_dir.exists()
 
     def test_split_ratio_one_leaves_the_test_split_empty(self, corpus_files, tmp_path, capsys):

@@ -12,31 +12,6 @@ from libsuggest.model import BOS, attention_keys, decoder_step, encode
 TOKENS = ["t0", "t3", "t5"]
 
 
-def exhaustive_best(ckpt, tokens, max_steps):
-    """Score every no-repeat library sequence that ends with EOS within
-    max_steps emissions; ties resolve to the lexicographically smallest."""
-    enc_out, valid_len, s0, c0, ctx0 = _synth.start_one(tokens, ckpt)
-    vocab_n = ckpt.params.lib_vocab_size
-    best: list[tuple[float, tuple[int, ...]]] = []
-
-    def walk(prev, s, cell, ctx, seq, score, depth):
-        if depth == max_steps:
-            return
-        s2, cell2, ctx2, _, y = decoder_step(prev, ctx, s, cell, enc_out, valid_len, set(seq), ckpt.params)
-        yd = y.data
-        p_eos = float(yd[EOS_ID])
-        eos_score = score + (math.log(p_eos) if p_eos > 0 else -math.inf)
-        best.append((eos_score, seq))
-        for lib in range(N_RESERVED, vocab_n):
-            if lib in seq:
-                continue
-            p = float(yd[lib])
-            walk(lib, s2, cell2, ctx2, seq + (lib,), score + (math.log(p) if p > 0 else -math.inf), depth + 1)
-
-    walk(BOS, s0, c0, ctx0, (), 0.0, 0)
-    return min(best, key=lambda item: (-item[0], item[1]))
-
-
 def replay(tokens, ckpt, ids):
     """The probability of each id of `ids` in turn, teacher-forced over the
     one-sequence `decoder_step`."""
@@ -174,7 +149,7 @@ class TestBeamSearch:
         for seed in range(20):
             ckpt = _synth.random_checkpoint(seed)
             ids, probs = _beam([TOKENS], ckpt, 200, 3)[0]
-            _, oracle_seq = exhaustive_best(ckpt, TOKENS, 3)
+            _, oracle_seq = _synth.exhaustive_best(ckpt, TOKENS, 3)
             assert tuple(ids) == oracle_seq
 
     def test_score_at_least_greedy_when_all_paths_complete(self):
@@ -244,7 +219,7 @@ class TestBatchedBeamMatchesReference:
             for max_steps in (3, 6):
                 self.check(ckpt, TOKENS, max_steps)
             ids, _ = _beam([TOKENS], ckpt, 200, 3)[0]
-            assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
+            assert tuple(ids) == _synth.exhaustive_best(ckpt, TOKENS, 3)[1]
             for first, twin in ((3, 4), (5, 6)):
                 if twin in ids:
                     assert first in ids[: ids.index(twin)]
@@ -257,7 +232,7 @@ class TestBatchedBeamMatchesReference:
             ckpt.params.out.w_o.data[:] = 0.0
             for width in (1, 3, 200):
                 ids, probs = _beam([TOKENS], ckpt, width, 3)[0]
-                assert tuple(ids) == exhaustive_best(ckpt, TOKENS, 3)[1]
+                assert tuple(ids) == _synth.exhaustive_best(ckpt, TOKENS, 3)[1]
                 assert (ids, probs) == reference_beam(TOKENS, ckpt, width, 3)
             assert beam_search(TOKENS, ckpt, 1, 6) == greedy_decode(TOKENS, ckpt, 6)
 
@@ -416,6 +391,42 @@ class TestSelect:
             if not masked[row, j]
         ]
         assert chosen[1] == [min(candidates, key=lambda c: (-c[0][0], c[0][1]))]
+
+    def test_one_hit_rule_keeps_every_open_candidate_of_a_block_of_at_most_width_scores(self):
+        # ids: PAD, UNK, EOS, libraries 3-5.  Query 0's one row holds 6
+        # scores, no more than the width, so its width-th best is -inf: every
+        # open candidate is kept, library 3 of probability 0 (score -inf)
+        # too, but not the masked library 4, PAD or UNK, whose probabilities
+        # are positive.  Query 1's three rows hold 9 open candidates, so its
+        # width-th best is finite and 3 of them fall out
+        y = np.array([
+            [0.1, 0.1, 0.3, 0.0, 0.2, 0.3],
+            [0.05, 0.05, 0.2, 0.4, 0.25, 0.05],
+            [0.05, 0.05, 0.1, 0.3, 0.35, 0.15],
+            [0.05, 0.05, 0.45, 0.1, 0.1, 0.25],
+        ])
+        masked = np.zeros(y.shape, dtype=bool)
+        masked[[0, 1, 2, 3], [4, 5, 3, 4]] = True
+        live = [(-0.7, (4,), (0.5,)), (-0.9, (5,), (0.4,)), (-1.2, (3,), (0.3,)), (-1.6, (4,), (0.2,))]
+        chosen = decode._select(y, masked, [0, 1, 2, 3], live, [1, 3], 6)
+
+        def sorted_candidates(rows):
+            return sorted(
+                (
+                    ((score + (math.log(y[r, j]) if y[r, j] > 0 else -math.inf), seq + (j,), probs + (y[r, j],)), r)
+                    for r in rows
+                    for score, seq, probs in [live[r]]
+                    for j in range(EOS_ID, 6)
+                    if not masked[r, j]
+                ),
+                key=lambda c: (-c[0][0], c[0][1]),
+            )
+
+        assert chosen[0] == sorted_candidates([0])
+        assert [c[0][1] for c in chosen[0]] == [(4, 2), (4, 5), (4, 3)]
+        assert chosen[0][-1] == ((-math.inf, (4, 3), (0.5, 0.0)), 0)
+        assert len(sorted_candidates([1, 2, 3])) == 9
+        assert chosen[1] == sorted_candidates([1, 2, 3])[:6]
 
 
 @pytest.fixture(scope="module")

@@ -49,8 +49,10 @@ class TestTrainConfig:
             TrainConfig(clip_max_norm=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        # values that cannot train: NaN steps, an infinite epsilon never moves
+        # values that cannot train: NaN steps, an infinite epsilon never
+        # moves, numpy's generator takes no negative seed
         for name, value in (
+            ("seed", -1),
             ("learning_rate", math.nan),
             ("learning_rate", math.inf),
             ("adam_epsilon", math.nan),
