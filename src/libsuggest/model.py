@@ -108,14 +108,6 @@ class LstmParams:
     u: Tensor  # [H x 4H]
     b: Tensor  # [4H]
 
-    @property
-    def input_size(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.u.shape[0]
-
 
 @dataclass
 class AttentionParams:
@@ -227,13 +219,13 @@ def attention(
     the attention weights over all T positions (exact zeros past each
     row's length: its scores there are -inf) and the context vectors over
     the valid positions, from one `tensor.additive_attention` op, which
-    reads only those positions.  `keys`, when given, is
-    `attention_keys(enc_out, p)`, computed once for every step of a batch
+    reads only those positions.  `keys` is `attention_keys(enc_out, p)`:
+    a caller that passes it computes it once for every step of a batch
     instead of once per step.  `additive_attention` rejects states, keys
     or lengths that do not fit `enc_out`, and a length outside 1..T.
     """
     if keys is None:
-        keys = matmul(enc_out, p.u_a)
+        keys = attention_keys(enc_out, p)
     return additive_attention(keys, matmul(s_t, p.w_a), p.v_a, enc_out, valid_len)
 
 
@@ -331,13 +323,15 @@ def attention_keys(enc_out: Tensor, p: AttentionParams) -> Tensor:
 
 def library_weights(freq: Mapping[str, int], lib_vocab: Vocabulary) -> np.ndarray:
     """Per-library loss weights 1 - f_j / sum(f), aligned to vocabulary id
-    order (index 0 is the first non-reserved id)."""
+    order (index 0 is the first non-reserved id).  A vocabulary library
+    with no count in `freq`, or a count below 1, is a ValueError naming it."""
     libs = lib_vocab.regular_tokens()
     if len(libs) < 2:
         raise ValueError("need at least two libraries for nonzero weights")
+    for lib in libs:
+        if freq.get(lib, 0) < 1:
+            raise ValueError(f"vocabulary library {lib!r} needs a frequency >= 1")
     counts = np.array([freq[lib] for lib in libs], dtype=np.float64)
-    if (counts < 1).any():
-        raise ValueError("every vocabulary library needs frequency >= 1")
     return 1.0 - counts / counts.sum()
 
 

@@ -1,12 +1,14 @@
 """Mini-batch training loop and checkpoint persistence.
 
 Adam with global-norm gradient clipping, teacher forcing, seeded shuffling
-and dropout.  Each mini-batch is one batched forward pass over [B x T x .]
-arrays (`model.batch_loss`), one tape and one backward sweep.  Dropout
-draws its masks per batch: once over the batch's [B x T x 2H] encoder
-output, then once per decoder step over the [n_t x H] states of the rows
-still running.  Same-seed runs are byte-identical.  Checkpoints are a
-versioned binary container that round-trips bit-exactly: magic, JSON
+and dropout.  Adam runs with the defaults of Kingma and Ba, beta1 0.9,
+beta2 0.999 and epsilon 1e-8: module constants, not config keys.  Each
+mini-batch is one batched forward pass over [B x T x .] arrays
+(`model.batch_loss`), one tape and one backward sweep.  Dropout draws its
+masks per batch: once over the batch's [B x T x 2H] encoder output, then
+once per decoder step over the [n_t x H] states of the rows still
+running.  Same-seed runs are byte-identical.  Checkpoints are a binary
+container of format version 3 that round-trips bit-exactly: magic, JSON
 metadata padded so that the tensors start 8-byte aligned, raw
 little-endian float64 tensors, and a trailing SHA-256 checksum.  The
 tensors are those of `model.parameter_shapes`, in its order, then
@@ -59,7 +61,11 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"LSCKPT01"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -75,9 +81,6 @@ class TrainConfig:
     """Training hyperparameters plus the model and sequence dimensions."""
 
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     clip_max_norm: float = 5.0
     dropout_p: float = 0.3
     batch_size: int = 32
@@ -107,10 +110,6 @@ class TrainConfig:
             raise ValueError("sequence limits must be >= 1")
         if min(self.embed_dim, self.enc_hidden, self.dec_hidden, self.lib_embed) < 1:
             raise ValueError("model dimensions must be >= 1")
-        if not 0.0 < self.adam_beta1 < 1.0 or not 0.0 < self.adam_beta2 < 1.0:
-            raise ValueError("Adam betas must be in (0, 1)")
-        if not 0.0 < self.adam_epsilon < math.inf:
-            raise ValueError("adam_epsilon must be positive and finite")
 
 
 @dataclass
@@ -138,11 +137,12 @@ def adam_step(
     """One Adam update, step index t >= 1, in place on the parameter
     tensors and on the moment arrays of `state`: m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g*g, then a step of lr * m_hat / (sqrt(v_hat) + eps)
-    with the bias-corrected m_hat and v_hat.
+    with the bias-corrected m_hat and v_hat; b1, b2 and eps are
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:

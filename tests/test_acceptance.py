@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the transcript.
 """
 
 import io
-import json
 import time
 from contextlib import redirect_stdout
 
@@ -26,7 +25,7 @@ from libsuggest.model import (
     library_weights,
     named_parameters,
 )
-from libsuggest.tensor import Tape, Tensor, backward
+from libsuggest.tensor import Tensor
 from libsuggest.trainer import checkpoint_bytes, checkpoint_from_bytes, train
 
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -51,12 +52,19 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.learning_rate == 0.01
         assert cfg.batch_size == 4
-        assert cfg.adam_beta1 == TrainConfig().adam_beta1
+        assert cfg.clip_max_norm == TrainConfig().clip_max_norm
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("warp_speed = 9\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_epsilon"])
+    def test_adam_constants_are_not_config_keys(self, tmp_path, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"seed = 1\n{key} = 0.9\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^line 2: .*c\.cfg: unknown config key '{key}'"):
             load_config(path)
 
     def test_text_that_is_not_utf8_names_file_and_line(self, tmp_path):
@@ -821,10 +829,13 @@ def test_pipeline_bytes_do_not_depend_on_the_hash_seed(pipeline, tmp_path):
     assert digests[0] == digests[1]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_flag_tables():
     """The first column of each command's flag table in README.md, by command."""
     tables, command = {}, None
-    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+    for line in README.read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
             command = line[4:].strip() if line.startswith("### ") else None
         elif command and line.startswith("| `"):
@@ -839,3 +850,18 @@ def test_readme_flag_tables_match_the_parser():
         for name, sub in commands.choices.items()
     }
     assert readme_flag_tables() == flags
+
+
+def test_readme_config_table_lists_every_train_config_field_with_its_default():
+    rows, section = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            section = line[3:].strip()
+        elif section == "Training config" and line.startswith("| `"):
+            key, default = (cell.strip() for cell in line.split("|")[1:3])
+            rows.append((key.strip("`"), default))
+    assert [key for key, _ in rows] == [f.name for f in fields(TrainConfig)]
+    # each default read as load_config reads the value of its key
+    assert [type(f.default)(default) for f, (_, default) in zip(fields(TrainConfig), rows)] == [
+        f.default for f in fields(TrainConfig)
+    ]

@@ -9,7 +9,6 @@ import _synth
 from _fd import einsum, finite_difference_check
 from libsuggest.model import (
     BOS,
-    AttentionParams,
     LstmParams,
     attention,
     attention_keys,
@@ -59,9 +58,9 @@ class TestLstmStep:
         rng = np.random.default_rng(9)
         params, _ = tiny_params(9)
         cell = params.dec
-        x = Tensor(rng.normal(size=(1, cell.input_size)))
-        h0 = Tensor(rng.normal(size=(1, cell.hidden_size)))
-        c0 = Tensor(rng.normal(size=(1, cell.hidden_size)))
+        x = Tensor(rng.normal(size=(1, cell.w.shape[0])))
+        h0 = Tensor(rng.normal(size=(1, cell.u.shape[0])))
+        c0 = Tensor(rng.normal(size=(1, cell.u.shape[0])))
 
         def f():
             h, c = lstm_cell(x, h0, c0, cell.w, cell.u, cell.b)
@@ -282,7 +281,7 @@ class TestDecoderStepBatch:
 
     def check_rows(self, params, rng, total, valid_len, batch):
         vocab_n = params.lib_vocab_size
-        embed_dim = params.enc_fwd.input_size
+        embed_dim = params.enc_fwd.w.shape[0]
         x = Tensor(rng.normal(size=(total, embed_dim)))
         enc_out = encode(x, valid_len, params.enc_fwd, params.enc_bwd)
         keys = attention_keys(enc_out, params.attn)
@@ -340,7 +339,7 @@ class TestDecoderStepBatch:
         """Row 1 has a length-n source zero-padded to `span`, among rows of
         other queries; it must equal the one-sequence step on that source
         alone, as the multi-query beam needs."""
-        vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.input_size
+        vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.w.shape[0]
         lengths = [span, n, *(int(m) for m in rng.integers(1, span + 1, size=3))]
         encs = [encode(Tensor(rng.normal(size=(m, embed_dim))), m, params.enc_fwd, params.enc_bwd) for m in lengths]
         keys = [attention_keys(enc, params.attn) for enc in encs]
@@ -474,6 +473,11 @@ class TestLibraryWeights:
         with pytest.raises(ValueError, match="two"):
             library_weights({"solo": 5}, Vocabulary(["solo"]))
 
+    @pytest.mark.parametrize("freq", [{"a": 2}, {"a": 2, "b": 0}])
+    def test_library_without_a_count_named(self, freq):
+        with pytest.raises(ValueError, match="library 'b'"):
+            library_weights(freq, Vocabulary(["a", "b"]))
+
 
 class TestSequenceLoss:
     def test_single_target_half_probability(self):
@@ -564,7 +568,7 @@ class TestGoldenForward:
 def random_batch(rng, params, source_lengths, target_lengths, total):
     """Embedded sources [B x total x dim] with junk past each length, and
     distinct library targets ending in EOS."""
-    vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.input_size
+    vocab_n, embed_dim = params.lib_vocab_size, params.enc_fwd.w.shape[0]
     x = rng.normal(size=(len(source_lengths), total, embed_dim))
     for row, n in zip(x, source_lengths):
         row[n:] *= 50.0

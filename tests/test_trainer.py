@@ -1,12 +1,10 @@
 import hashlib
-import io
 import json
 import math
 import mmap
 import struct
 import tracemalloc
 import weakref
-from contextlib import redirect_stdout
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -49,14 +47,12 @@ class TestTrainConfig:
             TrainConfig(clip_max_norm=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        # values that cannot train: NaN steps, an infinite epsilon never
-        # moves, numpy's generator takes no negative seed
+        # values that cannot train: NaN steps, numpy's generator takes no
+        # negative seed
         for name, value in (
             ("seed", -1),
             ("learning_rate", math.nan),
             ("learning_rate", math.inf),
-            ("adam_epsilon", math.nan),
-            ("adam_epsilon", math.inf),
             ("clip_max_norm", math.nan),
         ):
             with pytest.raises(ValueError, match=name):
@@ -67,6 +63,9 @@ class TestTrainConfig:
 class TestAdamStep:
     def cfg(self):
         return TrainConfig()
+
+    def test_constants_are_the_defaults_of_kingma_and_ba(self):
+        assert (trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
     def test_first_step_moves_by_learning_rate(self):
         p = {"w": Tensor(np.array([1.0]))}
@@ -104,13 +103,13 @@ class TestAdamStep:
     def test_formula_bytes_over_parameters_of_falling_and_rising_sizes(self):
         # sizes that fall and rise, so each parameter reads buffers a
         # larger one wrote before it; three steps against the formula
-        cfg = replace(self.cfg(), learning_rate=2e-3, adam_beta1=0.8, adam_beta2=0.99)
+        cfg = replace(self.cfg(), learning_rate=2e-3)
         rng = np.random.default_rng(12)
         shapes = {"big": (6, 7), "one": (1,), "cube": (2, 3, 4), "row": (5,), "last": (7, 6)}
         params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
         expected = {name: (p.data.copy(), 0.0, 0.0) for name, p in params.items()}
         state = AdamState.for_params(params)
-        b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+        b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPSILON
         for t in range(1, 4):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             adam_step(params, grads, state, t, cfg)
@@ -126,14 +125,14 @@ class TestAdamStep:
     def test_in_place_update_matches_the_allocating_formula_byte_for_byte(self):
         def reference(w, g, m, v, t, cfg):
             # the update as it was written before it ran in place
-            b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+            b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPSILON
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             return w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps), m, v
 
-        cfg = replace(self.cfg(), learning_rate=3e-3, adam_beta1=0.85, adam_beta2=0.995)
+        cfg = replace(self.cfg(), learning_rate=3e-3)
         rng = np.random.default_rng(11)
         shapes = {"w": (5, 4), "b": (4,)}
         params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
@@ -276,6 +275,15 @@ class TestTrain:
         data = tiny_dataset(1)
         with pytest.raises(ValueError, match="dimension"):
             train(data, tiny_cfg(embed_dim=7), self.table())
+
+    def test_vocabulary_library_without_a_count_named(self):
+        data = tiny_dataset(2)
+        lib = data.lib_vocab.regular_tokens()[-1]
+        freq = {k: v for k, v in data.lib_freq.items() if k != lib}
+        uncounted = PreparedDataset(data.examples, data.word_vocab, data.lib_vocab, freq, data.tables)
+        with pytest.raises(ValueError) as err:
+            train(uncounted, tiny_cfg(), self.table())
+        assert f"library {lib!r}" in str(err.value)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_gradient_stops_before_adam(self, bad, monkeypatch, capsys):
@@ -595,6 +603,11 @@ class TestCheckpointHeaderValidation:
 
     def test_first_format_version_rejected(self):
         self.rejects(lambda h: h.update(format_version=1), "version 1")
+
+        def version_2(h):  # a format 2 header, with the Adam keys its config had
+            h.update(format_version=2)
+            h["config"].update(adam_beta1=0.9, adam_beta2=0.999, adam_epsilon=1e-8)
+        self.rejects(version_2, "version 2")
 
     def test_unaligned_payload(self):
         import json
